@@ -1,13 +1,14 @@
 """Print the exact break-count laws and the identities behind them.
 
 Everything here is rational arithmetic: the mass at zero, the two-part
-k = 1 formula, the survivor-tail sums for larger k, and the telescoping
-identity that collapses the k = 1 sum to a closed form.
+k = 1 formula, the full law next to its survivor tails for larger k, and
+the telescoping identity that collapses the k = 1 sum to a closed form.
 """
 
 from fractions import Fraction
 
 from brokenrecords import (
+    exact_pmf_b,
     geometric_limit,
     joint_tail_prob_fast,
     prob_b0,
@@ -30,10 +31,13 @@ def main() -> None:
     print(f"           = 1/4 + 1/(2n(n+1)) = {Fraction(1, 4) + Fraction(1, 2 * n * (n + 1))}")
     print()
 
-    print("survivor tails P[B = k, an older record survives]:")
+    law = exact_pmf_b(n, 5)
+    print("full law P[B = k] next to the survivor tail P[B = k, an older record survives]:")
     for k in range(1, 6):
+        full = law.prob(k)
         tail = joint_tail_prob_fast(n, k)
-        print(f"  k = {k}:  {tail}  ~ {float(tail):.6f}")
+        print(f"  k = {k}:  {float(full):.6f} = {float(tail):.6f} (tail) + {float(law.lone_mass(k)):.6f} (none survive)")
+    print(f"  tail == full - lone at every k: {all(law.tail_mass(k) == joint_tail_prob_fast(n, k) for k in range(1, 6))}")
     print()
 
     print("telescoping identity, literal sum vs closed form:")
@@ -48,9 +52,11 @@ def main() -> None:
 
     print("distance to the limiting law 2^-(k+1), with the a priori bound:")
     for nn in (10, 100, 1000):
-        dev = abs(float(prob_b1(nn) - geometric_limit(1)))
-        bound = remainder_bound(nn, 1)
-        print(f"  n = {nn:4d}, k = 1:  |exact - limit| = {dev:.2e}  bound = {bound:.2e}")
+        law = exact_pmf_b(nn, 3)
+        for k in (1, 2, 3):
+            dev = abs(float(law.prob(k) - geometric_limit(k)))
+            bound = remainder_bound(nn, k)
+            print(f"  n = {nn:4d}, k = {k}:  |exact - limit| = {dev:.2e}  bound = {bound:.2e}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Command-line interface for the record-break analysis tools.
 
 Subcommands map one-to-one onto the report builders: ``exact`` for the
-closed forms, ``oracle`` for exhaustive enumeration, ``simulate`` for
+exact law, ``oracle`` for exhaustive enumeration, ``simulate`` for
 seeded Monte Carlo, ``converge`` for the deviation sweep, ``gof`` for
 distribution fit, and ``audit`` for the step-by-step invariant replay.
 
@@ -66,14 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("exact", help="closed-form masses and survivor tails")
+    p = sub.add_parser("exact", help="exact masses and survivor tails")
     p.add_argument("--n", type=int, required=True, help="number of steps")
     p.add_argument("--kmax", type=int, default=None, help="largest break count tabulated")
     p.add_argument(
         "--tail-max-n",
         type=int,
         default=reports.TAIL_EXACT_MAX_N,
-        help="largest n for which survivor tails are computed",
+        help="largest n for which the exact law and survivor tails are computed",
     )
     _add_output_flags(p)
 
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tail-max-n",
         type=int,
         default=reports.TAIL_EXACT_MAX_N,
-        help="largest n for which survivor tails are computed",
+        help="largest n for which the exact law and survivor tails are computed",
     )
     _add_output_flags(p)
 

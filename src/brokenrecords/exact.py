@@ -11,6 +11,20 @@ exactly k records while at least one old record survives:
 tuples, and ``joint_tail_prob_fast`` collapses that sum with prefix-sum
 layers in O(n * k) rational operations.  They must agree exactly, and the
 tests hold them to that.
+
+A third route, ``exact_pmf_b``, gives the full law for every k in one
+integer pass.  Split on the suffix after the last of X_0, ..., X_{n-1}
+that lies above X_n.  Its length L satisfies P[L >= l] = 1/(l + 1), since
+that is the chance X_n is the largest of the last l + 1 values, and the
+records broken at step n are exactly the right-to-left maxima of that
+suffix.  Given L = l the suffix is a uniform arrangement, so by Renyi's
+record theorem it holds k such maxima with probability c(l, k)/l!, where c
+is the unsigned Stirling number of the first kind.  Hence
+
+    P[B_n = k] = sum_{l < n} c(l, k)/(l + 2)!  +  c(n, k)/(n + 1)!,
+
+and the last term, L = n, is the event that no old record survives.  The
+tests hold this route to the enumeration and to the survivor tails above.
 """
 from __future__ import annotations
 
@@ -26,6 +40,10 @@ ExactRational = Fraction
 IndexTuple = tuple[int, ...]
 
 REFERENCE_TERM_LIMIT = 10**6
+# Ceiling on n * n * (kmax + 1) for exact_pmf_b: the pass fills n * (kmax + 1)
+# cells, each an integer of O(n log n) bits.  Calls at the ceiling took
+# 6-13 s on a 2-CPU Xeon (n = 10**5 at kmax = 0, n = 10**4 at kmax = 99).
+EXACT_MAX_WORK = 10**10
 
 
 @dataclass
@@ -207,6 +225,61 @@ def joint_tail_prob_fast(n: int, k: int) -> Fraction:
             nxt[x] = acc
         layer = nxt
     return layer[i0]
+
+
+@dataclass
+class BreakLaw(Pmf):
+    """Exact law of the final break count with its lone part split out.
+
+    ``lone[k]`` is c(n, k), which is (n + 1)! times the probability of
+    breaking exactly k records with no old record surviving.
+    """
+
+    lone: tuple[int, ...] = ()
+
+    def lone_mass(self, k: int) -> Fraction:
+        """Mass of breaking exactly k records with none surviving."""
+        if k >= len(self.lone):
+            return Fraction(0)
+        return Fraction(self.lone[k], math.factorial(self.n + 1))
+
+    def tail_mass(self, k: int) -> Fraction:
+        """Mass of breaking exactly k records with at least one survivor."""
+        return self.prob(k) - self.lone_mass(k)
+
+
+def exact_pmf_b(n: int, kmax: int) -> BreakLaw:
+    """Exact P[B_n = k] for k = 0..min(kmax, n) in one integer pass.
+
+    Carries the Stirling row c(l, 0..kmax) and T(l, 0..kmax), where
+    T(l) = (l + 1)! * sum_{j < l} c(j, k)/(j + 2)!, through
+    T(l + 1) = (l + 2) * T(l) + c(l, k); then (n + 1)! * P[B_n = k] is
+    T(n) + c(n, k).  Costs O(n * kmax) multiplications of a big integer by
+    a small one; refuses with CapacityError, before any arithmetic, when
+    n * n * (kmax + 1) exceeds ``EXACT_MAX_WORK``.
+    """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if kmax < 0:
+        raise ValueError(f"kmax must be nonnegative, got {kmax}")
+    top = min(kmax, n)
+    work = n * n * (top + 1)
+    if work > EXACT_MAX_WORK:
+        raise CapacityError(
+            f"exact law for n={n}, kmax={top} needs n*n*(kmax+1) = {work}, "
+            f"over the ceiling of {EXACT_MAX_WORK}"
+        )
+    stirling = [1] + [0] * top
+    acc = [0] * (top + 1)
+    for l in range(n):
+        for k in range(top + 1):
+            acc[k] = (l + 2) * acc[k] + stirling[k]
+        for k in range(top, 0, -1):
+            stirling[k] = l * stirling[k] + stirling[k - 1]
+        stirling[0] *= l
+    scale = math.factorial(n + 1)
+    mass = {k: Fraction(a + c, scale) for k, (a, c) in enumerate(zip(acc, stirling))}
+    return BreakLaw(n=n, mass=mass, lone=tuple(stirling))
 
 
 def geometric_limit(k: int) -> Fraction:

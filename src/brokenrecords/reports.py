@@ -19,9 +19,9 @@ from scipy.stats import chi2 as _chi2
 
 from .errors import CapacityError
 from .exact import (
+    exact_pmf_b,
     expected_record_count,
     geometric_limit,
-    joint_tail_prob_fast,
     prob_b0,
     prob_b1,
     remainder_bound,
@@ -52,7 +52,7 @@ class ReportRow:
     """One (n, k) line of an analysis table.
 
     ``abs_dev`` is the distance from the limiting mass 2**-(k+1) of the
-    best estimate present, preferring enumeration, then the closed forms,
+    best estimate present, preferring enumeration, then the exact law,
     then simulation, then the survivor-tail formula.
     """
 
@@ -130,22 +130,36 @@ def build_row(
     )
 
 
-def exact_table(n: int, kmax: int | None = None, *, tail_max_n: int = TAIL_EXACT_MAX_N) -> dict:
-    """Closed-form table for one n: full masses at k <= 1, survivor tails beyond.
+def _exact_columns(
+    n: int, top: int, tail_max_n: int
+) -> list[tuple[Fraction | None, Fraction | None]]:
+    """(exact_full, exact_tail) for k = 0..top.
 
-    Tail columns stop at ``tail_max_n`` because the rational prefix sums
-    grow with the least common denominators; a larger n keeps the closed
-    forms and leaves the tails empty.
+    Up to ``tail_max_n`` one ``exact_pmf_b`` pass gives the full mass at
+    every k and the survivor tail at k >= 1; beyond it only the k <= 1
+    closed forms remain and the tails stay empty.
+    """
+    if n <= tail_max_n:
+        law = exact_pmf_b(n, top)
+        return [(law.prob(k), law.tail_mass(k) if k else None) for k in range(top + 1)]
+    closed = (prob_b0(n), prob_b1(n))
+    return [(closed[k] if k <= 1 else None, None) for k in range(top + 1)]
+
+
+def exact_table(n: int, kmax: int | None = None, *, tail_max_n: int = TAIL_EXACT_MAX_N) -> dict:
+    """Exact table for one n: full masses and survivor tails at every k.
+
+    Both columns come from one integer pass up to ``tail_max_n``, whose
+    cost grows like n * n * kmax; a larger n keeps the k <= 1 closed forms
+    and leaves the other cells empty.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     top = min(kmax, n) if kmax is not None else min(n, 8)
-    with_tails = n <= tail_max_n
-    rows = []
-    for k in range(top + 1):
-        full = prob_b0(n) if k == 0 else prob_b1(n) if k == 1 else None
-        tail = joint_tail_prob_fast(n, k) if with_tails and k >= 1 else None
-        rows.append(build_row(n, k, exact_full=full, exact_tail=tail))
+    rows = [
+        build_row(n, k, exact_full=full, exact_tail=tail)
+        for k, (full, tail) in enumerate(_exact_columns(n, top, tail_max_n))
+    ]
     meta = {"command": "exact", "n": n, "kmax": top, "tail_max_n": tail_max_n}
     return {"meta": meta, "rows": [r.to_dict() for r in rows]}
 
@@ -259,10 +273,10 @@ def converge_table(
 ) -> dict:
     """Deviation-from-limit table across a sweep of n.
 
-    Each n gets its best exact source: full enumeration up to
-    ``oracle_max_n``, otherwise a simulation of ``trials`` trajectories
-    (sharing one seed across the sweep).  Survivor tails and the k <= 1
-    closed forms ride along wherever they are computable.
+    Each n gets enumeration up to ``oracle_max_n``, otherwise a simulation
+    of ``trials`` trajectories (sharing one seed across the sweep).  Full
+    masses and survivor tails come from one exact pass per n up to
+    ``tail_max_n``, and only the k <= 1 closed forms beyond it.
     """
     if not n_list:
         raise ValueError("n_list must name at least one n")
@@ -274,6 +288,8 @@ def converge_table(
     for n in n_list:
         if n < 1:
             raise ValueError(f"every n must be at least 1, got {n}")
+        # First, so an exact pass over its ceiling refuses before any sampling.
+        columns = _exact_columns(n, min(kmax, n), tail_max_n)
         opmf = None
         if n <= oracle_max_n:
             opmf = oracle_joint(n, max_n=oracle_max_n).marginal_b()
@@ -284,9 +300,7 @@ def converge_table(
                 SimConfig(n=n, trials=trials, seed=seed, kmax=kmax, workers=workers)
             )
             simulated_ns.append(n)
-        for k in range(min(kmax, n) + 1):
-            full = prob_b0(n) if k == 0 else prob_b1(n) if k == 1 else None
-            tail = joint_tail_prob_fast(n, k) if n <= tail_max_n and k >= 1 else None
+        for k, (full, tail) in enumerate(columns):
             rows.append(
                 build_row(
                     n,

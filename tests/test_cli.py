@@ -52,6 +52,19 @@ class TestExactCommand:
     def test_bad_n_is_usage_error(self, capsys):
         assert main(["exact", "--n", "0"]) == 2
 
+    def test_exact_route_ceiling_exits_3(self, capsys):
+        # Refused from the sizes alone, before any pass or simulation, so
+        # this allocates nothing.
+        huge = str(10**9)
+        assert main(["exact", "--n", huge, "--tail-max-n", huge]) == 3
+        assert "capacity" in capsys.readouterr().err
+        code = main([
+            "converge", "--n-list", huge, "--tail-max-n", huge,
+            "--trials", "10", "--seed", "1",
+        ])
+        assert code == 3
+        assert "capacity" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_break_pmf_n3(self, capsys):

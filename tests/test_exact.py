@@ -14,10 +14,13 @@ import pytest
 from brokenrecords import (
     CapacityError,
     Pmf,
+    exact_pmf_b,
     expected_record_count,
     geometric_limit,
     joint_tail_prob,
     joint_tail_prob_fast,
+    oracle_joint,
+    oracle_pmf_b,
     p_term,
     prob_b0,
     prob_b1,
@@ -196,6 +199,62 @@ class TestJointTail:
         assert all(0 < t < 1 for t in tails)
 
 
+class TestExactPmfB:
+    def test_equals_enumeration(self):
+        for n in range(1, 9):
+            law = exact_pmf_b(n, n)
+            pmf = oracle_pmf_b(n)
+            assert law.support() == pmf.support()
+            for k in range(n + 1):
+                assert law.prob(k) == pmf.prob(k)
+
+    def test_lone_part_equals_enumeration(self):
+        for n in range(1, 9):
+            law = exact_pmf_b(n, n)
+            joint = oracle_joint(n)
+            for k in range(n + 1):
+                assert F(law.lone[k], math.factorial(n + 1)) == joint.lone_mass(k)
+                assert law.lone_mass(k) == joint.lone_mass(k)
+
+    def test_tails_equal_survivor_routes(self):
+        for n in (50, 300):
+            law = exact_pmf_b(n, 6)
+            for k in range(1, 7):
+                assert law.tail_mass(k) == joint_tail_prob_fast(n, k)
+        assert exact_pmf_b(50, 3).tail_mass(3) == joint_tail_prob(50, 3)
+
+    def test_full_law_sums_to_one(self):
+        for n in (1, 2, 9, 60, 250):
+            law = exact_pmf_b(n, n)
+            assert law.total() == 1
+            assert law.support() == list(range(n + 1))
+
+    def test_closed_forms_at_n2000(self):
+        law = exact_pmf_b(2000, 1)
+        assert law.prob(0) == F(1, 2)
+        assert law.prob(1) == prob_b1(2000)
+
+    def test_kmax_clipped_to_n(self):
+        law = exact_pmf_b(3, 9)
+        assert sorted(law.mass) == [0, 1, 2, 3]
+        assert law.prob(7) == 0
+        assert law.lone_mass(7) == 0
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            exact_pmf_b(0, 2)
+        with pytest.raises(ValueError):
+            exact_pmf_b(5, -1)
+
+    def test_capacity_ceiling(self):
+        # Refused from the sizes alone, before any arithmetic.
+        with pytest.raises(CapacityError) as exc:
+            exact_pmf_b(10**9, 8)
+        assert "ceiling" in str(exc.value)
+        with pytest.raises(CapacityError):
+            exact_pmf_b(10**4, 10**4)
+
+
 class TestLimitAndBound:
     def test_geometric_limit(self):
         assert geometric_limit(0) == F(1, 2)
@@ -229,14 +288,17 @@ class TestLimitAndBound:
             assert dev == remainder_bound(n, 1)
 
     def test_bound_dominates_exact_deviation(self):
-        # Against the fully enumerated distribution wherever that is cheap.
-        from brokenrecords import oracle_pmf_b
-
-        for n in range(2, 9):
-            pmf = oracle_pmf_b(n)
-            for k in range(1, n):
-                dev = abs(float(pmf.prob(k) - geometric_limit(k)))
-                assert dev <= remainder_bound(n, k) + 1e-15
+        # Against the exact law from n = 2 to 400 and at three larger n,
+        # for every k <= 8; at k = 1 the bound is met with equality.
+        for n in [*range(2, 401), 512, 1000, 2000]:
+            law = exact_pmf_b(n, 8)
+            assert law.prob(0) == geometric_limit(0)
+            for k in range(1, min(8, n) + 1):
+                dev = abs(float(law.prob(k) - geometric_limit(k)))
+                if k == 1:
+                    assert dev == remainder_bound(n, k)
+                else:
+                    assert dev <= remainder_bound(n, k), (n, k)
 
 
 class TestPmfContainer:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from brokenrecords import SimConfig, expected_record_count, oracle_joint
+from brokenrecords import SimConfig, expected_record_count, oracle_joint, oracle_pmf_b
 from brokenrecords.reports import (
     ReportRow,
     build_row,
@@ -104,10 +104,22 @@ class TestExactTable:
     def test_tail_cutoff(self):
         rep = exact_table(50, kmax=3, tail_max_n=10)
         assert all(r["exact_tail"] is None for r in rep["rows"] if r["k"] >= 1)
+        full = [r["exact_full"] for r in rep["rows"]]
+        assert full == [F(1, 2), F(1, 4) + F(1, 5100), None, None]
         rep2 = exact_table(50, kmax=3, tail_max_n=100)
         assert all(
             r["exact_tail"] is not None for r in rep2["rows"] if r["k"] >= 1
         )
+
+    def test_full_law_at_every_k(self):
+        rows = exact_table(4, kmax=4)["rows"]
+        pmf = oracle_pmf_b(4)
+        assert [r["exact_full"] for r in rows] == [pmf.prob(k) for k in range(5)]
+        assert sum(r["exact_full"] for r in rows) == 1
+        lone = oracle_joint(4)
+        for r in rows[1:]:
+            assert r["exact_full"] - r["exact_tail"] == lone.lone_mass(r["k"])
+            assert r["abs_dev"] == float(abs(r["exact_full"] - F(1, 2 ** (r["k"] + 1))))
 
     def test_kmax_clipped_to_n(self):
         rep = exact_table(2, kmax=9)
@@ -206,6 +218,15 @@ class TestConvergeTable:
             if row["k"] == 1:
                 n = row["n"]
                 assert row["abs_dev"] == float(F(1, 2 * n * (n + 1)))
+
+    def test_exact_deviations_within_bound(self):
+        # Regression: the k >= 2 rows once measured the survivor tail alone,
+        # whose distance from the limit exceeds the bound at every n here.
+        rep = converge_table([64, 512, 2000], kmax=8, trials=0, seed=0)
+        assert len(rep["rows"]) == 27
+        for row in rep["rows"]:
+            assert row["exact_full"] is not None
+            assert row["abs_dev"] <= row["remainder_bound"], (row["n"], row["k"])
 
     def test_no_trials_leaves_empirical_empty(self):
         rep = converge_table([20], kmax=2, trials=0, seed=0)
