@@ -43,7 +43,7 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report here instead of stdout")
 
 
-def _add_sim_flags(p: argparse.ArgumentParser) -> None:
+def _add_trial_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, required=True, help="number of trajectories")
     p.add_argument(
         "--seed",
@@ -51,6 +51,10 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
         default=None,
         help="base seed of the run (omitted: one is generated and printed)",
     )
+
+
+def _add_sim_flags(p: argparse.ArgumentParser) -> None:
+    _add_trial_flags(p)
     p.add_argument(
         "--kmax", type=int, default=12, help="pool break counts above this (default 12)"
     )
@@ -145,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="replay trajectories and verify every invariant")
     p.add_argument("--n", type=int, required=True, help="number of steps")
-    _add_sim_flags(p)
+    _add_trial_flags(p)
     _add_output_flags(p)
 
     return parser
@@ -225,13 +229,7 @@ def cmd_gof(args: argparse.Namespace) -> dict:
 
 
 def cmd_audit(args: argparse.Namespace) -> dict:
-    config = SimConfig(
-        n=args.n,
-        trials=args.trials,
-        seed=_resolve_seed(args),
-        kmax=args.kmax,
-        workers=args.workers,
-    )
+    config = SimConfig(n=args.n, trials=args.trials, seed=_resolve_seed(args))
     report = simulate_trajectory_audit(config)
     meta = {
         "command": "audit",

@@ -2,12 +2,18 @@
 
 Break and record counts depend only on the relative order of the
 observations, so averaging over all (n + 1)! permutations of ranks gives
-the exact joint law for small n.  The enumeration recomputes each record
-set straight from the definition with a backward scan, deliberately
-sharing no code with the incremental stack it is used to check.
+the exact joint law for small n.  Every ordering is still checked, one
+numpy block at a time: the last t = min(n + 1, 7) positions run through a
+fixed table of all t! arrangements, and each ordered choice of the
+values in front of them makes one block.  Within a block the record sets
+come straight from the definition -- position i holds a record of the
+first m + 1 values when its value equals the maximum of positions i..m,
+a reversed running maximum -- deliberately sharing no code with the
+incremental stack or the vectorized sampler it is used to check.
 
 Costs grow factorially; ``DEFAULT_MAX_N`` keeps casual calls cheap and
-``HARD_MAX_N`` is the absolute ceiling.
+``HARD_MAX_N`` is the absolute ceiling.  Working memory is one block,
+whatever n is.
 """
 from __future__ import annotations
 
@@ -17,6 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import CapacityError
 from .exact import Pmf
@@ -68,39 +76,54 @@ class _EnumCounts(NamedTuple):
     b1_index: dict[int, int]
 
 
-def _suffix_record_indices(vals: tuple[int, ...], m: int) -> list[int]:
-    """Indices i <= m with vals[i] above everything after it, oldest first."""
-    recs: list[int] = []
-    mx = -1
-    for i in range(m, -1, -1):
-        if vals[i] > mx:
-            recs.append(i)
-            mx = vals[i]
-    recs.reverse()
-    return recs
+_TEMPLATE_WIDTH = 7  # 7! = 5,040 rows per block
+
+
+def _record_mask(block: np.ndarray, m: int) -> np.ndarray:
+    """Mask of positions i <= m whose value tops everything after them."""
+    head = block[:, : m + 1]
+    suffix_max = np.maximum.accumulate(head[:, ::-1], axis=1)[:, ::-1]
+    return head == suffix_max
+
+
+def _counts(hist: np.ndarray) -> dict[int, int]:
+    return {i: int(c) for i, c in enumerate(hist) if c}
 
 
 @lru_cache(maxsize=16)
 def _enumerate(n: int) -> _EnumCounts:
-    joint: dict[tuple[int, int], int] = {}
-    r_now: dict[int, int] = {}
-    b1_index: dict[int, int] = {}
-    for perm in itertools.permutations(range(n + 1)):
-        prev = _suffix_record_indices(perm, n - 1)
-        r_prev = len(prev)
-        last = perm[n]
-        b = sum(1 for i in prev if perm[i] < last)
-        r = len(_suffix_record_indices(perm, n))
-        if r != r_prev + 1 - b:
-            raise AssertionError(
-                f"conservation violated in enumeration: perm={perm}"
-            )
-        joint[b, r_prev] = joint.get((b, r_prev), 0) + 1
-        r_now[r] = r_now.get(r, 0) + 1
-        if b == 1 and r_prev >= 2:
-            i1 = prev[-2]
-            b1_index[i1] = b1_index.get(i1, 0) + 1
-    return _EnumCounts(joint=joint, r_now=r_now, b1_index=b1_index)
+    size = n + 1
+    t = min(size, _TEMPLATE_WIDTH)
+    template = np.array(list(itertools.permutations(range(t))), dtype=np.uint8)
+    joint = np.zeros(size * size, dtype=np.int64)
+    r_now = np.zeros(size + 1, dtype=np.int64)
+    b1_index = np.zeros(size, dtype=np.int64)
+    block = np.empty((len(template), size), dtype=np.uint8)
+    for head in itertools.permutations(range(size), size - t):
+        rest = np.array(sorted(set(range(size)) - set(head)), dtype=np.uint8)
+        block[:, : size - t] = head
+        block[:, size - t :] = rest[template]
+        prev = _record_mask(block, n - 1)
+        r_prev = prev.sum(axis=1)
+        b = (prev & (block[:, :n] < block[:, n:])).sum(axis=1)
+        r = _record_mask(block, n).sum(axis=1)
+        bad = np.flatnonzero(r != r_prev + 1 - b)
+        if bad.size:
+            perm = tuple(int(v) for v in block[bad[0]])
+            raise AssertionError(f"conservation violated in enumeration: perm={perm}")
+        joint += np.bincount(b * size + r_prev, minlength=size * size)
+        r_now += np.bincount(r, minlength=size + 1)
+        single = (b == 1) & (r_prev >= 2)
+        if single.any():
+            # The one broken record sits at n - 1; the survivor beneath it
+            # is the newest record of the prefix at a smaller index.
+            older = np.where(prev[single, : n - 1], np.arange(n - 1), -1)
+            b1_index += np.bincount(older.max(axis=1), minlength=size)
+    return _EnumCounts(
+        joint={divmod(key, size): c for key, c in _counts(joint).items()},
+        r_now=_counts(r_now),
+        b1_index=_counts(b1_index),
+    )
 
 
 def _check_capacity(n: int, max_n: int) -> None:

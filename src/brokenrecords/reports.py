@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
-from scipy.stats import chi2 as _chi2
-
 from .errors import CapacityError
 from .exact import (
     exact_pmf_b,
@@ -343,6 +341,31 @@ def _merge_tail_bins(
     return observed, probs
 
 
+def chi2_sf(x: float, dof: int) -> float:
+    """Upper tail P[X >= x] of the chi-square law with integer ``dof``.
+
+    With y = x/2 the tail is the regularized gamma Q(dof/2, y), a finite
+    sum for integer dof: e^-y * sum_{i < dof/2} y^i / i! when dof is even,
+    and erfc(sqrt(y)) + e^-y * sum_{j=1..(dof-1)/2} y^(j-1/2) / Gamma(j+1/2)
+    when it is odd.  Every term is positive and taken in logs, so the
+    relative error stays near machine precision far into the tail.
+    """
+    if dof < 1:
+        raise ValueError(f"dof must be at least 1, got {dof}")
+    if x <= 0:
+        return 1.0
+    y = x / 2
+    log_y = math.log(y)
+    if dof % 2 == 0:
+        terms = [math.exp(i * log_y - y - math.lgamma(i + 1)) for i in range(dof // 2)]
+    else:
+        terms = [math.erfc(math.sqrt(y))] + [
+            math.exp((j - 0.5) * log_y - y - math.lgamma(j + 0.5))
+            for j in range(1, (dof + 1) // 2)
+        ]
+    return math.fsum(terms)
+
+
 def chi_square_fit(
     observed: Sequence[int], probs: Sequence[Fraction], trials: int
 ) -> tuple[float, int, float, int]:
@@ -356,7 +379,7 @@ def chi_square_fit(
         (o - float(p) * trials) ** 2 / (float(p) * trials) for o, p in zip(obs, ps)
     )
     dof = len(obs) - 1
-    return stat, dof, float(_chi2.sf(stat, dof)), len(obs)
+    return stat, dof, chi2_sf(stat, dof), len(obs)
 
 
 def _pooled_bins(emp: EmpiricalPmf, kmax: int) -> list[int]:
@@ -381,39 +404,18 @@ def gof_report(
     emp = simulate_b(config)
     kmax = config.kmax
     observed = _pooled_bins(emp, kmax)
-    rows = []
-    geo = _geometric_bins(kmax)
-    tv = tv_distance([o / config.trials for o in observed], geo)
-    stat, dof, pval, bins = chi_square_fit(observed, geo, config.trials)
-    rows.append(
-        {
-            "reference": "geometric-limit",
-            "statistic": "tv",
-            "value": tv,
-            "dof": None,
-            "p_value": None,
-            "bins": len(observed),
-        }
-    )
-    rows.append(
-        {
-            "reference": "geometric-limit",
-            "statistic": "chi2",
-            "value": stat,
-            "dof": dof,
-            "p_value": pval,
-            "bins": bins,
-        }
-    )
+    refs = [("geometric-limit", _geometric_bins(kmax))]
     if config.n <= oracle_max_n:
         opmf = oracle_joint(config.n, max_n=oracle_max_n).marginal_b()
         body = [opmf.prob(k) for k in range(kmax + 1)]
-        exact_bins = body + [Fraction(1) - sum(body)]
-        tv = tv_distance([o / config.trials for o in observed], exact_bins)
-        stat, dof, pval, bins = chi_square_fit(observed, exact_bins, config.trials)
+        refs.append(("enumeration", body + [Fraction(1) - sum(body)]))
+    rows = []
+    for reference, probs in refs:
+        tv = tv_distance([o / config.trials for o in observed], probs)
+        stat, dof, pval, bins = chi_square_fit(observed, probs, config.trials)
         rows.append(
             {
-                "reference": "enumeration",
+                "reference": reference,
                 "statistic": "tv",
                 "value": tv,
                 "dof": None,
@@ -423,7 +425,7 @@ def gof_report(
         )
         rows.append(
             {
-                "reference": "enumeration",
+                "reference": reference,
                 "statistic": "chi2",
                 "value": stat,
                 "dof": dof,

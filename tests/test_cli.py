@@ -7,11 +7,15 @@ confirmed well inside the tolerances.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import brokenrecords
 import brokenrecords.cli as cli
 from brokenrecords.cli import main
 from brokenrecords.errors import CapacityError, InvariantError, PartialResultError
@@ -260,6 +264,28 @@ class TestAuditCommand:
         assert code == 0
         assert rep["rows"][0]["result"] == "pass"
         assert rep["rows"][0]["steps_checked"] == 50 * 30
+
+    def test_sampler_flags_are_usage_errors(self, capsys):
+        # The replay neither pools counts nor schedules chunks.
+        for flag, value in (("--workers", "2"), ("--kmax", "4")):
+            argv = ["audit", "--n", "5", "--trials", "10", "--seed", "1", flag, value]
+            assert main(argv) == 2
+            assert flag in capsys.readouterr().err
+
+
+class TestImportPath:
+    def test_cli_import_leaves_scipy_out(self):
+        src = os.path.dirname(os.path.dirname(brokenrecords.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = (
+            "import sys, brokenrecords.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestExitCodes:

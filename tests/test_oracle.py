@@ -26,6 +26,7 @@ from brokenrecords import (
     run_trajectory,
     single_break_term,
 )
+from brokenrecords.oracle import _enumerate
 
 F = Fraction
 
@@ -148,6 +149,50 @@ class TestSingleBreakProfile:
         for n in range(2, 7):
             profile = oracle_single_break_profile(n)
             assert sum(profile.values()) == oracle_joint(n).tail_mass(1)
+
+
+def _suffix_record_indices(vals: tuple[int, ...], m: int) -> list[int]:
+    """Indices i <= m with vals[i] above everything after it, oldest first."""
+    recs: list[int] = []
+    mx = -1
+    for i in range(m, -1, -1):
+        if vals[i] > mx:
+            recs.append(i)
+            mx = vals[i]
+    recs.reverse()
+    return recs
+
+
+def _reference_counts(n: int):
+    """The oracle's tallies, one permutation at a time from the definition."""
+    joint: dict[tuple[int, int], int] = {}
+    r_now: dict[int, int] = {}
+    b1_index: dict[int, int] = {}
+    for perm in itertools.permutations(range(n + 1)):
+        prev = _suffix_record_indices(perm, n - 1)
+        b = sum(1 for i in prev if perm[i] < perm[n])
+        r = len(_suffix_record_indices(perm, n))
+        assert r == len(prev) + 1 - b, perm
+        joint[b, len(prev)] = joint.get((b, len(prev)), 0) + 1
+        r_now[r] = r_now.get(r, 0) + 1
+        if b == 1 and len(prev) >= 2:
+            b1_index[prev[-2]] = b1_index.get(prev[-2], 0) + 1
+    return joint, r_now, b1_index
+
+
+class TestBlockwiseEnumeration:
+    """The numpy block scan against a plain per-permutation loop.
+
+    n = 8 is covered by ``TestExactPmfB`` against ``exact_pmf_b``.
+    """
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_counts_match_reference_loop(self, n):
+        joint, r_now, b1_index = _reference_counts(n)
+        counts = _enumerate(n)
+        assert counts.joint == joint
+        assert counts.r_now == r_now
+        assert counts.b1_index == b1_index
 
 
 class TestCapacity:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from brokenrecords.reports import (
     ReportRow,
     build_row,
     checkpoint_table,
+    chi2_sf,
     chi_square_fit,
     converge_table,
     emit_csv,
@@ -268,6 +270,33 @@ class TestFitStatistics:
         assert bins < 5
         assert dof == bins - 1
         assert 0.0 <= pval <= 1.0
+
+
+class TestChi2Survival:
+    def test_matches_scipy_into_the_deep_tail(self):
+        stats = pytest.importorskip("scipy.stats")
+        targets = [10.0**-e for e in range(0, 301, 5)]
+        for dof in range(1, 41):
+            xs = [float(stats.chi2.isf(p, dof)) for p in targets]
+            xs += [1e-9, 1e-3, 0.5, float(dof), 3.0 * dof + 10]
+            refs = [float(stats.chi2.sf(x, dof)) for x in xs]
+            assert min(refs) < 1e-299
+            for x, ref in zip(xs, refs):
+                assert chi2_sf(x, dof) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_closed_forms_at_one_and_two_dof(self):
+        for x in (1e-8, 0.01, 0.7, 3.84, 25.0, 900.0):
+            assert chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-15)
+            assert chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-13)
+
+    def test_nonpositive_statistic_is_certain(self):
+        for dof in (1, 2, 7, 40):
+            assert chi2_sf(0.0, dof) == 1.0
+            assert chi2_sf(-3.5, dof) == 1.0
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            chi2_sf(1.0, 0)
 
 
 class TestGofReport:
