@@ -10,8 +10,12 @@ workers.  A trial whose draw contains a tied pair is redrawn from the
 attempt-1 key (then attempt 2, and so on), which keeps the redraw local
 to that trial; redraw totals land in the result metadata.
 
-Statistics are computed on whole chunks with suffix-maximum scans rather
-than per-trial Python loops.  ``simulate_trajectory_audit`` is the slow
+Statistics are computed on whole chunks rather than in per-trial Python
+loops.  The break count of the last step reads each row backward from
+X_n and stops at the first value above it, which is about H_n columns
+per trial (the suffix after the last value above X_n has length L with
+P[L >= l] = 1/(l + 1)); the record count of a full row uses a
+suffix-maximum scan.  ``simulate_trajectory_audit`` is the slow
 counterpart that replays each trajectory through the incremental stack
 and checks conservation step by step.
 """
@@ -26,12 +30,20 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import InvariantError, PartialResultError, TieError
+from .errors import CapacityError, InvariantError, PartialResultError, TieError
 from .records import TrajectoryStats, records_by_scan, run_trajectory
 
 GENERATOR = "philox4x64-counter-window"
 _TARGET_CHUNK_VALUES = 8_388_608
 _MAX_REDRAWS = 64
+# One trial row is never split across chunks, so its size is the floor of
+# a chunk's memory; 2**30 bytes holds rows up to n = 2**27 - 1.
+_MAX_ROW_BYTES = 2**30
+# The break-count walk reads this many columns with every row in place,
+# in tiles of _TILE_ROWS rows so the per-row state stays in cache.  A row
+# outlives l columns with probability 1/(l + 1), so about a ninth remain.
+_DENSE_COLUMNS = 8
+_TILE_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -123,7 +135,14 @@ class AuditReport:
 
 
 def _words_per_trial(n: int) -> int:
-    return 4 * ((n + 1 + 3) // 4)
+    """Words of the counter window one trial owns; refuses rows over the cap."""
+    w = 4 * ((n + 1 + 3) // 4)
+    if 8 * w > _MAX_ROW_BYTES:
+        raise CapacityError(
+            f"one trial row at n={n} takes {8 * w} bytes, over the "
+            f"{_MAX_ROW_BYTES}-byte cap of the window sampler"
+        )
+    return w
 
 
 def _raw_rows(seed: int, n: int, t0: int, t1: int, attempt: int) -> np.ndarray:
@@ -141,10 +160,23 @@ def _row_has_tie(row: np.ndarray) -> bool:
     return bool((s[1:] == s[:-1]).any())
 
 
+def _has_adjacent_equal(s: np.ndarray) -> np.ndarray:
+    return (s[:, 1:] == s[:, :-1]).any(axis=1)
+
+
 def _resolve_ties(vals: np.ndarray, seed: int, n: int, t0: int) -> int:
-    """Replace tied rows from their redraw streams; return redraw count."""
-    s = np.sort(vals, axis=1)
-    bad = np.nonzero((s[:, 1:] == s[:, :-1]).any(axis=1))[0]
+    """Replace tied rows from their redraw streams; return redraw count.
+
+    Equal 64-bit values have equal 32-bit halves, so a sort of one half of
+    each row (half the bytes of the full sort) finds every candidate, and
+    only rows whose half collides get the exact 64-bit sort.  The filter
+    is exact: the redrawn rows are those with a true tie, as before.  A
+    half collides in a row with probability about n**2 / 2**33, so from
+    n of about 6.5e4 most rows pay for both sorts.
+    """
+    half = np.sort(vals.view(np.uint32)[:, 1::2], axis=1)
+    cand = np.flatnonzero(_has_adjacent_equal(half))
+    bad = cand[_has_adjacent_equal(np.sort(vals[cand], axis=1))]
     redraws = 0
     for r in bad:
         t = t0 + int(r)
@@ -179,15 +211,51 @@ def _suffix_max(a: np.ndarray) -> np.ndarray:
 
 
 def final_break_counts(vals: np.ndarray) -> np.ndarray:
-    """Records broken by the last observation of each row.
+    """Records broken by the last observation of each row of distinct values.
 
-    A column is a current record of the first n columns iff it equals the
-    suffix maximum there; the last observation breaks those it exceeds.
+    Walks each row backward from its last value X_n with the running
+    maximum of the columns already read: a column counts when it beats
+    that maximum and stays below X_n.  The first value above X_n ends the
+    row, since every record before it lies above X_n too.  The first
+    ``_DENSE_COLUMNS`` columns are read with all rows in place; the rows
+    still live (about a ninth) are then gathered once and read in column
+    blocks that double in width, dropping rows as they end.  Expected
+    work is O(log n) values per row and no temporary spans (rows x n).
     """
-    head = vals[:, :-1]
-    last = vals[:, -1:]
-    smax = _suffix_max(head)
-    return ((head == smax) & (head < last)).sum(axis=1)
+    rows, m = vals.shape
+    counts = np.zeros(rows, dtype=np.int64)
+    last = vals[:, -1]
+    top = np.empty(rows, dtype=vals.dtype)
+    stop = max(m - 1 - _DENSE_COLUMNS, 0)
+    for r0 in range(0, rows, _TILE_ROWS):
+        tile = slice(r0, r0 + _TILE_ROWS)
+        below, mx, cnt = last[tile], top[tile], counts[tile]
+        mx[:] = vals[tile, m - 2]
+        cnt += mx < below
+        for j in range(m - 3, stop - 1, -1):
+            v = vals[tile, j]
+            hit = v > mx
+            hit &= v < below
+            cnt += hit
+            np.maximum(mx, v, out=mx)
+    if stop == 0:
+        return counts
+    live = np.flatnonzero(top < last)
+    mx, below = top[live], last[live]
+    hi, width = stop, m - 1 - stop
+    while hi > 0 and live.size:
+        lo = max(hi - width, 0)
+        block = vals[live, lo:hi]
+        smax = _suffix_max(block)
+        hit = block == smax
+        hit &= block > mx[:, None]
+        hit &= block < below[:, None]
+        counts[live] += hit.sum(axis=1)
+        np.maximum(mx, smax[:, 0], out=mx)
+        keep = mx < below
+        live, mx, below = live[keep], mx[keep], below[keep]
+        hi, width = lo, 2 * width
+    return counts
 
 
 def record_counts(vals: np.ndarray) -> np.ndarray:
@@ -264,6 +332,8 @@ def _base_meta(cfg: SimConfig, redraws: int, wall: float, mode: str) -> dict:
             "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "wall_time_s": round(wall, 3),
             "workers": cfg.workers,
+            "chunks": -(-cfg.trials // _rows_per_chunk(cfg.n)),
+            "trials_per_s": round(cfg.trials / wall, 1) if wall > 0 else None,
         },
     }
 

@@ -11,12 +11,14 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 import brokenrecords
 import brokenrecords.cli as cli
+import brokenrecords.montecarlo as mc
 from brokenrecords.cli import main
 from brokenrecords.errors import CapacityError, InvariantError, PartialResultError
 
@@ -322,6 +324,31 @@ class TestExitCodes:
         monkeypatch.setattr(cli.reports, "simulate_table", boom)
         code = main(["simulate", "--n", "5", "--trials", "10", "--seed", "1"])
         assert code == 3
+
+
+class TestRowCapacity:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--workers", "2"],
+            ["simulate", "--checkpoints", "auto"],
+            ["simulate", "--stat", "r"],
+            ["gof", "--workers", "2"],
+            ["audit"],
+        ],
+        ids=["simulate", "checkpoints", "records", "gof", "audit"],
+    )
+    def test_oversized_row_exits_3_before_any_work(self, argv, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started for an oversized row")
+
+        monkeypatch.setattr(mc, "_raw_rows", refuse)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", refuse)
+        threads = threading.active_count()
+        code = main([*argv, "--n", "1000000000", "--trials", "1", "--seed", "1"])
+        assert code == 3
+        assert "cap of the window sampler" in capsys.readouterr().err
+        assert threading.active_count() == threads
 
 
 class TestFormatAgreement:

@@ -6,10 +6,13 @@ to sit far inside the stated tolerances, so no test here is flaky.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brokenrecords.montecarlo as mc
 from brokenrecords import (
     AuditReport,
+    CapacityError,
     EmpiricalPmf,
     InvariantError,
     PartialResultError,
@@ -139,6 +142,140 @@ class TestTrialValues:
                 break
 
 
+    @staticmethod
+    def _first_clean_attempt(seed, n, t):
+        for attempt in range(1, 10):
+            row = mc._raw_rows(seed, n, t, t + 1, attempt)[0]
+            if not mc._row_has_tie(row):
+                return row, attempt
+        raise AssertionError("no tie-free redraw in nine attempts")
+
+    @pytest.mark.parametrize("shift", [0, 32], ids=["low-half", "high-half"])
+    def test_half_collision_alone_is_not_redrawn(self, shift):
+        # Copy one 32-bit half of a value into another column and flip a
+        # bit of the other half: the halves collide, the values differ.
+        seed, n, t0 = 11, 40, 30
+        vals, _ = trial_values(seed, n, t0, t0 + 3)
+        half = np.uint64(0xFFFFFFFF << shift)
+        other = np.uint64(1 << (32 - shift))
+        vals[1][7] = (vals[1][20] & half) | ((vals[1][20] ^ other) & ~half)
+        assert vals[1][7] != vals[1][20]
+        assert not mc._row_has_tie(vals[1])
+        before = vals.copy()
+        assert mc._resolve_ties(vals, seed, n, t0) == 0
+        assert np.array_equal(vals, before)
+
+    @pytest.mark.parametrize("col", [0, 20, 40], ids=["first", "middle", "last"])
+    def test_true_tie_at_any_column_is_redrawn(self, col):
+        seed, n, t0 = 11, 40, 30
+        vals, _ = trial_values(seed, n, t0, t0 + 3)
+        keep0, keep2 = vals[0].copy(), vals[2].copy()
+        vals[1][col] = vals[1][(col + 13) % (n + 1)]
+        redraws = mc._resolve_ties(vals, seed, n, t0)
+        row, attempts = self._first_clean_attempt(seed, n, t0 + 1)
+        assert redraws == attempts
+        assert np.array_equal(vals[1], row)
+        assert np.array_equal(vals[0], keep0)
+        assert np.array_equal(vals[2], keep2)
+
+
+def _reference_final_break_counts(vals):
+    """Definitional form: a head column is a current record iff it equals
+    the suffix maximum of the head; the last value breaks those below it."""
+    head = vals[:, :-1]
+    last = vals[:, -1:]
+    smax = np.maximum.accumulate(head[:, ::-1], axis=1)[:, ::-1]
+    return ((head == smax) & (head < last)).sum(axis=1)
+
+
+def _rows(*rows):
+    return np.array(rows, dtype=np.uint64)
+
+
+class TestBreakCountWalk:
+    """The backward walk of ``final_break_counts`` against its definition."""
+
+    @pytest.mark.parametrize(
+        "n, trials",
+        [(1, 3000), (2, 3000), (3, 3000), (8, 3000), (16, 3000), (17, 3000),
+         (64, 3000), (500, 2000), (5000, 300)],
+    )
+    def test_seeded_chunks(self, n, trials):
+        vals, _ = trial_values(2718, n, 0, trials)
+        assert np.array_equal(
+            final_break_counts(vals), _reference_final_break_counts(vals)
+        )
+
+    def test_checkpoint_views(self):
+        vals, _ = trial_values(31, 200, 0, 2000)
+        for t in (1, 2, 3, 8, 9, 10, 50, 123, 200):
+            view = vals[:, : t + 1]
+            assert np.array_equal(
+                final_break_counts(view), _reference_final_break_counts(view)
+            )
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 10, 300, 4000])
+    def test_single_row_chunks(self, n):
+        for t in range(40):
+            vals, _ = trial_values(5, n, t, t + 1)
+            assert np.array_equal(
+                final_break_counts(vals), _reference_final_break_counts(vals)
+            )
+
+    def test_chunk_crossing_tiles_and_gather(self):
+        # More rows than one dense tile, and more columns than the dense
+        # phase reads, so every row passes both phases of the walk.
+        n = mc._DENSE_COLUMNS + 40
+        rows = 2 * mc._TILE_ROWS + 123
+        vals, _ = trial_values(99, n, 0, rows)
+        assert np.array_equal(
+            final_break_counts(vals), _reference_final_break_counts(vals)
+        )
+        # Rows whose dense columns all lie below X_n are gathered.
+        dense = vals[:, n - mc._DENSE_COLUMNS : n]
+        assert (dense < vals[:, -1:]).all(axis=1).sum() > rows // 20
+
+    def test_adversarial_rows(self):
+        n = 30
+        top = 2**64 - 1
+        rng = np.random.default_rng(4)
+        body = rng.choice(2**40, size=(4, n), replace=False).astype(np.uint64) + 1
+        descending = np.sort(body[2])[::-1]
+        ascending = np.sort(body[3])
+        vals = _rows(
+            [*body[0], 0],  # nothing lies below X_n
+            [*body[1], top],  # every current record is broken
+            [*descending, top],  # every head value is a record: B = n
+            [*ascending, ascending[-1] + 1],  # one record in the head: B = 1
+            [*ascending, ascending[-2] + 1],  # X_n under that record: B = 0
+        )
+        got = final_break_counts(vals)
+        assert np.array_equal(got, _reference_final_break_counts(vals))
+        smax = np.maximum.accumulate(body[1][::-1])
+        assert got.tolist() == [0, len(np.unique(smax)), n, 1, 0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_distinct_integer_rows(self, data):
+        width = data.draw(st.integers(2, 40))
+        count = data.draw(st.integers(1, 4))
+        rows = [
+            data.draw(
+                st.lists(
+                    st.integers(0, 2**64 - 1),
+                    min_size=width,
+                    max_size=width,
+                    unique=True,
+                )
+            )
+            for _ in range(count)
+        ]
+        vals = _rows(*rows)
+        assert np.array_equal(
+            final_break_counts(vals), _reference_final_break_counts(vals)
+        )
+
+
 class TestVectorizedStatistics:
     @pytest.mark.parametrize("n", [1, 2, 7, 23])
     def test_matches_stack_replay(self, n):
@@ -182,7 +319,79 @@ class TestDeterminism:
         ma = {k: v for k, v in a.meta.items() if k != "run"}
         mb = {k: v for k, v in b.meta.items() if k != "run"}
         assert ma == mb
-        assert set(a.meta["run"]) == {"timestamp", "wall_time_s", "workers"}
+        assert set(a.meta["run"]) == {
+            "timestamp",
+            "wall_time_s",
+            "workers",
+            "chunks",
+            "trials_per_s",
+        }
+
+
+class TestPinnedCounts:
+    """The (seed, n) -> bit-identical contract, pinned at counts the
+    sampler printed before its statistic and tie check were rewritten."""
+
+    def test_break_counts_n500(self):
+        pmf = simulate_b(SimConfig(n=500, trials=20000, seed=2024))
+        assert [pmf.counts[k] for k in range(13)] == [
+            10109, 4994, 2420, 1240, 618, 317, 144, 75, 46, 20, 13, 1, 3
+        ]
+        assert pmf.overflow == 0
+        assert pmf.meta["tie_redraws"] == 0
+
+    def test_break_counts_n8_two_workers(self):
+        pmf = simulate_b(SimConfig(n=8, trials=20000, seed=808, workers=2))
+        assert [pmf.counts[k] for k in range(9)] == [
+            10036, 5164, 2784, 1389, 486, 121, 20, 0, 0
+        ]
+        assert pmf.overflow == 0
+        assert pmf.meta["tie_redraws"] == 0
+
+    def test_auto_checkpoints_n200(self):
+        by_t = simulate_b_checkpoints(SimConfig(n=200, trials=20000, seed=200))
+        pinned = {
+            50: [10037, 5016, 2503, 1247, 650, 303, 148, 63, 26, 4, 1, 2, 0],
+            100: [10009, 4991, 2538, 1238, 628, 324, 150, 67, 29, 17, 6, 1, 2],
+            200: [10051, 5091, 2475, 1225, 607, 278, 136, 78, 39, 13, 5, 2, 0],
+        }
+        assert sorted(by_t) == sorted(pinned)
+        for t, counts in pinned.items():
+            assert [by_t[t].counts[k] for k in range(13)] == counts
+            assert by_t[t].overflow == 0
+            assert by_t[t].meta["tie_redraws"] == 0
+
+    def test_record_counts_n50(self):
+        pmf = simulate_r(SimConfig(n=50, trials=20000, seed=5050))
+        counts = [pmf.counts[r] for r in range(1, 52)]
+        assert counts[:13] == [
+            403, 1764, 3601, 4691, 4237, 2832, 1470, 682, 226, 61, 25, 7, 1
+        ]
+        assert not any(counts[13:])
+        assert pmf.meta["tie_redraws"] == 0
+
+
+class TestRunMeta:
+    def test_chunks_and_throughput(self, monkeypatch):
+        monkeypatch.setattr(mc, "_TARGET_CHUNK_VALUES", 4096)
+        cfg = SimConfig(n=12, trials=2000, seed=13)
+        chunks = -(-2000 // mc._rows_per_chunk(12))
+        assert chunks > 1
+        runs = [
+            simulate_b(cfg).meta["run"],
+            simulate_r(cfg).meta["run"],
+            *(p.meta["run"] for p in simulate_b_checkpoints(cfg).values()),
+        ]
+        for run in runs:
+            assert run["chunks"] == chunks
+            assert run["trials_per_s"] > 0
+
+
+class TestRowCap:
+    def test_cap_boundary(self):
+        assert 8 * mc._words_per_trial(2**27 - 1) == mc._MAX_ROW_BYTES
+        with pytest.raises(CapacityError):
+            mc._words_per_trial(2**27)
 
 
 class TestSimulateB:
