@@ -236,6 +236,7 @@ def cmd_audit(args: argparse.Namespace) -> dict:
         "n": report.n,
         "trials": report.trials,
         "seed": config.seed,
+        "run": report.run,
     }
     rows = [
         {
@@ -289,7 +290,12 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_CAPACITY
         return EXIT_INVARIANT
     except InvariantError as exc:
-        stderr.write(f"invariant: {exc}\n")
+        where = " ".join(
+            f"{name}={value}"
+            for name in ("seed", "trial", "step")
+            if (value := getattr(exc, name)) is not None
+        )
+        stderr.write(f"invariant: {exc}" + (f" ({where})" if where else "") + "\n")
         return EXIT_INVARIANT
     except (ValueError, TypeError) as exc:
         stderr.write(f"usage: {exc}\n")

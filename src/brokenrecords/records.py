@@ -9,10 +9,13 @@ values; the number evicted is the break count of that step.
 
 The incremental structure here does exactly that eviction, so a whole
 trajectory costs O(1) amortized per step.  ``records_by_scan`` recomputes
-the record set straight from the definition as an independent cross-check.
+the record set straight from the definition as an independent cross-check:
+one right-to-left pass keeps each value that exceeds the running maximum
+of the values after it, with no stack and no eviction.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
@@ -21,9 +24,12 @@ from .errors import TieError
 Value = Union[int, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordEntry:
-    """One current record: observation index and observed value."""
+    """One current record: observation index and observed value.
+
+    Slotted, so the stack's hot loop builds and reads it without a dict.
+    """
 
     index: int
     value: Value
@@ -64,8 +70,8 @@ class RecordStack:
         """
         if value != value:
             raise ValueError("observation is not comparable (NaN)")
-        arriving = self.time + 1
         entries = self.entries
+        arriving = entries[-1].index + 1 if entries else 0
         broken = 0
         while entries and entries[-1].value < value:
             entries.pop()
@@ -147,6 +153,14 @@ def step(stack: RecordStack, value: Value) -> StepResult:
 
 
 def _check_distinct(values: Sequence[Value]) -> None:
+    """Raise ValueError on a NaN and TieError on the first repeated value.
+
+    The screen runs at C level: NaN is the only value unequal to itself,
+    and distinct values make a set as long as the list.  Only a failing
+    input is walked in Python, to name the first offender.
+    """
+    if all(map(operator.eq, values, values)) and len(set(values)) == len(values):
+        return
     seen: dict[Value, int] = {}
     for i, v in enumerate(values):
         if v != v:
@@ -169,12 +183,13 @@ def run_trajectory(values: Iterable[Value]) -> TrajectoryStats:
         raise ValueError("trajectory needs at least one observation")
     _check_distinct(vals)
     stack = RecordStack()
-    stack.step(vals[0])
+    push, entries = stack.step, stack.entries
+    push(vals[0])
     r_path = [1]
     b_path = []
     for v in vals[1:]:
-        b_path.append(stack.step(v))
-        r_path.append(len(stack))
+        b_path.append(push(v))
+        r_path.append(len(entries))
     return TrajectoryStats(
         n=len(vals) - 1, r_path=r_path, b_path=b_path, final_records=stack
     )
@@ -183,15 +198,18 @@ def run_trajectory(values: Iterable[Value]) -> TrajectoryStats:
 def records_by_scan(values: Iterable[Value]) -> RecordStack:
     """Current records straight from the definition, as a cross-check.
 
-    Keeps (i, x_i) iff no later value exceeds x_i.  Quadratic worst case;
-    the inner scan stops at the first witness.
+    Keeps (i, x_i) iff x_i exceeds every later value.  One right-to-left
+    pass carries the maximum of the values already read, so each value is
+    compared once: linear time, and no step of the incremental stack.
     """
     vals = list(values)
     _check_distinct(vals)
-    m = len(vals)
-    entries = [
-        RecordEntry(i, v)
-        for i, v in enumerate(vals)
-        if not any(vals[j] > v for j in range(i + 1, m))
-    ]
-    return RecordStack(entries)
+    kept: list[RecordEntry] = []
+    top = None
+    for i in range(len(vals) - 1, -1, -1):
+        v = vals[i]
+        if top is None or v > top:
+            kept.append(RecordEntry(i, v))
+            top = v
+    kept.reverse()
+    return RecordStack(kept)

@@ -267,6 +267,20 @@ class TestAuditCommand:
         assert rep["rows"][0]["result"] == "pass"
         assert rep["rows"][0]["steps_checked"] == 50 * 30
 
+    def test_repeat_runs_differ_only_in_run_block(self, capsys):
+        args = ("audit", "--n", "12", "--trials", "40", "--seed", "9")
+        _, ra = run_json(capsys, *args)
+        _, rb = run_json(capsys, *args)
+        run_a, run_b = ra["meta"].pop("run"), rb["meta"].pop("run")
+        assert ra == rb
+        assert set(run_a) == set(run_b) == {
+            "timestamp",
+            "wall_time_s",
+            "chunks",
+            "steps_per_s",
+        }
+        assert run_a["chunks"] == 1
+
     def test_sampler_flags_are_usage_errors(self, capsys):
         # The replay neither pools counts nor schedules chunks.
         for flag, value in (("--workers", "2"), ("--kmax", "4")):
@@ -301,7 +315,24 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "simulate_trajectory_audit", boom)
         code = main(["audit", "--n", "5", "--trials", "10", "--seed", "1"])
         assert code == 5
-        assert "invariant" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invariant" in err
+        assert err.rstrip().endswith("planted (seed=1 trial=7)")
+
+    def test_invariant_failure_prints_every_coordinate_set(self, monkeypatch, capsys):
+        def boom(config):
+            raise InvariantError("count", seed=config.seed, trial=3, step=5)
+
+        monkeypatch.setattr(cli, "simulate_trajectory_audit", boom)
+        assert main(["audit", "--n", "5", "--trials", "10", "--seed", "2"]) == 5
+        assert capsys.readouterr().err == "invariant: count (seed=2 trial=3 step=5)\n"
+
+        def bare(config):
+            raise InvariantError("no coordinates")
+
+        monkeypatch.setattr(cli, "simulate_trajectory_audit", bare)
+        assert main(["audit", "--n", "5", "--trials", "10", "--seed", "2"]) == 5
+        assert capsys.readouterr().err == "invariant: no coordinates\n"
 
     def test_partial_result_exit(self, monkeypatch, capsys):
         def boom(config, stat="b", closed_forms=False):

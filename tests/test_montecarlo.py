@@ -276,6 +276,68 @@ class TestBreakCountWalk:
         )
 
 
+def _reference_record_counts(vals):
+    """Definitional form: a column is a current record iff it equals the
+    suffix maximum of its row."""
+    smax = np.maximum.accumulate(vals[:, ::-1], axis=1)[:, ::-1]
+    return (vals == smax).sum(axis=1)
+
+
+class TestRecordCountScan:
+    """The tiled running maximum of ``record_counts`` against its definition."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 100, 500])
+    def test_seeded_chunks(self, n):
+        vals, _ = trial_values(2718, n, 0, mc._rows_per_chunk(n))
+        assert np.array_equal(record_counts(vals), _reference_record_counts(vals))
+
+    def test_tiles_and_column_blocks_with_remainders(self):
+        # Rows past two tiles and columns past two blocks, neither a multiple.
+        n = 2 * mc._SCAN_COLUMNS + 7
+        vals, _ = trial_values(99, n, 0, 2 * mc._SCAN_ROWS + 123)
+        assert np.array_equal(record_counts(vals), _reference_record_counts(vals))
+        for t in (1, mc._SCAN_COLUMNS - 1, mc._SCAN_COLUMNS, mc._SCAN_COLUMNS + 1):
+            view = vals[:, : t + 1]
+            assert np.array_equal(record_counts(view), _reference_record_counts(view))
+
+    def test_adversarial_rows(self):
+        n = 150
+        top = 2**64 - 1
+        body = np.random.default_rng(4).choice(2**40, size=n, replace=False)
+        body = body.astype(np.uint64) + 1
+        descending = np.sort(body)[::-1]
+        ascending = np.sort(body)
+        vals = _rows(
+            [*body, 0],  # X_n lies below everything
+            [*body, top],  # X_n beats everything: one record
+            [*descending, 0],  # every value is a record
+            [*ascending, 0],  # the head's last value and X_n
+            [top, *ascending],  # the first value stands above the rest
+        )
+        got = record_counts(vals)
+        assert np.array_equal(got, _reference_record_counts(vals))
+        assert got.tolist()[1:] == [1, n + 1, 2, 2]
+        assert got.dtype == np.int64
+
+    def test_single_column_and_empty_chunks(self):
+        assert record_counts(_rows([5], [0])).tolist() == [1, 1]
+        empty = np.empty((0, 9), dtype=np.uint64)
+        assert record_counts(empty).shape == (0,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_distinct_integer_rows(self, data):
+        width = data.draw(st.integers(1, 150))
+        count = data.draw(st.integers(1, 4))
+        elements = st.integers(0, 2**64 - 1)
+        rows = [
+            data.draw(st.lists(elements, min_size=width, max_size=width, unique=True))
+            for _ in range(count)
+        ]
+        vals = _rows(*rows)
+        assert np.array_equal(record_counts(vals), _reference_record_counts(vals))
+
+
 class TestVectorizedStatistics:
     @pytest.mark.parametrize("n", [1, 2, 7, 23])
     def test_matches_stack_replay(self, n):
@@ -547,6 +609,79 @@ class TestAudit:
         vals = [0.31, 0.9, 0.12, 0.77, 0.5]
         stats = run_trajectory(vals)
         check_trajectory(stats, vals)
+
+
+class TestAuditCatchesPlantedFaults:
+    """Each planted fault in one trial must stop the replay at that trial."""
+
+    cfg = SimConfig(n=20, trials=30, seed=41)
+    planted = 7
+
+    def _off_by_one(self, real):
+        def fake(vals):
+            out = real(vals).copy()
+            out[self.planted] += 1
+            return out
+
+        return fake
+
+    def _assert_caught(self, needle):
+        with pytest.raises(InvariantError) as exc:
+            simulate_trajectory_audit(self.cfg)
+        assert exc.value.trial == self.planted
+        assert exc.value.seed == self.cfg.seed
+        assert needle in str(exc.value)
+
+    def test_break_count_off_by_one(self, monkeypatch):
+        monkeypatch.setattr(
+            mc, "final_break_counts", self._off_by_one(mc.final_break_counts)
+        )
+        self._assert_caught("vectorized break count")
+
+    def test_record_count_off_by_one(self, monkeypatch):
+        monkeypatch.setattr(mc, "record_counts", self._off_by_one(mc.record_counts))
+        self._assert_caught("vectorized record count")
+
+    def test_scan_drops_a_record(self, monkeypatch):
+        real = mc.records_by_scan
+        calls = []
+
+        def fake(values):
+            scan = real(values)
+            calls.append(len(scan))
+            if len(calls) - 1 == self.planted:
+                return RecordStack(list(scan)[1:])
+            return scan
+
+        monkeypatch.setattr(mc, "records_by_scan", fake)
+        self._assert_caught("definitional scan")
+        assert len(calls) == self.planted + 1
+
+    def test_every_trial_runs_through_each_check(self, monkeypatch):
+        seen = {"run_trajectory": 0, "check_trajectory": 0, "records_by_scan": 0}
+
+        def counted(name):
+            real = getattr(mc, name)
+
+            def wrapper(*args, **kwargs):
+                seen[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in seen:
+            monkeypatch.setattr(mc, name, counted(name))
+        report = simulate_trajectory_audit(self.cfg)
+        assert seen == dict.fromkeys(seen, self.cfg.trials)
+        assert report.steps_checked == self.cfg.n * self.cfg.trials
+
+    def test_run_block(self, monkeypatch):
+        monkeypatch.setattr(mc, "_TARGET_CHUNK_VALUES", 4 * mc._words_per_trial(20))
+        a = simulate_trajectory_audit(self.cfg)
+        b = simulate_trajectory_audit(self.cfg)
+        assert a == b
+        assert set(a.run) == {"timestamp", "wall_time_s", "chunks", "steps_per_s"}
+        assert a.run["chunks"] == 8  # 30 trials, 4 per chunk
 
 
 def _stats(n, r_path, b_path, idx):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brokenrecords import records
 from brokenrecords import (
     RecordEntry,
     RecordStack,
@@ -22,6 +23,53 @@ distinct_lists = st.lists(finite, unique=True, min_size=1, max_size=60)
 
 def _stack_from(pairs):
     return RecordStack([RecordEntry(i, v) for i, v in pairs])
+
+
+def _quadratic_records_by_scan(values):
+    """The definition read literally: keep (i, x_i) iff no later value
+    exceeds x_i, checking every later index."""
+    vals = list(values)
+    _loop_check_distinct(vals)
+    m = len(vals)
+    return RecordStack(
+        [
+            RecordEntry(i, v)
+            for i, v in enumerate(vals)
+            if not any(vals[j] > v for j in range(i + 1, m))
+        ]
+    )
+
+
+def _loop_check_distinct(values):
+    """Tie and NaN screen as one Python loop, naming the first offender."""
+    seen = {}
+    for i, v in enumerate(values):
+        if v != v:
+            raise ValueError(f"observation at index {i} is not comparable (NaN)")
+        j = seen.setdefault(v, i)
+        if j != i:
+            raise TieError(
+                f"values at indices {j} and {i} are equal ({v!r})", indices=(j, i)
+            )
+
+
+def _outcome(check, values):
+    try:
+        check(values)
+    except TieError as exc:
+        return ("tie", exc.indices, str(exc))
+    except ValueError as exc:
+        return ("nan", str(exc))
+    return ("ok",)
+
+
+_NAN = float("nan")
+mixed = st.one_of(
+    st.integers(-(2**70), 2**70),
+    finite,
+    st.integers(-5, 5),
+    st.sampled_from([0.0, -0.0, 0.5, -1.5, 2.0, 2**53, 2.0**53 + 2]),
+)
 
 
 class TestStack:
@@ -114,6 +162,79 @@ class TestScan:
     def test_scan_tie_rejected(self):
         with pytest.raises(TieError):
             records_by_scan([0.1, 0.5, 0.5])
+
+
+class TestOnePassScan:
+    """``records_by_scan`` against the literal quadratic definition."""
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(-(2**70), 2**70), unique=True, max_size=60),
+            st.lists(finite, unique=True, max_size=60),
+            st.lists(st.integers(-1000, -1), unique=True, max_size=60),
+            st.lists(mixed, unique=True, max_size=60),
+        )
+    )
+    @settings(max_examples=400)
+    def test_equals_quadratic_definition(self, vals):
+        assert records_by_scan(vals) == _quadratic_records_by_scan(vals)
+
+    @pytest.mark.parametrize(
+        "vals",
+        [[], [7], [-3.5], [1, 2.5, -4, 2], [2**70, 0.5, -(2**70)], [3, 2, 1], [1, 2, 3]],
+    )
+    def test_small_and_mixed_cases(self, vals):
+        assert records_by_scan(vals) == _quadratic_records_by_scan(vals)
+
+    def test_scan_reads_a_generator_once(self):
+        recs = records_by_scan(v for v in [0.2, 0.9, 0.5])
+        assert [(e.index, e.value) for e in recs] == [(1, 0.9), (2, 0.5)]
+
+
+class TestDistinctScreen:
+    """The C-level screen names the same offender as the Python loop."""
+
+    @given(st.lists(st.one_of(mixed, st.just(_NAN), st.floats()), max_size=30))
+    @settings(max_examples=400)
+    def test_same_outcome_as_loop(self, vals):
+        assert _outcome(records._check_distinct, vals) == _outcome(
+            _loop_check_distinct, vals
+        )
+
+    @pytest.mark.parametrize(
+        "vals, indices",
+        [
+            ([0.1, 0.5, 0.5], (1, 2)),
+            ([3, 1, 2, 1, 3], (1, 3)),
+            ([1, 1.0], (0, 1)),
+            ([0.0, 2, -0.0], (0, 2)),
+            ([4, 9, 9, 4], (1, 2)),
+            ([0.5, 0.5, _NAN], (0, 1)),
+        ],
+    )
+    def test_first_colliding_pair(self, vals, indices):
+        with pytest.raises(TieError) as exc:
+            records._check_distinct(vals)
+        assert exc.value.indices == indices
+        assert _outcome(records._check_distinct, vals) == _outcome(
+            _loop_check_distinct, vals
+        )
+
+    @pytest.mark.parametrize(
+        "vals, index",
+        [
+            ([_NAN], 0),
+            ([0.5, _NAN, 0.7], 1),
+            ([_NAN, 0.5, _NAN], 0),  # one NaN object, twice
+            ([0.5, float("nan"), float("nan")], 1),
+        ],
+    )
+    def test_nan_is_value_error(self, vals, index):
+        for check in (records._check_distinct, run_trajectory, records_by_scan):
+            with pytest.raises(ValueError) as exc:
+                check(vals)
+            assert not isinstance(exc.value, TieError)
+            assert f"index {index} " in str(exc.value)
 
 
 class TestTrajectory:
@@ -222,12 +343,7 @@ class TestProperties:
     @settings(max_examples=100)
     def test_scan_is_suffix_maxima(self, vals):
         recs = records_by_scan(vals)
-        expect = [
-            i
-            for i, v in enumerate(vals)
-            if not any(w > v for w in vals[i + 1 :])
-        ]
-        assert [e.index for e in recs] == expect
+        assert recs == _quadratic_records_by_scan(vals)
         values = [e.value for e in recs]
         assert values == sorted(values, reverse=True)
         assert values[-1] == vals[-1]
