@@ -14,8 +14,9 @@ Statistics are computed on whole chunks rather than in per-trial Python
 loops.  The break count of the last step reads each row backward from
 X_n and stops at the first value above it, which is about H_n columns
 per trial (the suffix after the last value above X_n has length L with
-P[L >= l] = 1/(l + 1)); the record count of a full row is one
-right-to-left running maximum over tiles of the chunk.
+P[L >= l] = 1/(l + 1)); the record count of a full row is a
+right-to-left running maximum, which on wide rows reads only the maximum
+of a block that stays below it.
 ``simulate_trajectory_audit`` is the slow counterpart that replays each
 trajectory through the incremental stack and checks conservation step
 by step.
@@ -45,11 +46,14 @@ _MAX_ROW_BYTES = 2**30
 # outlives l columns with probability 1/(l + 1), so about a ninth remain.
 _DENSE_COLUMNS = 8
 _TILE_ROWS = 8192
-# The record count reads tiles of _SCAN_ROWS rows, _SCAN_COLUMNS columns
-# at a time through a column-major buffer of 1 MiB: a strided column of a
-# wide row costs a cache line per value, a contiguous one an eighth.
-_SCAN_ROWS = 2048
-_SCAN_COLUMNS = 64
+# The record count reads at most _SCAN_VALUES values (1 MiB) per step.
+# Rows of at most _NARROW_COLUMNS values are copied column-major, a tile of
+# _SCAN_VALUES // _NARROW_COLUMNS rows at a time, and read one column per
+# step.  Wider rows go in tiles of up to _BLOCK_ROWS rows and blocks of
+# _SCAN_VALUES // (tile rows) columns, so even a single row takes few steps.
+_SCAN_VALUES = 2**17
+_NARROW_COLUMNS = 64
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -270,33 +274,56 @@ def final_break_counts(vals: np.ndarray) -> np.ndarray:
 
 
 def record_counts(vals: np.ndarray) -> np.ndarray:
-    """Number of current records of each full row of distinct values.
+    """Number of current records of each full row.
 
-    Reads every row right to left with the running maximum of the columns
-    already read: a column that beats it is a record, and so is the last.
-    Rows go in tiles of ``_SCAN_ROWS``, and a tile's columns in blocks of
-    ``_SCAN_COLUMNS`` copied column-major into one small buffer, so each
-    step reads contiguous memory and no temporary spans (rows x n).
+    A column is a record iff it equals the maximum of itself and the
+    columns after it, so every row is read right to left with a running
+    maximum, and the last column always counts.  Narrow rows are read a
+    column at a time across a column-major tile.  Wide rows are read a
+    block at a time: a block whose maximum stays below the running
+    maximum holds no record, so only its maximum is taken.  A block
+    holds a record iff it holds the maximum of the columns from its start
+    to the end, which for distinct values has probability width / (that
+    many columns), so a row of m columns is read in full on about
+    H(m / width) blocks.  No temporary spans more than ``_SCAN_VALUES``
+    values.
     """
     rows, m = vals.shape
     counts = np.ones(rows, dtype=np.int64)
-    size = max(1, min(rows, _SCAN_ROWS))
-    top = np.empty(size, dtype=vals.dtype)
-    hit = np.empty(size, dtype=bool)
-    buf = np.empty((_SCAN_COLUMNS, size), dtype=vals.dtype)
+    if m <= _NARROW_COLUMNS:
+        size = _SCAN_VALUES // _NARROW_COLUMNS
+        buf = np.empty((m, min(rows, size)), dtype=vals.dtype)
+        hit = np.empty(buf.shape[1], dtype=bool)
+        for r0 in range(0, rows, size):
+            cnt = counts[r0 : r0 + size]
+            cols, h = buf[:, : cnt.size], hit[: cnt.size]
+            cols[:] = vals[r0 : r0 + size, ::-1].T
+            top = cols[0].copy()
+            for col in cols[1:]:
+                np.greater_equal(col, top, out=h)
+                cnt += h
+                np.maximum(top, col, out=top)
+        return counts
+    size = max(1, min(rows, _BLOCK_ROWS))
+    width = _SCAN_VALUES // size
     for r0 in range(0, rows, size):
         tile = vals[r0 : r0 + size]
         cnt = counts[r0 : r0 + size]
-        mx, h = top[: cnt.size], hit[: cnt.size]
-        mx[:] = tile[:, m - 1]
-        for hi in range(m - 1, 0, -_SCAN_COLUMNS):
-            lo = max(hi - _SCAN_COLUMNS, 0)
-            block = buf[: hi - lo, : cnt.size]
-            block[:] = tile[:, lo:hi].T
-            for v in block[::-1]:
-                np.greater(v, mx, out=h)
-                cnt += h
-                np.maximum(mx, v, out=mx)
+        # The last block holds the last column, so every row is read there.
+        lo = max(m - width, 0)
+        part = tile[:, lo:][:, ::-1]
+        run = np.maximum.accumulate(part, axis=1)
+        cnt[:] = (part == run).sum(axis=1)
+        top = run[:, -1].copy()
+        for hi in range(lo, 0, -width):
+            block = tile[:, max(hi - width, 0) : hi]
+            peak = block.max(axis=1)
+            live = np.flatnonzero(peak >= top)
+            part = block[live, ::-1]
+            run = np.maximum.accumulate(part, axis=1)
+            np.maximum(run, top[live, None], out=run)
+            cnt[live] += (part == run).sum(axis=1)
+            np.maximum(top, peak, out=top)
     return counts
 
 
@@ -355,6 +382,17 @@ def _merge_chunks(
     return counts, redraws
 
 
+def _run_block(cfg: SimConfig, wall: float, rate: str, work: int, **facts) -> dict:
+    """Volatile facts of one run, kept apart from the reproducible result."""
+    return {
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "wall_time_s": round(wall, 3),
+        **facts,
+        "chunks": -(-cfg.trials // _rows_per_chunk(cfg.n)),
+        rate: round(work / wall, 1) if wall > 0 else None,
+    }
+
+
 def _base_meta(cfg: SimConfig, redraws: int, wall: float, mode: str) -> dict:
     return {
         "mode": mode,
@@ -365,13 +403,7 @@ def _base_meta(cfg: SimConfig, redraws: int, wall: float, mode: str) -> dict:
         "generator": GENERATOR,
         "words_per_trial": _words_per_trial(cfg.n),
         "tie_redraws": redraws,
-        "run": {
-            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "wall_time_s": round(wall, 3),
-            "workers": cfg.workers,
-            "chunks": -(-cfg.trials // _rows_per_chunk(cfg.n)),
-            "trials_per_s": round(cfg.trials / wall, 1) if wall > 0 else None,
-        },
+        "run": _run_block(cfg, wall, "trials_per_s", cfg.trials, workers=cfg.workers),
     }
 
 
@@ -543,11 +575,9 @@ def simulate_trajectory_audit(config: SimConfig) -> AuditReport:
     """
     start = time.perf_counter()
     checked = 0
-    chunks = 0
     redraws_total = 0
     for t0, t1 in _chunk_ranges(config.trials, _rows_per_chunk(config.n)):
         vals, redraws = trial_values(config.seed, config.n, t0, t1)
-        chunks += 1
         redraws_total += redraws
         vec_b = final_break_counts(vals).tolist()
         vec_r = record_counts(vals).tolist()
@@ -584,10 +614,5 @@ def simulate_trajectory_audit(config: SimConfig) -> AuditReport:
         trials=config.trials,
         steps_checked=checked,
         tie_redraws=redraws_total,
-        run={
-            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "wall_time_s": round(wall, 3),
-            "chunks": chunks,
-            "steps_per_s": round(checked / wall, 1) if wall > 0 else None,
-        },
+        run=_run_block(config, wall, "steps_per_s", checked),
     )

@@ -284,23 +284,42 @@ def _reference_record_counts(vals):
 
 
 class TestRecordCountScan:
-    """The tiled running maximum of ``record_counts`` against its definition."""
+    """Both paths of ``record_counts`` against the suffix-max definition."""
 
-    @pytest.mark.parametrize("n", [1, 2, 8, 100, 500])
+    @pytest.mark.parametrize("n", [1, 2, 8, 63, 64, 100, 500, 5000])
     def test_seeded_chunks(self, n):
         vals, _ = trial_values(2718, n, 0, mc._rows_per_chunk(n))
         assert np.array_equal(record_counts(vals), _reference_record_counts(vals))
 
-    def test_tiles_and_column_blocks_with_remainders(self):
-        # Rows past two tiles and columns past two blocks, neither a multiple.
-        n = 2 * mc._SCAN_COLUMNS + 7
-        vals, _ = trial_values(99, n, 0, 2 * mc._SCAN_ROWS + 123)
+    def test_narrow_tiles_with_remainder(self):
+        tile = mc._SCAN_VALUES // mc._NARROW_COLUMNS
+        vals, _ = trial_values(99, mc._NARROW_COLUMNS - 1, 0, 2 * tile + 123)
         assert np.array_equal(record_counts(vals), _reference_record_counts(vals))
-        for t in (1, mc._SCAN_COLUMNS - 1, mc._SCAN_COLUMNS, mc._SCAN_COLUMNS + 1):
+        for t in (1, 2, mc._NARROW_COLUMNS // 2):
             view = vals[:, : t + 1]
             assert np.array_equal(record_counts(view), _reference_record_counts(view))
 
-    def test_adversarial_rows(self):
+    def test_wide_tiles_and_blocks_with_remainders(self):
+        # Rows past two tiles and columns past two blocks, neither a multiple.
+        width = mc._SCAN_VALUES // mc._BLOCK_ROWS
+        vals, _ = trial_values(99, 2 * width + 7, 0, 2 * mc._BLOCK_ROWS + 123)
+        assert np.array_equal(record_counts(vals), _reference_record_counts(vals))
+        for t in (mc._NARROW_COLUMNS, width - 1, width, width + 1):
+            view = vals[:, : t + 1]
+            assert np.array_equal(record_counts(view), _reference_record_counts(view))
+
+    def test_few_long_rows(self):
+        # Three rows: blocks of _SCAN_VALUES // 3 columns, three to a row.
+        vals, _ = trial_values(5, 100_000, 0, 3)
+        assert np.array_equal(record_counts(vals), _reference_record_counts(vals))
+        view = vals[:1]
+        assert np.array_equal(record_counts(view), _reference_record_counts(view))
+
+    @pytest.mark.parametrize("small", [False, True])
+    def test_adversarial_rows(self, small, monkeypatch):
+        if small:  # blocks of 16 columns, so the skip is taken within a row
+            monkeypatch.setattr(mc, "_SCAN_VALUES", 80)
+            monkeypatch.setattr(mc, "_BLOCK_ROWS", 5)
         n = 150
         top = 2**64 - 1
         body = np.random.default_rng(4).choice(2**40, size=n, replace=False)
@@ -319,23 +338,45 @@ class TestRecordCountScan:
         assert got.tolist()[1:] == [1, n + 1, 2, 2]
         assert got.dtype == np.int64
 
+    @pytest.mark.parametrize("small", [False, True])
+    def test_ties_count_as_the_definition_does(self, small, monkeypatch):
+        # Trial rows never tie; a tie with a later maximum counts as in the
+        # suffix-max definition, on both paths and across blocks.
+        if small:
+            monkeypatch.setattr(mc, "_SCAN_VALUES", 2 * mc._NARROW_COLUMNS)
+            monkeypatch.setattr(mc, "_BLOCK_ROWS", 2)
+        for width in (9, 3 * mc._NARROW_COLUMNS):
+            row = list(range(width))
+            row[0] = row[width // 2] = row[-1] = width
+            vals = _rows(row, [width, *range(width - 2), width])
+            got = record_counts(vals)
+            assert np.array_equal(got, _reference_record_counts(vals))
+            assert got.tolist() == [3, 2]
+
     def test_single_column_and_empty_chunks(self):
         assert record_counts(_rows([5], [0])).tolist() == [1, 1]
-        empty = np.empty((0, 9), dtype=np.uint64)
-        assert record_counts(empty).shape == (0,)
+        for width in (9, 2 * mc._NARROW_COLUMNS):
+            empty = np.empty((0, width), dtype=np.uint64)
+            assert record_counts(empty).shape == (0,)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_distinct_integer_rows(self, data):
         width = data.draw(st.integers(1, 150))
-        count = data.draw(st.integers(1, 4))
+        count = data.draw(st.integers(1, 6))
         elements = st.integers(0, 2**64 - 1)
         rows = [
             data.draw(st.lists(elements, min_size=width, max_size=width, unique=True))
             for _ in range(count)
         ]
         vals = _rows(*rows)
-        assert np.array_equal(record_counts(vals), _reference_record_counts(vals))
+        expected = _reference_record_counts(vals)
+        assert np.array_equal(record_counts(vals), expected)
+        # Small tiles and blocks: several of each, and skipped blocks.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc, "_SCAN_VALUES", 2 * mc._NARROW_COLUMNS)
+            mp.setattr(mc, "_BLOCK_ROWS", 2)
+            assert np.array_equal(record_counts(vals), expected)
 
 
 class TestVectorizedStatistics:
