@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
@@ -37,12 +39,32 @@ TAIL_EXACT_MAX_N = 2000
 MIN_EXPECTED_PER_BIN = 5.0
 
 
+@contextmanager
+def _unlimited_int_digits():
+    """Lift Python's cap on int/str conversion (4,300 digits by default).
+
+    Exact means such as H_{n+1} have denominators past the cap from
+    n ~ 10^4.  Interpreters before 3.10.7 have no cap and no setter.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def rational_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    with _unlimited_int_digits():
+        return f"{x.numerator}/{x.denominator}"
 
 
 def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
+    with _unlimited_int_digits():
+        return Fraction(s)
 
 
 @dataclass

@@ -6,6 +6,7 @@ slow in CI run at reduced trial counts whose frozen-seed margins were
 confirmed well inside the tolerances.
 """
 
+import hashlib
 import json
 import os
 import re
@@ -21,6 +22,7 @@ import brokenrecords.cli as cli
 import brokenrecords.montecarlo as mc
 from brokenrecords.cli import main
 from brokenrecords.errors import CapacityError, InvariantError, PartialResultError
+from brokenrecords.reports import parse_rational
 
 F = Fraction
 
@@ -171,6 +173,26 @@ class TestSimulateCommand:
         assert code == 0
         assert rep["meta"]["exact_mean"] == "25/12"
         assert abs(rep["meta"]["sample_mean"] - 25 / 12) < 0.02
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_record_stat_mean_past_int_digit_cap(self, fmt, capsys):
+        # H_10001 has a 4,346-digit denominator, past Python's default
+        # 4,300-digit cap on int/str conversion.
+        code = main([
+            "simulate", "--n", "10000", "--trials", "20", "--seed", "1",
+            "--stat", "r", "--format", fmt,
+        ])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        if fmt == "json":
+            printed = json.loads(captured.out)["meta"]["exact_mean"]
+        else:
+            line = next(
+                l for l in captured.out.splitlines() if l.startswith("# exact_mean=")
+            )
+            printed = line.split("=", 1)[1]
+        assert len(printed) > 4300
+        assert parse_rational(printed) == brokenrecords.expected_record_count(10000)
 
     def test_missing_trials_is_usage_exit(self):
         assert main(["simulate", "--n", "3"]) == 2
@@ -380,6 +402,34 @@ class TestRowCapacity:
         assert code == 3
         assert "cap of the window sampler" in capsys.readouterr().err
         assert threading.active_count() == threads
+
+
+class TestGoldenBytes:
+    """Reports pinned byte for byte by their sha256.
+
+    The digests were taken from the row-major enumeration kernel that the
+    column-major one replaced; a kernel or exact-route change that moves
+    one digit of these reports fails here.  The argv of the first is the
+    converge-sweep benchmark workload.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["converge", "--n-list", "2,4,8,64,512,2000", "--kmax", "8"],
+                "f98e31fae9436cce8dd94bb7058fa493b6845c17ade4699a1c2087ab73063031",
+            ),
+            (
+                ["oracle", "--n", "8", "--view", "joint"],
+                "4be88737430481be9fafdac66392db968de161f42656dfb4120132ee4c7963ea",
+            ),
+        ],
+    )
+    def test_csv_digest(self, argv, digest, capsys):
+        assert main([*argv, "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestFormatAgreement:

@@ -229,6 +229,12 @@ class TestExactPmfB:
             assert law.total() == 1
             assert law.support() == list(range(n + 1))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 50, 300, 1000])
+    def test_mean_is_n_over_n_plus_one(self, n):
+        # R_n = R_{n-1} + 1 - B_n with E[R_n] = H_{n+1} gives E[B_n] =
+        # n/(n+1): a check on every mass of the law, far past n = 8.
+        assert exact_pmf_b(n, n).mean() == F(n, n + 1)
+
     def test_closed_forms_at_n2000(self):
         law = exact_pmf_b(2000, 1)
         assert law.prob(0) == F(1, 2)

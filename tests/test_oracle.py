@@ -8,6 +8,7 @@ both independent routes before being written down.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from brokenrecords import (
     run_trajectory,
     single_break_term,
 )
+import brokenrecords.oracle as oracle
 from brokenrecords.oracle import _enumerate
 
 F = Fraction
@@ -180,10 +182,21 @@ def _reference_counts(n: int):
     return joint, r_now, b1_index
 
 
-class TestBlockwiseEnumeration:
-    """The numpy block scan against a plain per-permutation loop.
+def _stirling_first_row(m: int) -> list[int]:
+    """Unsigned Stirling numbers c(m, r) for r = 0..m."""
+    row = [1]
+    for j in range(m):
+        # c(j + 1, r) = j * c(j, r) + c(j, r - 1)
+        row = [j * same + below for same, below in zip(row + [0], [0] + row)]
+    return row
 
-    n = 8 is covered by ``TestExactPmfB`` against ``exact_pmf_b``.
+
+class TestBlockwiseEnumeration:
+    """The column-major block scan against independent references.
+
+    Up to n = 7 a plain per-permutation loop; at n = 8, where the loop
+    is slow, Rényi's record theorem and the single-break terms, with the
+    joint law covered by ``TestExactPmfB`` against ``exact_pmf_b``.
     """
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -193,6 +206,50 @@ class TestBlockwiseEnumeration:
         assert counts.joint == joint
         assert counts.r_now == r_now
         assert counts.b1_index == b1_index
+
+    def test_record_counts_n8_are_stirling_numbers(self):
+        # R_n = r on exactly c(n + 1, r) of the (n + 1)! orderings.
+        row = _stirling_first_row(9)
+        assert _enumerate(8).r_now == {r: c for r, c in enumerate(row) if c}
+
+    def test_survivor_index_n8_matches_term_formula(self):
+        counts = _enumerate(8).b1_index
+        assert set(counts) == set(range(7))
+        for i, c in counts.items():
+            assert c == single_break_term(8, i) * math.factorial(9)
+
+    def test_working_memory_is_one_block(self):
+        _enumerate.cache_clear()
+        tracemalloc.start()
+        try:
+            _enumerate(8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_conservation_is_checked_on_every_ordering(self, monkeypatch):
+        # Miscount the records of one ordering in one block: the check on
+        # R_n = R_{n-1} + 1 - B_n must catch it and name the ordering.
+        real = oracle._record_counts
+        seen = []
+
+        def miscount(block, top, rec, out):
+            real(block, top, rec, out)
+            seen.append(tuple(int(v) for v in block[:, 17]))
+            if len(seen) == 4:
+                out[17] += 1
+
+        monkeypatch.setattr(oracle, "_record_counts", miscount)
+        _enumerate.cache_clear()
+        try:
+            with pytest.raises(AssertionError) as exc:
+                _enumerate(7)
+        finally:
+            _enumerate.cache_clear()
+        perm = seen[3]
+        assert sorted(perm) == list(range(8))
+        assert str(exc.value) == f"conservation violated in enumeration: perm={perm}"
 
 
 class TestCapacity:
