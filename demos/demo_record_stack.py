@@ -6,7 +6,7 @@ new observation pops the suffix it beats; the pop count is the number of
 records broken at that step.
 """
 
-from brokenrecords import new_stack, records_by_scan, run_trajectory, step
+from brokenrecords import RecordStack, records_by_scan, run_trajectory
 
 VALUES = [0.31, 0.9, 0.12, 0.77, 0.5, 0.61, 0.02, 0.83, 0.44, 0.95]
 
@@ -19,10 +19,10 @@ def main() -> None:
     print("observations:", "  ".join(f"{v:.2f}" for v in VALUES))
     print()
 
-    stack = new_stack()
+    stack = RecordStack()
     for t, value in enumerate(VALUES):
-        res = step(stack, value)
-        note = f"broke {res.broken}" if t else "first value"
+        broken = stack.step(value)
+        note = f"broke {broken}" if t else "first value"
         print(f"t={t}  x={value:.2f}  {note:11s} stack: {show_stack(stack)}")
 
     print()

@@ -11,8 +11,6 @@ from .errors import (
     TieError,
 )
 from .exact import (
-    ExactRational,
-    IndexTuple,
     Pmf,
     exact_pmf_b,
     expected_record_count,
@@ -51,12 +49,9 @@ from .oracle import (
 from .records import (
     RecordEntry,
     RecordStack,
-    StepResult,
     TrajectoryStats,
-    new_stack,
     records_by_scan,
     run_trajectory,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -65,8 +60,6 @@ __all__ = [
     "AuditReport",
     "CapacityError",
     "EmpiricalPmf",
-    "ExactRational",
-    "IndexTuple",
     "InvariantError",
     "JointPmf",
     "PartialResultError",
@@ -74,7 +67,6 @@ __all__ = [
     "RecordEntry",
     "RecordStack",
     "SimConfig",
-    "StepResult",
     "TieError",
     "TrajectoryStats",
     "check_trajectory",
@@ -85,7 +77,6 @@ __all__ = [
     "geometric_limit",
     "joint_tail_prob",
     "joint_tail_prob_fast",
-    "new_stack",
     "oracle_joint",
     "oracle_pmf_b",
     "oracle_pmf_r",
@@ -103,7 +94,6 @@ __all__ = [
     "simulate_r",
     "simulate_trajectory_audit",
     "single_break_term",
-    "step",
     "telescoping_sum",
     "trial_values",
     "__version__",

@@ -184,14 +184,19 @@ def cmd_oracle(args: argparse.Namespace) -> dict:
     return reports.oracle_table(args.n, max_n=args.max_n, view=args.view)
 
 
-def cmd_simulate(args: argparse.Namespace) -> dict:
-    config = SimConfig(
+def _sim_config(args: argparse.Namespace) -> SimConfig:
+    """The run that ``simulate`` and ``gof`` share: their common flags."""
+    return SimConfig(
         n=args.n,
         trials=args.trials,
         seed=_resolve_seed(args),
         kmax=args.kmax,
         workers=args.workers,
     )
+
+
+def cmd_simulate(args: argparse.Namespace) -> dict:
+    config = _sim_config(args)
     if args.checkpoints is not None:
         if args.stat != "b":
             raise ValueError("--checkpoints applies only to --stat b")
@@ -218,14 +223,7 @@ def cmd_converge(args: argparse.Namespace) -> dict:
 
 
 def cmd_gof(args: argparse.Namespace) -> dict:
-    config = SimConfig(
-        n=args.n,
-        trials=args.trials,
-        seed=_resolve_seed(args),
-        kmax=args.kmax,
-        workers=args.workers,
-    )
-    return reports.gof_report(config)
+    return reports.gof_report(_sim_config(args))
 
 
 def cmd_audit(args: argparse.Namespace) -> dict:
@@ -297,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         stderr.write(f"invariant: {exc}" + (f" ({where})" if where else "") + "\n")
         return EXIT_INVARIANT
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         stderr.write(f"usage: {exc}\n")
         return EXIT_USAGE
     except OSError as exc:

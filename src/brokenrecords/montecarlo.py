@@ -24,10 +24,13 @@ by step.
 from __future__ import annotations
 
 import math
+import os
 import time
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -60,8 +63,11 @@ _BLOCK_ROWS = 256
 class SimConfig:
     """Parameters of one simulation run.
 
-    ``kmax`` pools break counts above it into an overflow bucket;
-    ``workers`` only changes how chunks are scheduled, never the numbers.
+    ``kmax`` pools break counts above it into an overflow bucket.
+    ``workers`` only changes how chunks are scheduled, never the numbers:
+    it is clamped to ``os.cpu_count()`` threads, each with at most two
+    chunks in flight.  An ``n`` whose trial row is over the sampler's cap
+    is refused with CapacityError here, before any work.
     """
 
     n: int
@@ -81,6 +87,7 @@ class SimConfig:
             raise ValueError(f"kmax must be nonnegative, got {self.kmax}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        _words_per_trial(self.n)
 
 
 @dataclass
@@ -336,50 +343,49 @@ def _rows_per_chunk(n: int) -> int:
     return max(1, _TARGET_CHUNK_VALUES // _words_per_trial(n))
 
 
+def _threads(cfg: SimConfig) -> int:
+    """Threads the scheduler runs: ``workers``, clamped to the CPU count."""
+    return min(cfg.workers, os.cpu_count() or 1)
+
+
 def _merge_chunks(
     cfg: SimConfig,
     chunk_fn: Callable[[int, int], tuple[np.ndarray, int]],
     shape: int | tuple[int, ...],
 ) -> tuple[np.ndarray, int]:
-    """Run ``chunk_fn`` over every trial range and add up its counts."""
-    ranges = list(_chunk_ranges(cfg.trials, _rows_per_chunk(cfg.n)))
+    """Run ``chunk_fn`` over every trial range and add up its counts.
+
+    Chunks go in trial order to ``min(cfg.workers, os.cpu_count())``
+    threads, with at most two per thread in flight, and are summed in
+    that order; one thread is the serial case.  Memory therefore follows
+    the window, not the chunk count, and on the first failure the queued
+    chunks are cancelled and ``PartialResultError.completed`` counts the
+    exact prefix of trials already summed.
+    """
+    chunks = _chunk_ranges(cfg.trials, _rows_per_chunk(cfg.n))
+    threads = _threads(cfg)
     counts = np.zeros(shape, dtype=np.int64)
-    redraws = 0
-    if cfg.workers == 1:
-        completed = 0
-        for t0, t1 in ranges:
+    redraws = completed = 0
+    pending: deque = deque()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        while True:
+            for t0, t1 in islice(chunks, 2 * threads - len(pending)):
+                pending.append((pool.submit(chunk_fn, t0, t1), t1 - t0))
+            if not pending:
+                return counts, redraws
+            fut, size = pending.popleft()
             try:
-                c, rd = chunk_fn(t0, t1)
+                c, rd = fut.result()
             except Exception as exc:
+                for queued, _ in pending:
+                    queued.cancel()
                 raise PartialResultError(
                     f"simulation stopped after {completed} of {cfg.trials} trials",
                     completed=completed,
                 ) from exc
             counts += c
             redraws += rd
-            completed += t1 - t0
-        return counts, redraws
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        futures = {pool.submit(chunk_fn, t0, t1): t1 - t0 for t0, t1 in ranges}
-        wait(futures, return_when=FIRST_EXCEPTION)
-        completed = 0
-        failure: BaseException | None = None
-        for fut, size in futures.items():
-            if failure is None and fut.done() and fut.exception() is None:
-                c, rd = fut.result()
-                counts += c
-                redraws += rd
-                completed += size
-            elif failure is None and fut.done() and fut.exception() is not None:
-                failure = fut.exception()
-            else:
-                fut.cancel()
-        if failure is not None:
-            raise PartialResultError(
-                f"simulation stopped after {completed} of {cfg.trials} trials",
-                completed=completed,
-            ) from failure
-    return counts, redraws
+            completed += size
 
 
 def _run_block(cfg: SimConfig, wall: float, rate: str, work: int, **facts) -> dict:
@@ -403,42 +409,51 @@ def _base_meta(cfg: SimConfig, redraws: int, wall: float, mode: str) -> dict:
         "generator": GENERATOR,
         "words_per_trial": _words_per_trial(cfg.n),
         "tie_redraws": redraws,
-        "run": _run_block(cfg, wall, "trials_per_s", cfg.trials, workers=cfg.workers),
+        "run": _run_block(cfg, wall, "trials_per_s", cfg.trials, workers=_threads(cfg)),
     }
 
 
-def simulate_b(config: SimConfig) -> EmpiricalPmf:
-    """Empirical law of the number of records broken at the final step.
+def default_checkpoints(n: int) -> tuple[int, ...]:
+    """Quarter, half, and full horizon, deduplicated and floored at 1."""
+    return tuple(sorted({max(1, n // 4), max(1, n // 2), n}))
+
+
+def _simulate_breaks(config: SimConfig, ts: tuple[int, ...]) -> dict[int, EmpiricalPmf]:
+    """Break-count histograms at the sorted horizons ``ts`` of shared rows.
 
     Break counts above ``config.kmax`` land in the overflow bucket; the
     retained support is reported in full, zeros included, so equal
     configurations produce identical objects outside ``meta["run"]``.
     """
     start = time.perf_counter()
-    top = min(config.kmax, config.n)
+    width = config.kmax + 2
 
     def chunk(t0: int, t1: int) -> tuple[np.ndarray, int]:
         vals, rd = trial_values(config.seed, config.n, t0, t1)
-        b = np.minimum(final_break_counts(vals), config.kmax + 1)
-        return np.bincount(b, minlength=config.kmax + 2), rd
+        out = np.zeros((len(ts), width), dtype=np.int64)
+        for row, t in enumerate(ts):
+            b = np.minimum(final_break_counts(vals[:, : t + 1]), config.kmax + 1)
+            out[row] = np.bincount(b, minlength=width)
+        return out, rd
 
-    arr, redraws = _merge_chunks(config, chunk, config.kmax + 2)
-    counts = {k: int(arr[k]) for k in range(top + 1)}
-    overflow = int(arr[config.kmax + 1])
+    arr, redraws = _merge_chunks(config, chunk, (len(ts), width))
     meta = _base_meta(config, redraws, time.perf_counter() - start, "break-count")
-    return EmpiricalPmf(
-        n=config.n,
-        trials=config.trials,
-        counts=counts,
-        overflow=overflow,
-        kmax=config.kmax,
-        meta=meta,
-    )
+    return {
+        t: EmpiricalPmf(
+            n=t,
+            trials=config.trials,
+            counts={k: int(arr[row, k]) for k in range(min(config.kmax, t) + 1)},
+            overflow=int(arr[row, config.kmax + 1]),
+            kmax=config.kmax,
+            meta=dict(meta),
+        )
+        for row, t in enumerate(ts)
+    }
 
 
-def default_checkpoints(n: int) -> tuple[int, ...]:
-    """Quarter, half, and full horizon, deduplicated and floored at 1."""
-    return tuple(sorted({max(1, n // 4), max(1, n // 2), n}))
+def simulate_b(config: SimConfig) -> EmpiricalPmf:
+    """Empirical law of the number of records broken at the final step."""
+    return _simulate_breaks(config, (config.n,))[config.n]
 
 
 def simulate_b_checkpoints(
@@ -457,33 +472,10 @@ def simulate_b_checkpoints(
         raise ValueError("checkpoints must name at least one horizon")
     if ts[0] < 1 or ts[-1] > config.n:
         raise ValueError(f"checkpoints must lie in [1, {config.n}], got {ts}")
-    start = time.perf_counter()
-
-    def chunk(t0: int, t1: int) -> tuple[np.ndarray, int]:
-        vals, rd = trial_values(config.seed, config.n, t0, t1)
-        out = np.zeros((len(ts), config.kmax + 2), dtype=np.int64)
-        for row, t in enumerate(ts):
-            b = np.minimum(final_break_counts(vals[:, : t + 1]), config.kmax + 1)
-            out[row] = np.bincount(b, minlength=config.kmax + 2)
-        return out, rd
-
-    arr, redraws = _merge_chunks(config, chunk, (len(ts), config.kmax + 2))
-    wall = time.perf_counter() - start
-    result: dict[int, EmpiricalPmf] = {}
-    for row, t in enumerate(ts):
-        top = min(config.kmax, t)
-        counts = {k: int(arr[row, k]) for k in range(top + 1)}
-        meta = _base_meta(config, redraws, wall, "break-count")
-        meta["checkpoint"] = t
-        meta["checkpoints"] = list(ts)
-        result[t] = EmpiricalPmf(
-            n=t,
-            trials=config.trials,
-            counts=counts,
-            overflow=int(arr[row, config.kmax + 1]),
-            kmax=config.kmax,
-            meta=meta,
-        )
+    result = _simulate_breaks(config, ts)
+    for t, emp in result.items():
+        emp.meta["checkpoint"] = t
+        emp.meta["checkpoints"] = list(ts)
     return result
 
 

@@ -62,13 +62,13 @@ class JointPmf:
         mass: dict[int, Fraction] = {}
         for (b, _), p in self.mass.items():
             mass[b] = mass.get(b, Fraction(0)) + p
-        return Pmf(n=self.n, mass=mass, mode="exact")
+        return Pmf(n=self.n, mass=mass)
 
     def marginal_r_prev(self) -> Pmf:
         mass: dict[int, Fraction] = {}
         for (_, r), p in self.mass.items():
             mass[r] = mass.get(r, Fraction(0)) + p
-        return Pmf(n=self.n - 1, mass=mass, mode="exact")
+        return Pmf(n=self.n - 1, mass=mass)
 
     def tail_mass(self, k: int) -> Fraction:
         """Mass of breaking exactly k records with at least one survivor."""
@@ -226,12 +226,12 @@ def oracle_pmf_r(n: int, *, max_n: int = DEFAULT_MAX_N) -> Pmf:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
-        return Pmf(n=0, mass={1: Fraction(1)}, mode="exact")
+        return Pmf(n=0, mass={1: Fraction(1)})
     _check_capacity(n, max_n)
     denom = factorial(n + 1)
     counts = _enumerate(n)
     mass = {r: Fraction(c, denom) for r, c in counts.r_now.items()}
-    return Pmf(n=n, mass=mass, mode="exact")
+    return Pmf(n=n, mass=mass)
 
 
 def oracle_single_break_profile(n: int, *, max_n: int = DEFAULT_MAX_N) -> dict[int, Fraction]:

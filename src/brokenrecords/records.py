@@ -114,14 +114,6 @@ class RecordStack:
         return f"RecordStack([{inner}])"
 
 
-@dataclass(frozen=True)
-class StepResult:
-    """Outcome of one insertion: records broken and the updated stack."""
-
-    broken: int
-    stack: RecordStack
-
-
 @dataclass
 class TrajectoryStats:
     """Per-step history of one trajectory of n + 1 observations.
@@ -140,16 +132,6 @@ class TrajectoryStats:
     @property
     def total_broken(self) -> int:
         return sum(self.b_path)
-
-
-def new_stack() -> RecordStack:
-    """An empty record stack, ready for the first observation."""
-    return RecordStack()
-
-
-def step(stack: RecordStack, value: Value) -> StepResult:
-    """Insert ``value`` into ``stack`` (mutating it) and report the breaks."""
-    return StepResult(broken=stack.step(value), stack=stack)
 
 
 def _check_distinct(values: Sequence[Value]) -> None:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
-from .errors import CapacityError
 from .exact import (
     exact_pmf_b,
     expected_record_count,
@@ -73,7 +72,8 @@ class ReportRow:
 
     ``abs_dev`` is the distance from the limiting mass 2**-(k+1) of the
     best estimate present, preferring enumeration, then the exact law,
-    then simulation, then the survivor-tail formula.
+    then simulation.  The survivor tail is never an estimate: it is set
+    only beside the full exact mass.
     """
 
     n: int
@@ -93,8 +93,6 @@ class ReportRow:
             return self.exact_full, "closed-form"
         if self.empirical is not None:
             return self.empirical, "empirical"
-        if self.exact_tail is not None:
-            return self.exact_tail, "tail"
         return None
 
     def to_dict(self) -> dict:
@@ -120,34 +118,28 @@ def build_row(
     oracle_exact: Fraction | None = None,
     empirical: float | None = None,
 ) -> ReportRow:
-    limit_exact = geometric_limit(k)
-    if oracle_exact is not None:
-        abs_dev = float(abs(oracle_exact - limit_exact))
-    elif exact_full is not None:
-        abs_dev = float(abs(exact_full - limit_exact))
-    elif empirical is not None:
-        abs_dev = abs(empirical - float(limit_exact))
-    elif exact_tail is not None:
-        abs_dev = float(abs(exact_tail - limit_exact))
-    else:
-        abs_dev = None
+    limit = geometric_limit(k)
     if k == 0:
         bound = 0.0
     elif n >= 2:
         bound = remainder_bound(n, k)
     else:
         bound = None
-    return ReportRow(
+    row = ReportRow(
         n=n,
         k=k,
         exact_full=exact_full,
         exact_tail=exact_tail,
         oracle_exact=oracle_exact,
         empirical=empirical,
-        limit=float(limit_exact),
-        abs_dev=abs_dev,
+        limit=float(limit),
+        abs_dev=None,
         remainder_bound=bound,
     )
+    best = row.best_estimate()
+    if best is not None:
+        row.abs_dev = float(abs(best[0] - limit))
+    return row
 
 
 def _exact_columns(
@@ -211,18 +203,18 @@ def oracle_table(n: int, *, max_n: int = DEFAULT_MAX_N, view: str = "b") -> dict
     return {"meta": meta, "rows": rows}
 
 
-def simulate_table(
-    config: SimConfig, *, stat: str = "b", closed_forms: bool = False
-) -> dict:
+def simulate_table(config: SimConfig, *, stat: str = "b") -> dict:
     """Frequency table from one simulation run.
 
     For break counts every row carries the limiting mass and the observed
-    deviation from it.  For record counts the table is the observed pmf,
-    with the exact and sample means in the meta block.
+    deviation from it.  For record counts the table lists the observed
+    values of r only, with the exact and sample means in the meta block;
+    the exact mean comes first, so its capacity refusal precedes any draw.
     """
     if stat not in ("b", "r"):
         raise ValueError(f"stat must be b or r, got {stat!r}")
     if stat == "r":
+        exact_mean = expected_record_count(config.n)
         emp = simulate_r(config)
         rows = [
             {
@@ -232,8 +224,8 @@ def simulate_table(
                 "frequency": c / config.trials,
             }
             for r, c in sorted(emp.counts.items())
+            if c
         ]
-        exact_mean = expected_record_count(config.n)
         meta = dict(emp.meta)
         meta["command"] = "simulate"
         meta["stat"] = "r"
@@ -243,14 +235,10 @@ def simulate_table(
         meta["abs_mean_dev"] = abs(emp.mean() - float(exact_mean))
         return {"meta": meta, "rows": rows}
     emp = simulate_b(config)
-    rows = []
-    for k in sorted(emp.counts):
-        full = None
-        if closed_forms:
-            full = prob_b0(config.n) if k == 0 else prob_b1(config.n) if k == 1 else None
-        rows.append(
-            build_row(config.n, k, empirical=emp.frequency(k), exact_full=full).to_dict()
-        )
+    rows = [
+        build_row(config.n, k, empirical=emp.frequency(k)).to_dict()
+        for k in sorted(emp.counts)
+    ]
     meta = dict(emp.meta)
     meta["command"] = "simulate"
     meta["stat"] = "b"

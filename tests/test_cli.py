@@ -194,6 +194,18 @@ class TestSimulateCommand:
         assert len(printed) > 4300
         assert parse_rational(printed) == brokenrecords.expected_record_count(10000)
 
+    def test_record_stat_exact_mean_refused_before_any_draw(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a draw started before the exact-mean refusal")
+
+        monkeypatch.setattr(brokenrecords.exact, "EXACT_MAX_WORK", 99)
+        monkeypatch.setattr(mc, "_raw_rows", refuse)
+        code = main([
+            "simulate", "--n", "10", "--trials", "5", "--seed", "1", "--stat", "r",
+        ])
+        assert code == 3
+        assert "exact mean record count for n=10" in capsys.readouterr().err
+
     def test_missing_trials_is_usage_exit(self):
         assert main(["simulate", "--n", "3"]) == 2
 
@@ -356,8 +368,19 @@ class TestExitCodes:
         assert main(["audit", "--n", "5", "--trials", "10", "--seed", "2"]) == 5
         assert capsys.readouterr().err == "invariant: no coordinates\n"
 
+    def test_type_error_is_a_fault_not_a_usage_error(self, monkeypatch, capsys):
+        # argparse types every argument, so a TypeError after parsing is
+        # a fault of the program and must surface as one.
+        def fault(args):
+            raise TypeError("planted fault")
+
+        monkeypatch.setitem(cli._HANDLERS, "exact", fault)
+        with pytest.raises(TypeError, match="planted fault"):
+            main(["exact", "--n", "3"])
+        assert "usage" not in capsys.readouterr().err
+
     def test_partial_result_exit(self, monkeypatch, capsys):
-        def boom(config, stat="b", closed_forms=False):
+        def boom(config, stat="b"):
             raise PartialResultError("stopped", completed=3)
 
         monkeypatch.setattr(cli.reports, "simulate_table", boom)
@@ -368,7 +391,7 @@ class TestExitCodes:
     def test_partial_result_from_capacity_maps_to_capacity(
         self, monkeypatch, capsys
     ):
-        def boom(config, stat="b", closed_forms=False):
+        def boom(config, stat="b"):
             try:
                 raise CapacityError("too big")
             except CapacityError as exc:

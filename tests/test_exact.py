@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from brokenrecords import exact
 from brokenrecords import (
     CapacityError,
     Pmf,
@@ -313,18 +314,10 @@ class TestPmfContainer:
         assert pmf.total() == 1
         assert pmf.prob(1) == F(1, 3)
         assert pmf.prob(9) == 0
-        assert pmf.mode == "exact"
 
     def test_mean(self):
         pmf = Pmf(n=2, mass={0: F(1, 2), 1: F(1, 3), 2: F(1, 6)})
         assert pmf.mean() == F(2, 3)
-
-    def test_as_floats(self):
-        pmf = Pmf(n=2, mass={0: F(1, 2), 1: F(1, 2)})
-        fl = pmf.as_floats()
-        assert fl.mode == "float"
-        assert fl.prob(0) == 0.5
-        assert fl.n == 2
 
     def test_support_sorted(self):
         pmf = Pmf(n=3, mass={2: F(1, 2), 0: F(1, 2)})
@@ -345,3 +338,10 @@ class TestExpectedRecords:
     def test_domain(self):
         with pytest.raises(ValueError):
             expected_record_count(-1)
+
+    def test_quadratic_sum_refused_over_the_ceiling(self, monkeypatch):
+        monkeypatch.setattr(exact, "EXACT_MAX_WORK", 99)
+        assert expected_record_count(9) == sum(F(1, j) for j in range(1, 11))
+        with pytest.raises(CapacityError) as exc:
+            expected_record_count(10)
+        assert "n*n = 100" in str(exc.value)

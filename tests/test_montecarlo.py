@@ -732,21 +732,23 @@ def _stats(n, r_path, b_path, idx):
     )
 
 
+def _fail_from(threshold):
+    """``trial_values`` with a fault injected in every chunk from ``threshold``."""
+    real = mc.trial_values
+
+    def wrapper(seed, n, t0, t1):
+        if t0 >= threshold:
+            raise RuntimeError("injected fault")
+        return real(seed, n, t0, t1)
+
+    return wrapper
+
+
 class TestPartialFailure:
-    def _boom(self, threshold):
-        real = mc.trial_values
-
-        def wrapper(seed, n, t0, t1):
-            if t0 >= threshold:
-                raise RuntimeError("injected fault")
-            return real(seed, n, t0, t1)
-
-        return wrapper
-
     def test_single_worker_reports_completed(self, monkeypatch):
         monkeypatch.setattr(mc, "_TARGET_CHUNK_VALUES", 1024)
         rows = mc._rows_per_chunk(7)
-        monkeypatch.setattr(mc, "trial_values", self._boom(rows))
+        monkeypatch.setattr(mc, "trial_values", _fail_from(rows))
         cfg = SimConfig(n=7, trials=rows * 4, seed=3)
         with pytest.raises(PartialResultError) as exc:
             simulate_b(cfg)
@@ -756,8 +758,102 @@ class TestPartialFailure:
     def test_threaded_workers_report_partial(self, monkeypatch):
         monkeypatch.setattr(mc, "_TARGET_CHUNK_VALUES", 1024)
         rows = mc._rows_per_chunk(7)
-        monkeypatch.setattr(mc, "trial_values", self._boom(rows))
+        monkeypatch.setattr(mc, "trial_values", _fail_from(rows))
         cfg = SimConfig(n=7, trials=rows * 4, seed=3, workers=2)
         with pytest.raises(PartialResultError) as exc:
             simulate_b(cfg)
-        assert 0 <= exc.value.completed < cfg.trials
+        # Chunks are summed in trial order, so the finished first chunk
+        # always counts, however the threads interleave.
+        assert exc.value.completed == rows
+        assert isinstance(exc.value.__cause__, RuntimeError)
+
+
+class _LazyFuture:
+    def __init__(self, pool, fn, args):
+        self.pool, self.fn, self.args = pool, fn, args
+
+    def result(self):
+        self.pool.outstanding -= 1
+        return self.fn(*self.args)
+
+    def cancel(self):
+        self.pool.outstanding -= 1
+        return True
+
+
+class _LazyPool:
+    """Stands in for ThreadPoolExecutor: a chunk runs when its result is
+    read, so no thread starts and the futures in flight can be counted."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.outstanding = self.peak = self.submitted = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        self.outstanding += 1
+        self.peak = max(self.peak, self.outstanding)
+        return _LazyFuture(self, fn, args)
+
+
+class TestScheduler:
+    def _lazy_pools(self, monkeypatch):
+        pools = []
+
+        def make(max_workers):
+            pools.append(_LazyPool(max_workers))
+            return pools[-1]
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", make)
+        return pools
+
+    def _lazy_run(self, monkeypatch, cfg):
+        pools = self._lazy_pools(monkeypatch)
+        pmf = simulate_b(cfg)
+        (pool,) = pools
+        return pmf, pool
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_window_is_two_chunks_per_thread(self, workers, monkeypatch):
+        monkeypatch.setattr(mc, "_TARGET_CHUNK_VALUES", 1024)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        rows = mc._rows_per_chunk(7)
+        cfg = SimConfig(n=7, trials=rows * 11 + 3, seed=3, workers=workers)
+        base = simulate_b(cfg)
+        lazy, pool = self._lazy_run(monkeypatch, cfg)
+        assert pool.max_workers == workers
+        assert pool.submitted == 12
+        assert pool.peak == 2 * workers
+        assert pool.outstanding == 0
+        assert lazy.counts == base.counts
+        assert lazy.overflow == base.overflow
+
+    def test_workers_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        cfg = SimConfig(n=7, trials=500, seed=3, workers=10**6)
+        pmf, pool = self._lazy_run(monkeypatch, cfg)
+        assert pool.max_workers == 2
+        assert pool.peak <= 4
+        assert pmf.meta["run"]["workers"] == 2
+
+    def test_failure_cancels_the_queued_chunks(self, monkeypatch):
+        monkeypatch.setattr(mc, "_TARGET_CHUNK_VALUES", 1024)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        rows = mc._rows_per_chunk(7)
+        monkeypatch.setattr(mc, "trial_values", _fail_from(2 * rows))
+        cfg = SimConfig(n=7, trials=rows * 10, seed=3, workers=2)
+        pools = self._lazy_pools(monkeypatch)
+        with pytest.raises(PartialResultError) as exc:
+            simulate_b(cfg)
+        assert exc.value.completed == 2 * rows
+        (pool,) = pools
+        # Two chunks summed, the failing third, and a refilled window of
+        # three behind it, which are cancelled.
+        assert pool.submitted == 6
+        assert pool.outstanding == 0

@@ -11,10 +11,8 @@ from brokenrecords import (
     RecordEntry,
     RecordStack,
     TieError,
-    new_stack,
     records_by_scan,
     run_trajectory,
-    step,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -74,23 +72,23 @@ mixed = st.one_of(
 
 class TestStack:
     def test_new_stack_empty(self):
-        s = new_stack()
+        s = RecordStack()
         assert len(s) == 0
         assert s.time == -1
         s.validate()
 
     def test_step_single_survivor(self):
         s = _stack_from([(0, 0.9)])
-        res = step(s, 0.5)
-        assert res.broken == 0
+        broken = s.step(0.5)
+        assert broken == 0
         assert s.values() == [0.9, 0.5]
         assert s.indices() == [0, 1]
         assert s.time == 1
 
     def test_step_full_break(self):
         s = _stack_from([(0, 0.3), (1, 0.2), (2, 0.1)])
-        res = step(s, 0.99)
-        assert res.broken == 3
+        broken = s.step(0.99)
+        assert broken == 3
         assert s.values() == [0.99]
         assert s.indices() == [3]
 
@@ -98,8 +96,8 @@ class TestStack:
         idx = (1, 10, 14, 16, 18, 19, 23, 24)
         vals = (0.95, 0.80, 0.70, 0.60, 0.50, 0.40, 0.30, 0.20)
         s = _stack_from(zip(idx, vals))
-        res = step(s, 0.75)
-        assert res.broken == 6
+        broken = s.step(0.75)
+        assert broken == 6
         assert s.values() == [0.95, 0.80, 0.75]
         assert s.indices() == [1, 10, 25]
         s.validate()
@@ -107,29 +105,24 @@ class TestStack:
     def test_step_size_identity(self):
         s = _stack_from([(0, 0.8), (1, 0.6), (2, 0.4)])
         before = len(s)
-        res = step(s, 0.5)
-        assert len(s) == before + 1 - res.broken
-
-    def test_step_result_carries_stack(self):
-        s = new_stack()
-        res = step(s, 0.5)
-        assert res.stack is s
+        broken = s.step(0.5)
+        assert len(s) == before + 1 - broken
 
     def test_tie_with_surviving_top(self):
         s = _stack_from([(0, 0.9), (1, 0.4)])
         with pytest.raises(TieError) as exc:
-            step(s, 0.4)
+            s.step(0.4)
         assert 1 in exc.value.indices and 2 in exc.value.indices
         # Ties below the break point are fine to pop through; equality with
         # the value that would survive is the only fatal comparison.
         s2 = _stack_from([(0, 0.9), (1, 0.4)])
-        res = step(s2, 0.6)
-        assert res.broken == 1
+        broken = s2.step(0.6)
+        assert broken == 1
 
     def test_nan_rejected(self):
-        s = new_stack()
+        s = RecordStack()
         with pytest.raises(ValueError):
-            step(s, float("nan"))
+            s.step(float("nan"))
 
     def test_constructor_rejects_bad_staircase(self):
         with pytest.raises(ValueError):
@@ -305,15 +298,15 @@ class TestProperties:
     @given(distinct_lists)
     @settings(max_examples=200)
     def test_stepwise_invariants(self, vals):
-        s = new_stack()
+        s = RecordStack()
         r_prev = 0
         for t, v in enumerate(vals):
-            res = step(s, v)
+            broken = s.step(v)
             s.validate()
             assert s.time == t
             if t > 0:
-                assert len(s) == r_prev + 1 - res.broken
-                assert 0 <= res.broken <= r_prev
+                assert len(s) == r_prev + 1 - broken
+                assert 0 <= broken <= r_prev
             r_prev = len(s)
 
     @given(distinct_lists)

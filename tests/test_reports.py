@@ -62,9 +62,10 @@ class TestBuildRow:
         assert build_row(9, 1, empirical=0.26).best_estimate()[1] == (
             "empirical"
         )
-        assert build_row(9, 1, exact_tail=F(1, 4)).best_estimate()[1] == (
-            "tail"
-        )
+        # The survivor tail is only a part of the mass, never an estimate.
+        tail_only = build_row(9, 1, exact_tail=F(1, 4))
+        assert tail_only.best_estimate() is None
+        assert tail_only.abs_dev is None
         empty = build_row(9, 1)
         assert empty.best_estimate() is None
         assert empty.abs_dev is None
@@ -164,15 +165,6 @@ class TestSimulateTable:
         assert abs(rows[0]["empirical"] - 0.5) < 0.02
         assert rows[2]["exact_full"] is None
 
-    def test_closed_forms_flag(self):
-        rep = simulate_table(
-            SimConfig(n=4, trials=1000, seed=12), closed_forms=True
-        )
-        rows = {r["k"]: r for r in rep["rows"]}
-        assert rows[0]["exact_full"] == F(1, 2)
-        assert rows[1]["exact_full"] == F(1, 4) + F(1, 40)
-        assert rows[2]["exact_full"] is None
-
     def test_record_counts(self):
         rep = simulate_table(SimConfig(n=3, trials=50000, seed=21), stat="r")
         meta = rep["meta"]
@@ -181,6 +173,12 @@ class TestSimulateTable:
         assert abs(meta["sample_mean"] - 25 / 12) == meta["abs_mean_dev"]
         total = sum(r["count"] for r in rep["rows"])
         assert total == 50000
+
+    def test_record_rows_list_observed_values_only(self):
+        rep = simulate_table(SimConfig(n=30, trials=50, seed=3), stat="r")
+        assert all(r["count"] > 0 for r in rep["rows"])
+        assert sum(r["count"] for r in rep["rows"]) == 50
+        assert len(rep["rows"]) < 31
 
     def test_bad_stat(self):
         with pytest.raises(ValueError):

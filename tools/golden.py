@@ -1,7 +1,8 @@
 """Write the golden outputs of every CLI command, for a byte-level diff.
 
 Runs a fixed list of invocations -- all six commands, each in json, csv
-and table format, at fixed seeds and small sizes -- through
+and table format, at fixed seeds and small sizes, and every simulating
+command on one and on two threads -- through
 ``brokenrecords.cli.main`` and writes each report to ``OUT/<name>.<format>``
 with its ``meta.run`` block removed, since that block holds timings and
 timestamps.  Everything else is deterministic, so two trees that compute
@@ -49,6 +50,12 @@ INVOCATIONS: dict[str, list[str]] = {
     "gof-n1": ["gof", "--n", "1", "--trials", "10000", "--seed", "31"],
     "audit-n30": ["audit", "--n", "30", "--trials", "200", "--seed", "55"],
 }
+# Every caller of the chunk scheduler once more on two threads; each
+# output must equal its one-thread twin above.
+INVOCATIONS.update(
+    (f"{name}-workers2", [*INVOCATIONS[name], "--workers", "2"])
+    for name in ("simulate-n30-r", "simulate-n40-checkpoints", "converge-sampled", "gof-n8")
+)
 FORMATS = ("json", "csv", "table")
 
 
