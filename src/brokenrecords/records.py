@@ -8,10 +8,15 @@ Appending an observation evicts the trailing run of records with smaller
 values; the number evicted is the break count of that step.
 
 The incremental structure here does exactly that eviction, so a whole
-trajectory costs O(1) amortized per step.  ``records_by_scan`` recomputes
-the record set straight from the definition as an independent cross-check:
-one right-to-left pass keeps each value that exceeds the running maximum
-of the values after it, with no stack and no eviction.
+trajectory costs O(1) amortized per step.  It keeps the records as two
+parallel plain lists, indices and values, so a step builds no object;
+``RecordEntry`` pairs are built only when a caller reads ``entries`` or
+iterates.  ``RecordStack.extend`` is the one eviction loop: ``step`` calls
+it with one value and ``run_trajectory`` with the whole sequence.
+``records_by_scan`` recomputes the record set straight from the
+definition as an independent cross-check: one right-to-left pass keeps
+each value that exceeds the running maximum of the values after it, with
+no stack and no eviction.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ Value = Union[int, float]
 class RecordEntry:
     """One current record: observation index and observed value.
 
-    Slotted, so the stack's hot loop builds and reads it without a dict.
+    The stack stores no entries; it builds them when ``entries`` is read.
     """
 
     index: int
@@ -38,68 +43,97 @@ class RecordEntry:
 class RecordStack:
     """The current-record set, oldest record first.
 
-    Invariants: entry indices strictly increase, entry values strictly
-    decrease, and the newest entry's index equals the current time.
-    ``step`` maintains them incrementally; ``validate`` rechecks them from
-    scratch and is what the tests call after every mutation.
+    Held as two parallel lists, ``_idx`` (observation indices) and
+    ``_val`` (observed values), so a step pushes and pops plain list
+    items and builds no object; ``entries`` builds a fresh list of
+    ``RecordEntry`` on demand, and mutating it leaves the stack alone.
+
+    Invariants: indices strictly increase, values strictly decrease, and
+    the newest index equals the current time.  ``extend`` is the one
+    eviction loop and maintains them incrementally; ``validate`` rechecks
+    them from scratch and is what the tests call after every mutation.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("_idx", "_val")
 
     def __init__(self, entries: Iterable[RecordEntry] = ()):
-        self.entries: list[RecordEntry] = list(entries)
+        entries = list(entries)
+        self._idx: list[int] = [e.index for e in entries]
+        self._val: list[Value] = [e.value for e in entries]
         self.validate()
+
+    @property
+    def entries(self) -> list[RecordEntry]:
+        """The records as a new ``RecordEntry`` list, oldest first."""
+        return [RecordEntry(i, v) for i, v in zip(self._idx, self._val)]
 
     @property
     def time(self) -> int:
         """Index of the newest observation, or -1 before any arrive."""
-        return self.entries[-1].index if self.entries else -1
+        return self._idx[-1] if self._idx else -1
 
     def indices(self) -> list[int]:
-        return [e.index for e in self.entries]
+        return list(self._idx)
 
     def values(self) -> list[Value]:
-        return [e.value for e in self.entries]
+        return list(self._val)
 
     def step(self, value: Value) -> int:
-        """Append the next observation; return how many records it breaks.
+        """Append the next observation; return how many records it breaks."""
+        return self.extend((value,))[0][0]
 
-        Evicts the trailing entries whose values lie below ``value``, then
-        pushes (time + 1, value).  Raises TieError if ``value`` equals a
-        surviving record's value.
+    def extend(self, values: Iterable[Value]) -> tuple[list[int], list[int]]:
+        """Append observations in order; return (breaks, sizes) per value.
+
+        Each value evicts the trailing records below it, then (time + 1,
+        value) is pushed; ``breaks[j]`` is how many records value j broke
+        and ``sizes[j]`` the record count just after it arrived.  Raises
+        ValueError on a NaN, before it touches the stack, and TieError if
+        a value equals the record left after its evictions, which stay
+        done; the values before either stay applied.
         """
-        if value != value:
-            raise ValueError("observation is not comparable (NaN)")
-        entries = self.entries
-        arriving = entries[-1].index + 1 if entries else 0
-        broken = 0
-        while entries and entries[-1].value < value:
-            entries.pop()
-            broken += 1
-        if entries and entries[-1].value == value:
-            raise TieError(
-                f"value {value!r} at index {arriving} ties the record at "
-                f"index {entries[-1].index}",
-                indices=(entries[-1].index, arriving),
-            )
-        entries.append(RecordEntry(arriving, value))
-        return broken
+        idx, val = self._idx, self._val
+        push_i, push_v, pop_i, pop_v = idx.append, val.append, idx.pop, val.pop
+        breaks: list[int] = []
+        sizes: list[int] = []
+        add_break, add_size = breaks.append, sizes.append
+        arriving = idx[-1] + 1 if idx else 0
+        for v in values:
+            if v != v:
+                raise ValueError("observation is not comparable (NaN)")
+            broken = 0
+            while val and val[-1] < v:
+                pop_i()
+                pop_v()
+                broken += 1
+            if val and val[-1] == v:
+                raise TieError(
+                    f"value {v!r} at index {arriving} ties the record at "
+                    f"index {idx[-1]}",
+                    indices=(idx[-1], arriving),
+                )
+            push_i(arriving)
+            push_v(v)
+            add_break(broken)
+            add_size(len(val))
+            arriving += 1
+        return breaks, sizes
 
     def validate(self) -> None:
         """Recheck the staircase invariants, raising ValueError on failure."""
-        entries = self.entries
-        for prev, cur in zip(entries, entries[1:]):
-            if cur.index <= prev.index:
+        idx, val = self._idx, self._val
+        for j in range(1, len(idx)):
+            if idx[j] <= idx[j - 1]:
                 raise ValueError(
-                    f"indices not strictly increasing: {prev.index} then {cur.index}"
+                    f"indices not strictly increasing: {idx[j - 1]} then {idx[j]}"
                 )
-            if not cur.value < prev.value:
+            if not val[j] < val[j - 1]:
                 raise ValueError(
-                    f"values not strictly decreasing: {prev.value!r} then {cur.value!r}"
+                    f"values not strictly decreasing: {val[j - 1]!r} then {val[j]!r}"
                 )
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._idx)
 
     def __iter__(self):
         return iter(self.entries)
@@ -107,10 +141,10 @@ class RecordStack:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RecordStack):
             return NotImplemented
-        return self.entries == other.entries
+        return self._idx == other._idx and self._val == other._val
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"({e.index}, {e.value!r})" for e in self.entries)
+        inner = ", ".join(f"({i}, {v!r})" for i, v in zip(self._idx, self._val))
         return f"RecordStack([{inner}])"
 
 
@@ -157,23 +191,21 @@ def _check_distinct(values: Sequence[Value]) -> None:
 def run_trajectory(values: Iterable[Value]) -> TrajectoryStats:
     """Feed a full value sequence through a fresh stack and keep the history.
 
-    The whole input is screened for ties up front, so a TieError arrives
-    before any step runs.  At least one observation is required.
+    One ``extend`` call runs the whole sequence through the stack's single
+    eviction loop.  ``r_path`` is the stack size it recorded after each
+    step and ``b_path`` the pops it counted, two separate measurements, so
+    the recursion between them is a real check.  The whole input is
+    screened for ties up front, so a TieError arrives before any step
+    runs.  At least one observation is required.
     """
     vals = list(values)
     if not vals:
         raise ValueError("trajectory needs at least one observation")
     _check_distinct(vals)
     stack = RecordStack()
-    push, entries = stack.step, stack.entries
-    push(vals[0])
-    r_path = [1]
-    b_path = []
-    for v in vals[1:]:
-        b_path.append(push(v))
-        r_path.append(len(entries))
+    breaks, sizes = stack.extend(vals)
     return TrajectoryStats(
-        n=len(vals) - 1, r_path=r_path, b_path=b_path, final_records=stack
+        n=len(vals) - 1, r_path=sizes, b_path=breaks[1:], final_records=stack
     )
 
 
@@ -182,16 +214,21 @@ def records_by_scan(values: Iterable[Value]) -> RecordStack:
 
     Keeps (i, x_i) iff x_i exceeds every later value.  One right-to-left
     pass carries the maximum of the values already read, so each value is
-    compared once: linear time, and no step of the incremental stack.
+    compared once: linear time, and no step of the incremental stack.  The
+    kept pairs go straight into the stack's two lists.
     """
     vals = list(values)
     _check_distinct(vals)
-    kept: list[RecordEntry] = []
+    stack = RecordStack()
+    idx, val = stack._idx, stack._val
     top = None
     for i in range(len(vals) - 1, -1, -1):
         v = vals[i]
         if top is None or v > top:
-            kept.append(RecordEntry(i, v))
+            idx.append(i)
+            val.append(v)
             top = v
-    kept.reverse()
-    return RecordStack(kept)
+    idx.reverse()
+    val.reverse()
+    stack.validate()
+    return stack

@@ -335,6 +335,16 @@ class TestExpectedRecords:
             h = sum(F(1, j) for j in range(1, n + 2))
             assert expected_record_count(n) == h
 
+    def test_split_sum_equals_plain_sum(self):
+        plain = F(0)
+        for n in range(0, 301):
+            plain += F(1, n + 1)
+            assert expected_record_count(n) == plain
+        n = 10**4
+        assert expected_record_count(n) == sum(
+            (F(1, j) for j in range(1, n + 2)), F(0)
+        )
+
     def test_domain(self):
         with pytest.raises(ValueError):
             expected_record_count(-1)

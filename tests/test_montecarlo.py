@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brokenrecords.montecarlo as mc
+import brokenrecords.records as records
 from brokenrecords import (
     AuditReport,
     CapacityError,
@@ -672,6 +673,7 @@ class TestAuditCatchesPlantedFaults:
         assert exc.value.trial == self.planted
         assert exc.value.seed == self.cfg.seed
         assert needle in str(exc.value)
+        return exc.value
 
     def test_break_count_off_by_one(self, monkeypatch):
         monkeypatch.setattr(
@@ -697,6 +699,52 @@ class TestAuditCatchesPlantedFaults:
         monkeypatch.setattr(mc, "records_by_scan", fake)
         self._assert_caught("definitional scan")
         assert len(calls) == self.planted + 1
+
+    def test_eviction_fault_in_the_stack(self, monkeypatch):
+        # Trial 7's stack puts the first record it evicts back in place, so
+        # its size after that step is one more than its breaks allow.
+        real = records.RecordStack.extend
+        calls = []
+        faulted = []
+
+        def faulty(stack, values):
+            calls.append(None)
+            if len(calls) - 1 != self.planted:
+                return real(stack, values)
+            breaks, sizes = [], []
+            for t, v in enumerate(values):
+                if not faulted and stack._val and stack._val[-1] < v:
+                    beaten = stack._idx[-1], stack._val[-1]
+                    (b,), _ = real(stack, (v,))
+                    stack._idx.insert(-1, beaten[0])
+                    stack._val.insert(-1, beaten[1])
+                    faulted.append(t)
+                else:
+                    (b,), _ = real(stack, (v,))
+                breaks.append(b)
+                sizes.append(len(stack._val))
+            return breaks, sizes
+
+        monkeypatch.setattr(records.RecordStack, "extend", faulty)
+        exc = self._assert_caught("record count recursion")
+        assert exc.step == faulted[0] >= 1
+        assert len(calls) == self.planted + 1
+
+    def test_replay_builds_no_record_entry(self, monkeypatch):
+        built = []
+
+        class CountingEntry(records.RecordEntry):
+            def __init__(self, index, value):
+                built.append(index)
+                super().__init__(index, value)
+
+        monkeypatch.setattr(records, "RecordEntry", CountingEntry)
+        report = simulate_trajectory_audit(SimConfig(n=100, trials=50, seed=41))
+        assert report.steps_checked == 100 * 50
+        assert built == []
+        # The counter is live: reading ``entries`` builds one per record.
+        assert len(records.records_by_scan([0.2, 0.9, 0.5]).entries) == 2
+        assert built == [1, 2]
 
     def test_every_trial_runs_through_each_check(self, monkeypatch):
         seen = {"run_trajectory": 0, "check_trajectory": 0, "records_by_scan": 0}

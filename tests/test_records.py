@@ -51,6 +51,94 @@ def _loop_check_distinct(values):
             )
 
 
+class _ReferenceStack:
+    """The record stack as one list of frozen ``RecordEntry`` objects: the
+    design the two-list stack replaced, kept as its behavioural reference."""
+
+    def __init__(self, entries=()):
+        self.entries = list(entries)
+        self.validate()
+
+    @property
+    def time(self):
+        return self.entries[-1].index if self.entries else -1
+
+    def indices(self):
+        return [e.index for e in self.entries]
+
+    def values(self):
+        return [e.value for e in self.entries]
+
+    def step(self, value):
+        if value != value:
+            raise ValueError("observation is not comparable (NaN)")
+        entries = self.entries
+        arriving = entries[-1].index + 1 if entries else 0
+        broken = 0
+        while entries and entries[-1].value < value:
+            entries.pop()
+            broken += 1
+        if entries and entries[-1].value == value:
+            raise TieError(
+                f"value {value!r} at index {arriving} ties the record at "
+                f"index {entries[-1].index}",
+                indices=(entries[-1].index, arriving),
+            )
+        entries.append(RecordEntry(arriving, value))
+        return broken
+
+    def validate(self):
+        entries = self.entries
+        for prev, cur in zip(entries, entries[1:]):
+            if cur.index <= prev.index:
+                raise ValueError(
+                    f"indices not strictly increasing: {prev.index} then {cur.index}"
+                )
+            if not cur.value < prev.value:
+                raise ValueError(
+                    f"values not strictly decreasing: {prev.value!r} then {cur.value!r}"
+                )
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __eq__(self, other):
+        if not isinstance(other, _ReferenceStack):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __repr__(self):
+        inner = ", ".join(f"({e.index}, {e.value!r})" for e in self.entries)
+        return f"RecordStack([{inner}])"
+
+
+def _reference_run_trajectory(values):
+    """``run_trajectory`` over the reference stack, one ``step`` per value."""
+    vals = list(values)
+    if not vals:
+        raise ValueError("trajectory needs at least one observation")
+    records._check_distinct(vals)
+    stack = _ReferenceStack()
+    stack.step(vals[0])
+    r_path, b_path = [1], []
+    for v in vals[1:]:
+        b_path.append(stack.step(v))
+        r_path.append(len(stack.entries))
+    return r_path, b_path, stack
+
+
+def _stepped(stack, value):
+    try:
+        return ("ok", stack.step(value))
+    except TieError as exc:
+        return ("tie", exc.indices, str(exc))
+    except ValueError as exc:
+        return ("nan", str(exc))
+
+
 def _outcome(check, values):
     try:
         check(values)
@@ -228,6 +316,89 @@ class TestDistinctScreen:
                 check(vals)
             assert not isinstance(exc.value, TieError)
             assert f"index {index} " in str(exc.value)
+
+
+class TestTwoListStack:
+    """The two-list stack against the one-list ``_ReferenceStack``."""
+
+    # Ties come from the small ints and the sampled floats (0.0 == -0.0,
+    # 2 == 2.0); NaN is drawn on its own.
+    observations = st.lists(
+        st.one_of(mixed, st.just(_NAN), st.floats()), max_size=40
+    )
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(-(2**70), 2**70), unique=True, max_size=40),
+            st.lists(finite, unique=True, max_size=40),
+            st.lists(st.integers(-1000, -1), unique=True, max_size=40),
+            observations,
+        )
+    )
+    @settings(max_examples=400)
+    def test_step_by_step_matches_reference(self, vals):
+        new, ref = RecordStack(), _ReferenceStack()
+        prev_new, prev_ref = RecordStack(), _ReferenceStack()
+        for v in vals:
+            assert _stepped(new, v) == _stepped(ref, v)
+            assert new.entries == ref.entries
+            assert repr(new) == repr(ref)
+            assert (len(new), new.time) == (len(ref), ref.time)
+            assert (new.indices(), new.values()) == (ref.indices(), ref.values())
+            assert (new == prev_new) == (ref == prev_ref)
+            prev_new, prev_ref = RecordStack(new.entries), _ReferenceStack(ref.entries)
+            assert new == prev_new
+
+    @staticmethod
+    def _trajectory(run, vals):
+        try:
+            r_path, b_path, final = run(vals)
+        except TieError as exc:
+            return ("tie", exc.indices, str(exc))
+        except ValueError as exc:
+            return ("nan", str(exc))
+        return r_path, b_path, final.entries, repr(final)
+
+    @staticmethod
+    def _run_new(vals):
+        stats = run_trajectory(vals)
+        return stats.r_path, stats.b_path, stats.final_records
+
+    @given(
+        st.one_of(
+            st.lists(mixed, unique=True, max_size=40),
+            st.lists(finite, unique=True, max_size=40),
+            st.lists(st.one_of(mixed, st.just(_NAN)), max_size=40),
+        )
+    )
+    @settings(max_examples=400)
+    def test_trajectory_matches_reference(self, vals):
+        assert self._trajectory(self._run_new, vals) == self._trajectory(
+            _reference_run_trajectory, vals
+        )
+
+    def test_entries_is_a_fresh_copy(self):
+        s = _stack_from([(0, 0.9), (2, 0.5)])
+        listed = s.entries
+        assert listed is not s.entries
+        listed.pop()
+        listed.append(RecordEntry(9, 5.0))
+        s.indices().clear()
+        s.values().append(0.1)
+        assert s.entries == [RecordEntry(0, 0.9), RecordEntry(2, 0.5)]
+        assert len(s) == 2 and s.time == 2
+        assert s.step(0.7) == 1
+        assert s == _stack_from([(0, 0.9), (3, 0.7)])
+
+    def test_extend_records_breaks_and_sizes(self):
+        s = RecordStack()
+        assert s.extend([0.31, 0.9, 0.12, 0.77, 0.5]) == (
+            [0, 1, 0, 1, 0],
+            [1, 1, 2, 2, 3],
+        )
+        assert s.extend([]) == ([], [])
+        assert s.extend([0.8]) == ([2], [2])
+        assert repr(s) == "RecordStack([(1, 0.9), (5, 0.8)])"
 
 
 class TestTrajectory:
