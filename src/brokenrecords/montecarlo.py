@@ -182,25 +182,21 @@ def _row_has_tie(row: np.ndarray) -> bool:
     return bool((s[1:] == s[:-1]).any())
 
 
-def _has_adjacent_equal(s: np.ndarray) -> np.ndarray:
-    return (s[:, 1:] == s[:, :-1]).any(axis=1)
-
-
 def _resolve_ties(vals: np.ndarray, seed: int, n: int, t0: int) -> int:
     """Replace tied rows from their redraw streams; return redraw count.
 
     Equal 64-bit values have equal 32-bit halves, so a sort of one half of
-    each row (half the bytes of the full sort) finds every candidate, and
-    only rows whose half collides get the exact 64-bit sort.  The filter
-    is exact: the redrawn rows are those with a true tie, as before.  A
-    half collides in a row with probability about n**2 / 2**33, so from
-    n of about 6.5e4 most rows pay for both sorts.
+    each row (half the bytes of a full sort) flags every row that may hold
+    a tie.  Each flagged row is then checked on its own with the exact
+    64-bit test that the redraws use, so the redrawn rows are exactly
+    those with a true tie.  No temporary is larger than the sorted half
+    words, half the size of the chunk.
     """
     half = np.sort(vals.view(np.uint32)[:, 1::2], axis=1)
-    cand = np.flatnonzero(_has_adjacent_equal(half))
-    bad = cand[_has_adjacent_equal(np.sort(vals[cand], axis=1))]
     redraws = 0
-    for r in bad:
+    for r in np.flatnonzero((half[:, 1:] == half[:, :-1]).any(axis=1)):
+        if not _row_has_tie(vals[r]):
+            continue
         t = t0 + int(r)
         for attempt in range(1, _MAX_REDRAWS + 1):
             row = _raw_rows(seed, n, t, t + 1, attempt)[0]
@@ -540,7 +536,12 @@ def check_trajectory(
             seed=seed,
             trial=trial,
         )
-    stats.final_records.validate()
+    try:
+        stats.final_records.validate()
+    except ValueError as exc:
+        raise InvariantError(
+            f"final records are not a staircase: {exc}", seed=seed, trial=trial
+        ) from exc
     if stats.final_records.time != stats.n:
         raise InvariantError(
             "newest record is not the final observation", seed=seed, trial=trial

@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
@@ -61,54 +60,6 @@ def rational_str(x: Fraction) -> str:
         return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    with _unlimited_int_digits():
-        return Fraction(s)
-
-
-@dataclass
-class ReportRow:
-    """One (n, k) line of an analysis table.
-
-    ``abs_dev`` is the distance from the limiting mass 2**-(k+1) of the
-    best estimate present, preferring enumeration, then the exact law,
-    then simulation.  The survivor tail is never an estimate: it is set
-    only beside the full exact mass.
-    """
-
-    n: int
-    k: int
-    exact_full: Fraction | None
-    exact_tail: Fraction | None
-    oracle_exact: Fraction | None
-    empirical: float | None
-    limit: float
-    abs_dev: float | None
-    remainder_bound: float | None
-
-    def best_estimate(self) -> tuple[Fraction | float, str] | None:
-        if self.oracle_exact is not None:
-            return self.oracle_exact, "oracle"
-        if self.exact_full is not None:
-            return self.exact_full, "closed-form"
-        if self.empirical is not None:
-            return self.empirical, "empirical"
-        return None
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "exact_full": self.exact_full,
-            "exact_tail": self.exact_tail,
-            "oracle_exact": self.oracle_exact,
-            "empirical": self.empirical,
-            "limit": self.limit,
-            "abs_dev": self.abs_dev,
-            "remainder_bound": self.remainder_bound,
-        }
-
-
 def build_row(
     n: int,
     k: int,
@@ -117,7 +68,14 @@ def build_row(
     exact_tail: Fraction | None = None,
     oracle_exact: Fraction | None = None,
     empirical: float | None = None,
-) -> ReportRow:
+) -> dict:
+    """One (n, k) line of an analysis table; its keys are the column order.
+
+    ``abs_dev`` is the distance from the limiting mass 2**-(k+1) of the
+    best estimate present, preferring enumeration, then the exact law,
+    then simulation.  The survivor tail is never an estimate: it is set
+    only beside the full exact mass.
+    """
     limit = geometric_limit(k)
     if k == 0:
         bound = 0.0
@@ -125,21 +83,20 @@ def build_row(
         bound = remainder_bound(n, k)
     else:
         bound = None
-    row = ReportRow(
-        n=n,
-        k=k,
-        exact_full=exact_full,
-        exact_tail=exact_tail,
-        oracle_exact=oracle_exact,
-        empirical=empirical,
-        limit=float(limit),
-        abs_dev=None,
-        remainder_bound=bound,
+    best = next(
+        (x for x in (oracle_exact, exact_full, empirical) if x is not None), None
     )
-    best = row.best_estimate()
-    if best is not None:
-        row.abs_dev = float(abs(best[0] - limit))
-    return row
+    return {
+        "n": n,
+        "k": k,
+        "exact_full": exact_full,
+        "exact_tail": exact_tail,
+        "oracle_exact": oracle_exact,
+        "empirical": empirical,
+        "limit": float(limit),
+        "abs_dev": None if best is None else float(abs(best - limit)),
+        "remainder_bound": bound,
+    }
 
 
 def _exact_columns(
@@ -173,7 +130,7 @@ def exact_table(n: int, kmax: int | None = None, *, tail_max_n: int = TAIL_EXACT
         for k, (full, tail) in enumerate(_exact_columns(n, top, tail_max_n))
     ]
     meta = {"command": "exact", "n": n, "kmax": top, "tail_max_n": tail_max_n}
-    return {"meta": meta, "rows": [r.to_dict() for r in rows]}
+    return {"meta": meta, "rows": rows}
 
 
 def oracle_table(n: int, *, max_n: int = DEFAULT_MAX_N, view: str = "b") -> dict:
@@ -198,7 +155,7 @@ def oracle_table(n: int, *, max_n: int = DEFAULT_MAX_N, view: str = "b") -> dict
         return {"meta": meta, "rows": rows}
     pmf = joint.marginal_b()
     rows = [
-        build_row(n, k, oracle_exact=pmf.prob(k)).to_dict() for k in pmf.support()
+        build_row(n, k, oracle_exact=pmf.prob(k)) for k in pmf.support()
     ]
     return {"meta": meta, "rows": rows}
 
@@ -236,7 +193,7 @@ def simulate_table(config: SimConfig, *, stat: str = "b") -> dict:
         return {"meta": meta, "rows": rows}
     emp = simulate_b(config)
     rows = [
-        build_row(config.n, k, empirical=emp.frequency(k)).to_dict()
+        build_row(config.n, k, empirical=emp.frequency(k))
         for k in sorted(emp.counts)
     ]
     meta = dict(emp.meta)
@@ -258,7 +215,7 @@ def checkpoint_table(
     rows = []
     for t, emp in sorted(table.items()):
         for k in sorted(emp.counts):
-            rows.append(build_row(t, k, empirical=emp.frequency(k)).to_dict())
+            rows.append(build_row(t, k, empirical=emp.frequency(k)))
     final = table[max(table)]
     meta = dict(final.meta)
     meta.pop("checkpoint", None)
@@ -276,12 +233,11 @@ def converge_table(
     seed: int,
     *,
     workers: int = 1,
-    oracle_max_n: int = DEFAULT_MAX_N,
     tail_max_n: int = TAIL_EXACT_MAX_N,
 ) -> dict:
     """Deviation-from-limit table across a sweep of n.
 
-    Each n gets enumeration up to ``oracle_max_n``, otherwise a simulation
+    Each n gets enumeration up to ``DEFAULT_MAX_N``, otherwise a simulation
     of ``trials`` trajectories (sharing one seed across the sweep).  Full
     masses and survivor tails come from one exact pass per n up to
     ``tail_max_n``, and only the k <= 1 closed forms beyond it.
@@ -290,17 +246,17 @@ def converge_table(
         raise ValueError("n_list must name at least one n")
     if kmax < 0:
         raise ValueError(f"kmax must be nonnegative, got {kmax}")
+    if min(n_list) < 1:
+        raise ValueError(f"every n must be at least 1, got {min(n_list)}")
     rows = []
     oracle_ns: list[int] = []
     simulated_ns: list[int] = []
     for n in n_list:
-        if n < 1:
-            raise ValueError(f"every n must be at least 1, got {n}")
         # First, so an exact pass over its ceiling refuses before any sampling.
         columns = _exact_columns(n, min(kmax, n), tail_max_n)
         opmf = None
-        if n <= oracle_max_n:
-            opmf = oracle_joint(n, max_n=oracle_max_n).marginal_b()
+        if n <= DEFAULT_MAX_N:
+            opmf = oracle_joint(n).marginal_b()
             oracle_ns.append(n)
         emp = None
         if opmf is None and trials > 0:
@@ -317,7 +273,7 @@ def converge_table(
                     exact_tail=tail,
                     oracle_exact=opmf.prob(k) if opmf is not None else None,
                     empirical=emp.frequency(k) if emp is not None else None,
-                ).to_dict()
+                )
             )
     meta = {
         "command": "converge",
@@ -402,9 +358,7 @@ def _geometric_bins(kmax: int) -> list[Fraction]:
     return body + [Fraction(1) - sum(body)]
 
 
-def gof_report(
-    config: SimConfig, *, oracle_max_n: int = DEFAULT_MAX_N
-) -> dict:
+def gof_report(config: SimConfig) -> dict:
     """Fit of simulated break counts against the limit law and, when the
     enumeration cap allows, against the exact finite-n law.
 
@@ -415,8 +369,8 @@ def gof_report(
     kmax = config.kmax
     observed = _pooled_bins(emp, kmax)
     refs = [("geometric-limit", _geometric_bins(kmax))]
-    if config.n <= oracle_max_n:
-        opmf = oracle_joint(config.n, max_n=oracle_max_n).marginal_b()
+    if config.n <= DEFAULT_MAX_N:
+        opmf = oracle_joint(config.n).marginal_b()
         body = [opmf.prob(k) for k in range(kmax + 1)]
         refs.append(("enumeration", body + [Fraction(1) - sum(body)]))
     rows = []

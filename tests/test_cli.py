@@ -20,9 +20,10 @@ import pytest
 import brokenrecords
 import brokenrecords.cli as cli
 import brokenrecords.montecarlo as mc
+import brokenrecords.records as records
 from brokenrecords.cli import main
 from brokenrecords.errors import CapacityError, InvariantError, PartialResultError
-from brokenrecords.reports import parse_rational
+from brokenrecords.reports import _unlimited_int_digits
 
 F = Fraction
 
@@ -192,7 +193,8 @@ class TestSimulateCommand:
             )
             printed = line.split("=", 1)[1]
         assert len(printed) > 4300
-        assert parse_rational(printed) == brokenrecords.expected_record_count(10000)
+        with _unlimited_int_digits():
+            assert Fraction(printed) == brokenrecords.expected_record_count(10000)
 
     def test_record_stat_exact_mean_refused_before_any_draw(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
@@ -248,6 +250,14 @@ class TestConvergeCommand:
     def test_bad_n_list_is_usage_exit(self, capsys):
         assert main(["converge", "--n-list", "2,x"]) == 2
         assert "usage" in capsys.readouterr().err
+
+    def test_bad_n_refused_before_any_sampling(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli.reports, "simulate_b", calls.append)
+        argv = ["converge", "--n-list", "3000,0", "--trials", "100000", "--seed", "1"]
+        assert main(argv) == 2
+        assert "every n must be at least 1" in capsys.readouterr().err
+        assert calls == []
 
 
 class TestGofCommand:
@@ -367,6 +377,22 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "simulate_trajectory_audit", bare)
         assert main(["audit", "--n", "5", "--trials", "10", "--seed", "2"]) == 5
         assert capsys.readouterr().err == "invariant: no coordinates\n"
+
+    def test_broken_staircase_is_an_invariant_exit(self, monkeypatch, capsys):
+        # A stack that evicts nothing keeps the record-count recursion and
+        # the balance, so only the staircase check of the replay sees it.
+        def no_evictions(stack, values):
+            vals = list(values)
+            start = len(stack._idx)
+            stack._idx.extend(range(start, start + len(vals)))
+            stack._val.extend(vals)
+            return [0] * len(vals), list(range(start + 1, start + len(vals) + 1))
+
+        monkeypatch.setattr(records.RecordStack, "extend", no_evictions)
+        assert main(["audit", "--n", "5", "--trials", "3", "--seed", "1"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("invariant: final records are not a staircase: ")
+        assert err.rstrip().endswith("(seed=1 trial=0)")
 
     def test_type_error_is_a_fault_not_a_usage_error(self, monkeypatch, capsys):
         # argparse types every argument, so a TypeError after parsing is

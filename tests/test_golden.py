@@ -1,0 +1,40 @@
+"""Each two-thread golden invocation prints what its one-thread twin prints.
+
+``tools/golden.py`` lists every caller of the chunk scheduler once more
+with ``--workers 2``; outside ``meta.run`` the reports must be equal byte
+for byte, since the worker count only schedules chunks.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from brokenrecords.cli import main
+
+_spec = importlib.util.spec_from_file_location(
+    "golden", Path(__file__).resolve().parent.parent / "tools" / "golden.py"
+)
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+TWINS = [
+    name
+    for name in golden.INVOCATIONS
+    if name.endswith("-workers2") and name.removesuffix("-workers2") in golden.INVOCATIONS
+]
+
+
+def _json(capsys, argv):
+    assert main([*argv, "--format", "json"]) == 0
+    return golden.without_run_block(capsys.readouterr().out, "json")
+
+
+def test_every_scheduler_caller_has_a_twin():
+    assert len(TWINS) == 4
+
+
+@pytest.mark.parametrize("name", TWINS)
+def test_two_threads_print_the_one_thread_report(name, capsys):
+    one = golden.INVOCATIONS[name.removesuffix("-workers2")]
+    assert _json(capsys, golden.INVOCATIONS[name]) == _json(capsys, one)

@@ -4,6 +4,8 @@ Statistical assertions run at frozen seeds whose margins were confirmed
 to sit far inside the stated tolerances, so no test here is flaky.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,28 @@ class TestTrialValues:
         before = vals.copy()
         assert mc._resolve_ties(vals, seed, n, t0) == 0
         assert np.array_equal(vals, before)
+
+    def test_tie_screen_memory_stays_under_the_chunk(self):
+        # Every row gets a pair of values with equal high halves and a pair
+        # with equal low halves, so the half screen flags every row on
+        # either byte order, yet no value repeats.
+        seed, n, t0 = 11, 4096, 0
+        vals, _ = trial_values(seed, n, t0, t0 + 64)
+        low = np.uint64(0xFFFFFFFF)
+        high = ~low
+        vals[:, 1] = (vals[:, 0] & high) | (~vals[:, 0] & low)
+        vals[:, 3] = (vals[:, 2] & low) | (~vals[:, 2] & high)
+        assert not any(mc._row_has_tie(row) for row in vals)
+        before = vals.copy()
+        tracemalloc.start()
+        try:
+            redraws = mc._resolve_ties(vals, seed, n, t0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert redraws == 0
+        assert np.array_equal(vals, before)
+        assert peak < vals.nbytes
 
     @pytest.mark.parametrize("col", [0, 20, 40], ids=["first", "middle", "last"])
     def test_true_tie_at_any_column_is_redrawn(self, col):
