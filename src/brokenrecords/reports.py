@@ -248,12 +248,13 @@ def converge_table(
         raise ValueError(f"kmax must be nonnegative, got {kmax}")
     if min(n_list) < 1:
         raise ValueError(f"every n must be at least 1, got {min(n_list)}")
+    # Every exact pass first, so one over its ceiling refuses before any
+    # enumeration or sampling.
+    exact = [_exact_columns(n, min(kmax, n), tail_max_n) for n in n_list]
     rows = []
     oracle_ns: list[int] = []
     simulated_ns: list[int] = []
-    for n in n_list:
-        # First, so an exact pass over its ceiling refuses before any sampling.
-        columns = _exact_columns(n, min(kmax, n), tail_max_n)
+    for n, columns in zip(n_list, exact):
         opmf = None
         if n <= DEFAULT_MAX_N:
             opmf = oracle_joint(n).marginal_b()

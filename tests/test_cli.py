@@ -259,6 +259,20 @@ class TestConvergeCommand:
         assert "every n must be at least 1" in capsys.readouterr().err
         assert calls == []
 
+    def test_exact_ceiling_refused_before_any_sampling(self, monkeypatch, capsys):
+        # n = 40000 at kmax 6 is over the exact pass's work cap; the n before
+        # it must be neither enumerated nor sampled first.
+        calls = []
+        monkeypatch.setattr(cli.reports, "simulate_b", calls.append)
+        monkeypatch.setattr(cli.reports, "oracle_joint", calls.append)
+        argv = [
+            "converge", "--n-list", "8,3000,40000", "--kmax", "6",
+            "--trials", "200000", "--seed", "1", "--tail-max-n", "50000",
+        ]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("capacity:")
+        assert calls == []
+
 
 class TestGofCommand:
     def test_n1_tv_is_quarter(self, capsys):

@@ -31,7 +31,7 @@ def _json(capsys, argv):
 
 
 def test_every_scheduler_caller_has_a_twin():
-    assert len(TWINS) == 4
+    assert len(TWINS) == 5
 
 
 @pytest.mark.parametrize("name", TWINS)

@@ -168,6 +168,31 @@ class TestTrialValues:
         assert mc._resolve_ties(vals, seed, n, t0) == 0
         assert np.array_equal(vals, before)
 
+    def test_two_half_collisions_flag_the_row_once(self, monkeypatch):
+        # Two pairs with equal high halves and two with equal low halves:
+        # the screen sees two collisions in row 1 on either byte order, yet
+        # no value repeats, so the row is checked once and kept.
+        seed, n, t0 = 11, 40, 30
+        vals, _ = trial_values(seed, n, t0, t0 + 3)
+        low = np.uint64(0xFFFFFFFF)
+        high = ~low
+        row = vals[1]
+        row[1] = (row[0] & high) | (~row[0] & low)
+        row[3] = (row[2] & high) | (~row[2] & low)
+        row[5] = (row[4] & low) | (~row[4] & high)
+        row[7] = (row[6] & low) | (~row[6] & high)
+        assert not mc._row_has_tie(row)
+        checked = []
+        exact = mc._row_has_tie
+        monkeypatch.setattr(
+            mc, "_row_has_tie", lambda r: checked.append(r.copy()) or exact(r)
+        )
+        before = vals.copy()
+        assert mc._resolve_ties(vals, seed, n, t0) == 0
+        assert len(checked) == 1
+        assert np.array_equal(checked[0], before[1])
+        assert np.array_equal(vals, before)
+
     def test_tie_screen_memory_stays_under_the_chunk(self):
         # Every row gets a pair of values with equal high halves and a pair
         # with equal low halves, so the half screen flags every row on
@@ -202,6 +227,22 @@ class TestTrialValues:
         assert np.array_equal(vals[1], row)
         assert np.array_equal(vals[0], keep0)
         assert np.array_equal(vals[2], keep2)
+
+    def test_a_true_tie_in_every_row_is_redrawn(self):
+        # The screen names rows from flat hits of the (rows x n) comparison;
+        # a tie in every row, first and last included and at every column,
+        # shows a hit mapped to the wrong row or a row dropped.
+        seed, n, t0, rows = 11, 40, 30, 50
+        vals, _ = trial_values(seed, n, t0, t0 + rows)
+        for i in range(rows):
+            vals[i][i % (n + 1)] = vals[i][(i + 7) % (n + 1)]
+        redraws = mc._resolve_ties(vals, seed, n, t0)
+        total = 0
+        for i in range(rows):
+            row, attempts = self._first_clean_attempt(seed, n, t0 + i)
+            assert np.array_equal(vals[i], row), i
+            total += attempts
+        assert redraws == total
 
 
 def _reference_final_break_counts(vals):
@@ -497,6 +538,60 @@ class TestPinnedCounts:
         ]
         assert not any(counts[13:])
         assert pmf.meta["tie_redraws"] == 0
+
+
+class TestChunkBudget:
+    """Chunks of about 2**20 values: a bounded peak, and counts that do
+    not depend on the budget."""
+
+    def test_a_chunk_fills_the_budget(self):
+        for n in [*range(1, 4097), 2**17 - 1, 2**18 - 4, 2**20 - 5, 2**20 - 1]:
+            rows, w = mc._rows_per_chunk(n), mc._words_per_trial(n)
+            assert rows * w <= 2**20 < (rows + 1) * w, n
+
+    def test_a_row_over_the_budget_is_its_own_chunk(self):
+        for n in (2**20, 2**21 + 3, 2**27 - 1):
+            assert mc._words_per_trial(n) > 2**20
+            assert mc._rows_per_chunk(n) == 1
+
+    def test_simulation_peak_stays_bounded(self):
+        # 20,000 trials at n = 500 take 10 chunks; at 2**23 values per
+        # chunk the same run peaked at about 104 MiB.
+        tracemalloc.start()
+        try:
+            pmf = simulate_b(SimConfig(n=500, trials=20000, seed=2024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pmf.meta["run"]["chunks"] == 10
+        assert peak < 16 * 2**20
+
+    @staticmethod
+    def _at_old_budget(monkeypatch, run):
+        new = run()
+        monkeypatch.setattr(mc, "_TARGET_CHUNK_VALUES", 2**23)
+        old = run()
+        monkeypatch.undo()
+        return new, old
+
+    def test_checkpoints_match_the_old_budget(self, monkeypatch):
+        cfg = SimConfig(n=500, trials=40000, seed=9)
+        new, old = self._at_old_budget(monkeypatch, lambda: simulate_b_checkpoints(cfg))
+        assert new[500].meta["run"]["chunks"] == 20
+        assert old[500].meta["run"]["chunks"] == 3
+        assert sorted(new) == sorted(old)
+        for t in new:
+            assert new[t].counts == old[t].counts
+            assert new[t].overflow == old[t].overflow
+            assert new[t].meta["tie_redraws"] == old[t].meta["tie_redraws"]
+
+    def test_record_counts_match_the_old_budget(self, monkeypatch):
+        cfg = SimConfig(n=64, trials=250000, seed=64)
+        new, old = self._at_old_budget(monkeypatch, lambda: simulate_r(cfg))
+        assert new.meta["run"]["chunks"] == 17
+        assert old.meta["run"]["chunks"] == 3
+        assert new.counts == old.counts
+        assert new.meta["tie_redraws"] == old.meta["tie_redraws"]
 
 
 class TestRunMeta:

@@ -31,6 +31,9 @@ INVOCATIONS: dict[str, list[str]] = {
     "oracle-n6-r": ["oracle", "--n", "6", "--view", "r"],
     "oracle-n8-joint": ["oracle", "--n", "8", "--view", "joint"],
     "simulate-n50": ["simulate", "--n", "50", "--trials", "20000", "--seed", "7"],
+    # Several chunks at any chunk budget from 2**19 to 2**23 values, so a
+    # diff also covers the merge of chunk counts.
+    "simulate-n500": ["simulate", "--n", "500", "--trials", "40000", "--seed", "9"],
     "simulate-n12-workers2": [
         "simulate", "--n", "12", "--trials", "30000", "--seed", "8", "--workers", "2",
     ],
@@ -54,7 +57,13 @@ INVOCATIONS: dict[str, list[str]] = {
 # output must equal its one-thread twin above.
 INVOCATIONS.update(
     (f"{name}-workers2", [*INVOCATIONS[name], "--workers", "2"])
-    for name in ("simulate-n30-r", "simulate-n40-checkpoints", "converge-sampled", "gof-n8")
+    for name in (
+        "simulate-n500",
+        "simulate-n30-r",
+        "simulate-n40-checkpoints",
+        "converge-sampled",
+        "gof-n8",
+    )
 )
 FORMATS = ("json", "csv", "table")
 
