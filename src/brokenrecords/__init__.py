@@ -9,6 +9,7 @@ from .errors import (
     InvariantError,
     PartialResultError,
     TieError,
+    UsageError,
 )
 from .exact import (
     Pmf,
@@ -69,6 +70,7 @@ __all__ = [
     "SimConfig",
     "TieError",
     "TrajectoryStats",
+    "UsageError",
     "check_trajectory",
     "default_checkpoints",
     "exact_pmf_b",

@@ -5,8 +5,11 @@ exact law, ``oracle`` for exhaustive enumeration, ``simulate`` for
 seeded Monte Carlo, ``converge`` for the deviation sweep, ``gof`` for
 distribution fit, and ``audit`` for the step-by-step invariant replay.
 
-Exit codes: 0 success, 2 usage, 3 capacity cap, 4 output I/O, 5 invariant
-or mid-run failure.
+Argument domains are checked once, by the module that owns each
+argument, and the parser re-checks none of them.  Exit codes: 0 success,
+2 usage (a ``UsageError``), 3 capacity cap, 4 output I/O, 5 invariant or
+mid-run failure.  Any other exception is a fault of the program and
+surfaces as a traceback.
 """
 from __future__ import annotations
 
@@ -16,9 +19,9 @@ import sys
 from typing import TextIO
 
 from . import reports
-from .errors import CapacityError, InvariantError, PartialResultError
+from .errors import CapacityError, InvariantError, PartialResultError, UsageError
 from .montecarlo import SimConfig, simulate_trajectory_audit
-from .oracle import DEFAULT_MAX_N, HARD_MAX_N
+from .oracle import MAX_N
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -82,13 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("oracle", help="exact law by exhaustive enumeration")
-    p.add_argument("--n", type=int, required=True, help="number of steps")
-    p.add_argument(
-        "--max-n",
-        type=int,
-        default=DEFAULT_MAX_N,
-        help=f"enumeration cap (default {DEFAULT_MAX_N}, ceiling {HARD_MAX_N})",
-    )
+    p.add_argument("--n", type=int, required=True, help=f"number of steps (at most {MAX_N})")
     p.add_argument(
         "--view",
         choices=["b", "r", "joint"],
@@ -164,16 +161,12 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return seed
 
 
-def _parse_checkpoints(text: str) -> tuple[int, ...] | None:
-    if text == "auto":
-        return None
+def _int_list(text: str, flag: str) -> list[int]:
+    """The integers of a comma-separated flag value; blank items are skipped."""
     try:
-        ts = tuple(int(part) for part in text.split(",") if part.strip())
+        return [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise ValueError(f"--checkpoints must be comma-separated steps: {exc}") from exc
-    if not ts:
-        raise ValueError("--checkpoints named no horizons")
-    return ts
+        raise UsageError(f"{flag} must be comma-separated integers: {exc}") from exc
 
 
 def cmd_exact(args: argparse.Namespace) -> dict:
@@ -181,7 +174,7 @@ def cmd_exact(args: argparse.Namespace) -> dict:
 
 
 def cmd_oracle(args: argparse.Namespace) -> dict:
-    return reports.oracle_table(args.n, max_n=args.max_n, view=args.view)
+    return reports.oracle_table(args.n, view=args.view)
 
 
 def _sim_config(args: argparse.Namespace) -> SimConfig:
@@ -199,24 +192,22 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     config = _sim_config(args)
     if args.checkpoints is not None:
         if args.stat != "b":
-            raise ValueError("--checkpoints applies only to --stat b")
-        return reports.checkpoint_table(config, _parse_checkpoints(args.checkpoints))
+            raise UsageError("--checkpoints applies only to --stat b")
+        ts = None
+        if args.checkpoints != "auto":
+            ts = tuple(_int_list(args.checkpoints, "--checkpoints"))
+        return reports.checkpoint_table(config, ts)
     return reports.simulate_table(config, stat=args.stat)
 
 
 def cmd_converge(args: argparse.Namespace) -> dict:
-    try:
-        n_list = [int(part) for part in args.n_list.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ValueError(f"--n-list must be comma-separated integers: {exc}") from exc
-    seed = args.seed
-    if seed is None and args.trials > 0:
-        seed = _resolve_seed(args)
+    n_list = _int_list(args.n_list, "--n-list")
+    seed = _resolve_seed(args) if args.trials > 0 else args.seed or 0
     return reports.converge_table(
         n_list,
         args.kmax,
         args.trials,
-        seed if seed is not None else 0,
+        seed,
         workers=args.workers,
         tail_max_n=args.tail_max_n,
     )
@@ -284,8 +275,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CAPACITY
     except PartialResultError as exc:
         stderr.write(f"incomplete: {exc} ({exc.completed} trials finished)\n")
-        if isinstance(exc.__cause__, CapacityError):
-            return EXIT_CAPACITY
         return EXIT_INVARIANT
     except InvariantError as exc:
         where = " ".join(
@@ -295,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         stderr.write(f"invariant: {exc}" + (f" ({where})" if where else "") + "\n")
         return EXIT_INVARIANT
-    except ValueError as exc:
+    except UsageError as exc:
         stderr.write(f"usage: {exc}\n")
         return EXIT_USAGE
     except OSError as exc:

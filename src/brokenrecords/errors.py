@@ -16,6 +16,10 @@ class TieError(ValueError):
         self.indices = indices
 
 
+class UsageError(ValueError):
+    """A caller-supplied argument is outside its domain (CLI exit 2)."""
+
+
 class CapacityError(ValueError):
     """A requested computation exceeds a configured size cap."""
 

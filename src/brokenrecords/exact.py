@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .errors import CapacityError
+from .errors import CapacityError, UsageError
 
 REFERENCE_TERM_LIMIT = 10**6
 # Ceiling on n * n * (kmax + 1) for exact_pmf_b: the pass fills n * (kmax + 1)
@@ -77,7 +77,7 @@ def telescoping_sum(m: int) -> Fraction:
     1/(i(i+1)(i+2)) = (1/2)(1/(i(i+1)) - 1/((i+1)(i+2))).
     """
     if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
+        raise UsageError(f"m must be at least 1, got {m}")
     return Fraction(1, 4) - Fraction(1, 2 * (m + 1) * (m + 2))
 
 
@@ -88,7 +88,7 @@ def prob_b0(n: int) -> Fraction:
     and those two orderings are equally likely by exchangeability.
     """
     if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+        raise UsageError(f"n must be at least 1, got {n}")
     return Fraction(1, 2)
 
 
@@ -100,7 +100,7 @@ def prob_b1_lastrecord(n: int) -> Fraction:
     order: probability 1/(n(n+1)).
     """
     if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+        raise UsageError(f"n must be at least 1, got {n}")
     return Fraction(1, n * (n + 1))
 
 
@@ -111,9 +111,9 @@ def single_break_term(n: int, i: int) -> Fraction:
     Requires 0 <= i <= n - 2; equals 1/((n-i-1)(n-i)(n-i+1)).
     """
     if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+        raise UsageError(f"n must be at least 2, got {n}")
     if not 0 <= i <= n - 2:
-        raise ValueError(f"i must lie in [0, {n - 2}], got {i}")
+        raise UsageError(f"i must lie in [0, {n - 2}], got {i}")
     return _reciprocal_cubic(n - i - 1)
 
 
@@ -126,7 +126,7 @@ def prob_b1(n: int) -> Fraction:
     observation either breaks the only record or nothing.
     """
     if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+        raise UsageError(f"n must be at least 1, got {n}")
     if n == 1:
         return Fraction(1, 2)
     return prob_b1_lastrecord(n) + telescoping_sum(n - 1)
@@ -142,39 +142,39 @@ def p_term(i0: int, idx: Sequence[int]) -> Fraction:
     """
     idx = tuple(idx)
     if not idx:
-        raise ValueError("idx must name at least one index")
+        raise UsageError("idx must name at least one index")
     if idx[-1] < 0:
-        raise ValueError(f"indices must be nonnegative, got {idx[-1]}")
+        raise UsageError(f"indices must be nonnegative, got {idx[-1]}")
     for a, b in zip((i0,) + idx, idx):
         if b >= a:
-            raise ValueError(f"indices must strictly decrease, got {a} then {b}")
+            raise UsageError(f"indices must strictly decrease, got {a} then {b}")
     term = _reciprocal_cubic(i0 - idx[-1])
     for i in idx[:-1]:
         term /= i0 - i
     return term
 
 
-def joint_tail_prob(n: int, k: int, *, max_terms: int = REFERENCE_TERM_LIMIT) -> Fraction:
+def joint_tail_prob(n: int, k: int) -> Fraction:
     """Probability the final step breaks exactly k records and at least one
     old record survives, by literal summation.
 
     Sums ``p_term`` over every strictly decreasing k-tuple drawn from
     {0, ..., n - 2}, which is binomial(n - 1, k) terms; refuses with
-    CapacityError beyond ``max_terms``.  Returns 0 when k exceeds n - 1
-    (no room for a survivor); k = 0 is outside the contract because
-    breaking nothing needs no survivor bookkeeping.
+    CapacityError beyond ``REFERENCE_TERM_LIMIT``.  Returns 0 when k
+    exceeds n - 1 (no room for a survivor); k = 0 is outside the contract
+    because breaking nothing needs no survivor bookkeeping.
     """
     if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+        raise UsageError(f"n must be at least 1, got {n}")
     if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+        raise UsageError(f"k must be at least 1, got {k}")
     if k > n - 1:
         return Fraction(0)
     terms = math.comb(n - 1, k)
-    if terms > max_terms:
+    if terms > REFERENCE_TERM_LIMIT:
         raise CapacityError(
             f"tail sum for n={n}, k={k} has {terms} terms, over the "
-            f"max_terms cap of {max_terms}; use joint_tail_prob_fast"
+            f"cap of {REFERENCE_TERM_LIMIT}; use joint_tail_prob_fast"
         )
     i0 = n - 1
     total = Fraction(0)
@@ -193,9 +193,9 @@ def joint_tail_prob_fast(n: int, k: int) -> Fraction:
     contribute zero automatically.
     """
     if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+        raise UsageError(f"n must be at least 1, got {n}")
     if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+        raise UsageError(f"k must be at least 1, got {k}")
     if k > n - 1:
         return Fraction(0)
     i0 = n - 1
@@ -248,9 +248,9 @@ def exact_pmf_b(n: int, kmax: int) -> BreakLaw:
     n * n * (kmax + 1) exceeds ``EXACT_MAX_WORK``.
     """
     if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+        raise UsageError(f"n must be at least 1, got {n}")
     if kmax < 0:
-        raise ValueError(f"kmax must be nonnegative, got {kmax}")
+        raise UsageError(f"kmax must be nonnegative, got {kmax}")
     top = min(kmax, n)
     work = n * n * (top + 1)
     if work > EXACT_MAX_WORK:
@@ -274,7 +274,7 @@ def exact_pmf_b(n: int, kmax: int) -> BreakLaw:
 def geometric_limit(k: int) -> Fraction:
     """Limiting probability of breaking exactly k records: 2**-(k+1)."""
     if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+        raise UsageError(f"k must be nonnegative, got {k}")
     return Fraction(1, 2 ** (k + 1))
 
 
@@ -286,9 +286,9 @@ def remainder_bound(n: int, k: int) -> float:
     the harmonic factors picked up per extra coordinate.
     """
     if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+        raise UsageError(f"n must be at least 2, got {n}")
     if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+        raise UsageError(f"k must be at least 1, got {k}")
     return (1.0 + math.log(n - 1)) ** (k - 1) / (2.0 * n * (n + 1))
 
 
@@ -320,7 +320,7 @@ def expected_record_count(n: int) -> Fraction:
     n * n exceeds ``EXACT_MAX_WORK`` (n = 10**5 takes about 0.5 s).
     """
     if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+        raise UsageError(f"n must be nonnegative, got {n}")
     if n * n > EXACT_MAX_WORK:
         raise CapacityError(
             f"exact mean record count for n={n} needs n*n = {n * n}, "

@@ -35,8 +35,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import CapacityError, InvariantError, PartialResultError, TieError
-from .records import TrajectoryStats, records_by_scan, run_trajectory
+from .errors import CapacityError, InvariantError, PartialResultError, TieError, UsageError
+from .records import TrajectoryStats, run_trajectory, scan_distinct
 
 GENERATOR = "philox4x64-counter-window"
 # A chunk draws about 2**20 values (8 MiB): small enough that the allocator
@@ -83,15 +83,15 @@ class SimConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
+            raise UsageError(f"n must be at least 1, got {self.n}")
         if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
+            raise UsageError(f"trials must be at least 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+            raise UsageError("seed must fit in an unsigned 64-bit integer")
         if self.kmax < 0:
-            raise ValueError(f"kmax must be nonnegative, got {self.kmax}")
+            raise UsageError(f"kmax must be nonnegative, got {self.kmax}")
         if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
+            raise UsageError(f"workers must be at least 1, got {self.workers}")
         _words_per_trial(self.n)
 
 
@@ -173,13 +173,10 @@ def _words_per_trial(n: int) -> int:
 
 
 def _raw_rows(seed: int, n: int, t0: int, t1: int, attempt: int) -> np.ndarray:
-    """Variates for trials [t0, t1) at the given redraw attempt."""
+    """Raw Philox words of trials [t0, t1) at the given redraw attempt."""
     w = _words_per_trial(n)
     bg = np.random.Philox(key=seed + (attempt << 64), counter=t0 * (w // 4))
-    u = np.random.Generator(bg).integers(
-        0, 2**64, size=(t1 - t0) * w, dtype=np.uint64
-    )
-    return u.reshape(t1 - t0, w)[:, : n + 1]
+    return bg.random_raw((t1 - t0, w))[:, : n + 1]
 
 
 def _row_has_tie(row: np.ndarray) -> bool:
@@ -227,7 +224,7 @@ def trial_values(seed: int, n: int, t0: int, t1: int) -> tuple[np.ndarray, int]:
     only on (seed, n, trial index), never on the requested range.
     """
     if t1 <= t0:
-        raise ValueError(f"empty trial range [{t0}, {t1})")
+        raise UsageError(f"empty trial range [{t0}, {t1})")
     vals = _raw_rows(seed, n, t0, t1, 0)
     redraws = _resolve_ties(vals, seed, n, t0)
     return vals, redraws
@@ -474,9 +471,9 @@ def simulate_b_checkpoints(
     """
     ts = default_checkpoints(config.n) if checkpoints is None else tuple(sorted(set(checkpoints)))
     if not ts:
-        raise ValueError("checkpoints must name at least one horizon")
+        raise UsageError("checkpoints must name at least one horizon")
     if ts[0] < 1 or ts[-1] > config.n:
-        raise ValueError(f"checkpoints must lie in [1, {config.n}], got {ts}")
+        raise UsageError(f"checkpoints must lie in [1, {config.n}], got {ts}")
     result = _simulate_breaks(config, ts)
     for t, emp in result.items():
         emp.meta["checkpoint"] = t
@@ -521,7 +518,9 @@ def check_trajectory(
 
     Checks the record-count recursion against the break counts, the total
     balance, the staircase shape of the final records, and agreement with
-    the definitional scan of the raw values.
+    the definitional scan of the raw values.  ``values`` is the row that
+    ``run_trajectory`` already screened for ties, so it is scanned with no
+    second screen.
     """
     r_path, b_path = stats.r_path, stats.b_path
     if r_path[0] != 1:
@@ -559,7 +558,7 @@ def check_trajectory(
         raise InvariantError(
             "final record count disagrees with its own stack", seed=seed, trial=trial
         )
-    if records_by_scan(values) != stats.final_records:
+    if scan_distinct(values) != stats.final_records:
         raise InvariantError(
             "definitional scan disagrees with the incremental stack",
             seed=seed,

@@ -16,7 +16,8 @@ it with one value and ``run_trajectory`` with the whole sequence.
 ``records_by_scan`` recomputes the record set straight from the
 definition as an independent cross-check: one right-to-left pass keeps
 each value that exceeds the running maximum of the values after it, with
-no stack and no eviction.
+no stack and no eviction.  That pass is ``scan_distinct``, which skips the
+tie screen, for a row that ``run_trajectory`` has already screened.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
-from .errors import TieError
+from .errors import TieError, UsageError
 
 Value = Union[int, float]
 
@@ -88,7 +89,7 @@ class RecordStack:
         Each value evicts the trailing records below it, then (time + 1,
         value) is pushed; ``breaks[j]`` is how many records value j broke
         and ``sizes[j]`` the record count just after it arrived.  Raises
-        ValueError on a NaN, before it touches the stack, and TieError if
+        UsageError on a NaN, before it touches the stack, and TieError if
         a value equals the record left after its evictions, which stay
         done; the values before either stay applied.
         """
@@ -100,7 +101,7 @@ class RecordStack:
         arriving = idx[-1] + 1 if idx else 0
         for v in values:
             if v != v:
-                raise ValueError("observation is not comparable (NaN)")
+                raise UsageError("observation is not comparable (NaN)")
             broken = 0
             while val and val[-1] < v:
                 pop_i()
@@ -169,7 +170,7 @@ class TrajectoryStats:
 
 
 def _check_distinct(values: Sequence[Value]) -> None:
-    """Raise ValueError on a NaN and TieError on the first repeated value.
+    """Raise UsageError on a NaN and TieError on the first repeated value.
 
     The screen runs at C level: NaN is the only value unequal to itself,
     and distinct values make a set as long as the list.  Only a failing
@@ -180,7 +181,7 @@ def _check_distinct(values: Sequence[Value]) -> None:
     seen: dict[Value, int] = {}
     for i, v in enumerate(values):
         if v != v:
-            raise ValueError(f"observation at index {i} is not comparable (NaN)")
+            raise UsageError(f"observation at index {i} is not comparable (NaN)")
         j = seen.setdefault(v, i)
         if j != i:
             raise TieError(
@@ -200,7 +201,7 @@ def run_trajectory(values: Iterable[Value]) -> TrajectoryStats:
     """
     vals = list(values)
     if not vals:
-        raise ValueError("trajectory needs at least one observation")
+        raise UsageError("trajectory needs at least one observation")
     _check_distinct(vals)
     stack = RecordStack()
     breaks, sizes = stack.extend(vals)
@@ -212,13 +213,22 @@ def run_trajectory(values: Iterable[Value]) -> TrajectoryStats:
 def records_by_scan(values: Iterable[Value]) -> RecordStack:
     """Current records straight from the definition, as a cross-check.
 
+    Screens the values (UsageError on a NaN, TieError on a repeated
+    value), then scans them with ``scan_distinct``.
+    """
+    vals = list(values)
+    _check_distinct(vals)
+    return scan_distinct(vals)
+
+
+def scan_distinct(vals: Sequence[Value]) -> RecordStack:
+    """The definitional records of values already screened as distinct.
+
     Keeps (i, x_i) iff x_i exceeds every later value.  One right-to-left
     pass carries the maximum of the values already read, so each value is
     compared once: linear time, and no step of the incremental stack.  The
     kept pairs go straight into the stack's two lists.
     """
-    vals = list(values)
-    _check_distinct(vals)
     stack = RecordStack()
     idx, val = stack._idx, stack._val
     top = None

@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
+from .errors import UsageError
 from .exact import (
     exact_pmf_b,
     expected_record_count,
@@ -31,9 +32,11 @@ from .montecarlo import (
     simulate_b_checkpoints,
     simulate_r,
 )
-from .oracle import DEFAULT_MAX_N, oracle_joint, oracle_pmf_r
+from .oracle import oracle_joint, oracle_pmf_r
 
 TAIL_EXACT_MAX_N = 2000
+# converge and gof add the enumerated law up to n = 8 (about 25 ms).
+ENUMERATION_MAX_N = 8
 MIN_EXPECTED_PER_BIN = 5.0
 
 
@@ -108,6 +111,10 @@ def _exact_columns(
     every k and the survivor tail at k >= 1; beyond it only the k <= 1
     closed forms remain and the tails stay empty.
     """
+    if top < 0:
+        raise UsageError(f"kmax must be nonnegative, got {top}")
+    if tail_max_n < 0:
+        raise UsageError(f"tail_max_n must be nonnegative, got {tail_max_n}")
     if n <= tail_max_n:
         law = exact_pmf_b(n, top)
         return [(law.prob(k), law.tail_mass(k) if k else None) for k in range(top + 1)]
@@ -123,7 +130,7 @@ def exact_table(n: int, kmax: int | None = None, *, tail_max_n: int = TAIL_EXACT
     and leaves the other cells empty.
     """
     if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+        raise UsageError(f"n must be at least 1, got {n}")
     top = min(kmax, n) if kmax is not None else min(n, 8)
     rows = [
         build_row(n, k, exact_full=full, exact_tail=tail)
@@ -133,20 +140,20 @@ def exact_table(n: int, kmax: int | None = None, *, tail_max_n: int = TAIL_EXACT
     return {"meta": meta, "rows": rows}
 
 
-def oracle_table(n: int, *, max_n: int = DEFAULT_MAX_N, view: str = "b") -> dict:
+def oracle_table(n: int, *, view: str = "b") -> dict:
     """Enumeration table: break-count pmf, record-count pmf, or the joint law."""
     if view not in ("b", "r", "joint"):
-        raise ValueError(f"view must be b, r, or joint, got {view!r}")
-    meta = {"command": "oracle", "n": n, "view": view, "max_n": max_n}
+        raise UsageError(f"view must be b, r, or joint, got {view!r}")
+    meta = {"command": "oracle", "n": n, "view": view}
     if view == "r":
-        pmf = oracle_pmf_r(n, max_n=max_n)
+        pmf = oracle_pmf_r(n)
         rows = [
             {"n": n, "r": r, "mass": pmf.prob(r), "mass_float": float(pmf.prob(r))}
             for r in pmf.support()
         ]
         meta["mean"] = pmf.mean()
         return {"meta": meta, "rows": rows}
-    joint = oracle_joint(n, max_n=max_n)
+    joint = oracle_joint(n)
     if view == "joint":
         rows = [
             {"n": n, "k": b, "r_prev": r, "mass": p, "mass_float": float(p)}
@@ -169,7 +176,7 @@ def simulate_table(config: SimConfig, *, stat: str = "b") -> dict:
     the exact mean comes first, so its capacity refusal precedes any draw.
     """
     if stat not in ("b", "r"):
-        raise ValueError(f"stat must be b or r, got {stat!r}")
+        raise UsageError(f"stat must be b or r, got {stat!r}")
     if stat == "r":
         exact_mean = expected_record_count(config.n)
         emp = simulate_r(config)
@@ -237,26 +244,26 @@ def converge_table(
 ) -> dict:
     """Deviation-from-limit table across a sweep of n.
 
-    Each n gets enumeration up to ``DEFAULT_MAX_N``, otherwise a simulation
-    of ``trials`` trajectories (sharing one seed across the sweep).  Full
-    masses and survivor tails come from one exact pass per n up to
-    ``tail_max_n``, and only the k <= 1 closed forms beyond it.
+    Each n gets enumeration up to ``ENUMERATION_MAX_N``, otherwise a
+    simulation of ``trials`` trajectories (sharing one seed across the
+    sweep).  Full masses and survivor tails come from one exact pass per n
+    up to ``tail_max_n``, and only the k <= 1 closed forms beyond it.
     """
     if not n_list:
-        raise ValueError("n_list must name at least one n")
-    if kmax < 0:
-        raise ValueError(f"kmax must be nonnegative, got {kmax}")
+        raise UsageError("n_list must name at least one n")
+    if trials < 0:
+        raise UsageError(f"trials must be nonnegative, got {trials}")
     if min(n_list) < 1:
-        raise ValueError(f"every n must be at least 1, got {min(n_list)}")
-    # Every exact pass first, so one over its ceiling refuses before any
-    # enumeration or sampling.
+        raise UsageError(f"every n must be at least 1, got {min(n_list)}")
+    # Every exact pass first, so a bad kmax or tail_max_n, or an n over the
+    # exact ceiling, refuses before any enumeration or sampling.
     exact = [_exact_columns(n, min(kmax, n), tail_max_n) for n in n_list]
     rows = []
     oracle_ns: list[int] = []
     simulated_ns: list[int] = []
     for n, columns in zip(n_list, exact):
         opmf = None
-        if n <= DEFAULT_MAX_N:
+        if n <= ENUMERATION_MAX_N:
             opmf = oracle_joint(n).marginal_b()
             oracle_ns.append(n)
         emp = None
@@ -318,7 +325,7 @@ def chi2_sf(x: float, dof: int) -> float:
     relative error stays near machine precision far into the tail.
     """
     if dof < 1:
-        raise ValueError(f"dof must be at least 1, got {dof}")
+        raise UsageError(f"dof must be at least 1, got {dof}")
     if x <= 0:
         return 1.0
     y = x / 2
@@ -370,7 +377,7 @@ def gof_report(config: SimConfig) -> dict:
     kmax = config.kmax
     observed = _pooled_bins(emp, kmax)
     refs = [("geometric-limit", _geometric_bins(kmax))]
-    if config.n <= DEFAULT_MAX_N:
+    if config.n <= ENUMERATION_MAX_N:
         opmf = oracle_joint(config.n).marginal_b()
         body = [opmf.prob(k) for k in range(kmax + 1)]
         refs.append(("enumeration", body + [Fraction(1) - sum(body)]))

@@ -22,7 +22,7 @@ import brokenrecords.cli as cli
 import brokenrecords.montecarlo as mc
 import brokenrecords.records as records
 from brokenrecords.cli import main
-from brokenrecords.errors import CapacityError, InvariantError, PartialResultError
+from brokenrecords.errors import InvariantError, PartialResultError
 from brokenrecords.reports import _unlimited_int_digits
 
 F = Fraction
@@ -61,6 +61,20 @@ class TestExactCommand:
     def test_bad_n_is_usage_error(self, capsys):
         assert main(["exact", "--n", "0"]) == 2
 
+    def test_negative_kmax_past_the_exact_pass_is_usage_error(self, capsys):
+        # n = 3000 is past --tail-max-n, so no exact pass sees the kmax.
+        assert main(["exact", "--n", "3000", "--kmax", "-1"]) == 2
+        assert capsys.readouterr().err == "usage: kmax must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["exact", "--n", "5"], ["converge", "--n-list", "5"]],
+        ids=["exact", "converge"],
+    )
+    def test_negative_tail_max_n_is_usage_error(self, argv, capsys):
+        assert main([*argv, "--tail-max-n", "-1"]) == 2
+        assert "tail_max_n must be nonnegative" in capsys.readouterr().err
+
     def test_exact_route_ceiling_exits_3(self, capsys):
         # Refused from the sizes alone, before any pass or simulation, so
         # this allocates nothing.
@@ -90,7 +104,20 @@ class TestOracleCommand:
 
     def test_over_cap_is_capacity_exit(self, capsys):
         assert main(["oracle", "--n", "11"]) == 3
-        assert "capacity" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("capacity: ")
+        assert "over the cap of n=10" in err
+
+    def test_cap_n_enumerates(self, capsys):
+        # 11! orderings: the slowest enumeration the cap allows.
+        code, rep = run_json(capsys, "oracle", "--n", "10")
+        assert code == 0
+        assert sum(F(r["oracle_exact"]) for r in rep["rows"]) == 1
+        assert "max_n" not in rep["meta"]
+
+    def test_max_n_flag_is_gone(self, capsys):
+        assert main(["oracle", "--n", "3", "--max-n", "9"]) == 2
+        assert "--max-n" in capsys.readouterr().err
 
     def test_bad_view_is_usage_exit(self):
         assert main(["oracle", "--n", "3", "--view", "z"]) == 2
@@ -250,6 +277,13 @@ class TestConvergeCommand:
     def test_bad_n_list_is_usage_exit(self, capsys):
         assert main(["converge", "--n-list", "2,x"]) == 2
         assert "usage" in capsys.readouterr().err
+
+    def test_negative_trials_is_usage_exit(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli.reports, "oracle_joint", calls.append)
+        assert main(["converge", "--n-list", "4", "--trials", "-5"]) == 2
+        assert capsys.readouterr().err == "usage: trials must be nonnegative, got -5\n"
+        assert calls == []
 
     def test_bad_n_refused_before_any_sampling(self, monkeypatch, capsys):
         calls = []
@@ -419,6 +453,44 @@ class TestExitCodes:
             main(["exact", "--n", "3"])
         assert "usage" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "--n", "0"],
+            ["exact", "--n", "5", "--kmax", "-1"],
+            ["oracle", "--n", "0"],
+            ["oracle", "--n", "-1", "--view", "r"],
+            ["simulate", "--n", "0", "--trials", "5", "--seed", "1"],
+            ["simulate", "--n", "5", "--trials", "0", "--seed", "1"],
+            ["simulate", "--n", "5", "--trials", "5", "--seed", "-1"],
+            ["simulate", "--n", "5", "--trials", "5", "--seed", "1", "--kmax", "-1"],
+            ["simulate", "--n", "5", "--trials", "5", "--seed", "1", "--workers", "0"],
+            ["simulate", "--n", "5", "--trials", "5", "--seed", "1", "--checkpoints", "0,5"],
+            ["simulate", "--n", "5", "--trials", "5", "--seed", "1", "--checkpoints", ","],
+            ["simulate", "--n", "5", "--trials", "5", "--seed", "1", "--checkpoints", "x"],
+            ["converge", "--n-list", ""],
+            ["converge", "--n-list", "0"],
+            ["converge", "--n-list", "4", "--kmax", "-1"],
+            ["gof", "--n", "0", "--trials", "5", "--seed", "1"],
+            ["audit", "--n", "5", "--trials", "0", "--seed", "1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_every_domain_check_is_a_usage_exit(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("usage: ")
+
+    def test_value_error_is_a_fault_not_a_usage_error(self, monkeypatch, capsys):
+        # Every domain check raises UsageError, so any other ValueError
+        # is a fault of the program and must surface as one.
+        def fault(args):
+            raise ValueError("planted fault")
+
+        monkeypatch.setitem(cli._HANDLERS, "exact", fault)
+        with pytest.raises(ValueError, match="planted fault"):
+            main(["exact", "--n", "3"])
+        assert "usage" not in capsys.readouterr().err
+
     def test_partial_result_exit(self, monkeypatch, capsys):
         def boom(config, stat="b"):
             raise PartialResultError("stopped", completed=3)
@@ -427,19 +499,6 @@ class TestExitCodes:
         code = main(["simulate", "--n", "5", "--trials", "10", "--seed", "1"])
         assert code == 5
         assert "3 trials finished" in capsys.readouterr().err
-
-    def test_partial_result_from_capacity_maps_to_capacity(
-        self, monkeypatch, capsys
-    ):
-        def boom(config, stat="b"):
-            try:
-                raise CapacityError("too big")
-            except CapacityError as exc:
-                raise PartialResultError("stopped", completed=0) from exc
-
-        monkeypatch.setattr(cli.reports, "simulate_table", boom)
-        code = main(["simulate", "--n", "5", "--trials", "10", "--seed", "1"])
-        assert code == 3
 
 
 class TestRowCapacity:
@@ -471,8 +530,9 @@ class TestGoldenBytes:
     """Reports pinned byte for byte by their sha256.
 
     The digests were taken from the row-major enumeration kernel that the
-    column-major one replaced; a kernel or exact-route change that moves
-    one digit of these reports fails here.  The argv of the first is the
+    column-major one replaced (the oracle's again once its ``max_n`` meta
+    line was dropped, the only change to its bytes); a kernel or
+    exact-route change that moves one digit of these reports fails here.  The argv of the first is the
     converge-sweep benchmark workload.
     """
 
@@ -485,7 +545,7 @@ class TestGoldenBytes:
             ),
             (
                 ["oracle", "--n", "8", "--view", "joint"],
-                "4be88737430481be9fafdac66392db968de161f42656dfb4120132ee4c7963ea",
+                "ab17f240934e5b8c48568ce45d5bc1f8645200e52e68e0953d8921c07fcc73f8",
             ),
         ],
     )

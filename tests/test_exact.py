@@ -185,9 +185,12 @@ class TestJointTail:
         assert joint_tail_prob_fast(50, 3) == joint_tail_prob(50, 3)
 
     def test_reference_capacity_guard(self):
+        # binomial(299, 4) = 326,223,649 terms, over REFERENCE_TERM_LIMIT.
         with pytest.raises(CapacityError) as exc:
-            joint_tail_prob(300, 4, max_terms=10**5)
-        assert "max_terms" in str(exc.value) or "10" in str(exc.value)
+            joint_tail_prob(300, 4)
+        assert "over the cap of 1000000" in str(exc.value)
+        with pytest.raises(TypeError):
+            joint_tail_prob(300, 4, max_terms=10**9)
 
     def test_fast_has_no_term_cap(self):
         v = joint_tail_prob_fast(300, 4)

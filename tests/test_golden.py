@@ -1,16 +1,19 @@
-"""Each two-thread golden invocation prints what its one-thread twin prints.
+"""The golden invocations cover the CLI, and each two-thread one prints
+what its one-thread twin prints.
 
-``tools/golden.py`` lists every caller of the chunk scheduler once more
-with ``--workers 2``; outside ``meta.run`` the reports must be equal byte
-for byte, since the worker count only schedules chunks.
+``tools/golden.py`` runs every subcommand and lists every caller of the
+chunk scheduler once more with ``--workers 2``; outside ``meta.run`` the
+reports must be equal byte for byte, since the worker count only
+schedules chunks.
 """
 
+import argparse
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-from brokenrecords.cli import main
+from brokenrecords.cli import build_parser, main
 
 _spec = importlib.util.spec_from_file_location(
     "golden", Path(__file__).resolve().parent.parent / "tools" / "golden.py"
@@ -32,6 +35,19 @@ def _json(capsys, argv):
 
 def test_every_scheduler_caller_has_a_twin():
     assert len(TWINS) == 5
+
+
+def test_every_subcommand_is_invoked():
+    (sub,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert {argv[0] for argv in golden.INVOCATIONS.values()} == set(sub.choices)
+
+
+@pytest.mark.parametrize("name", [n for n in golden.INVOCATIONS if n not in TWINS])
+def test_invocation_exits_0(name, capsys):
+    # The twins run in the test below.
+    assert main([*golden.INVOCATIONS[name], "--format", "json"]) == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", TWINS)

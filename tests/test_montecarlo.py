@@ -805,7 +805,7 @@ class TestAuditCatchesPlantedFaults:
         self._assert_caught("vectorized record count")
 
     def test_scan_drops_a_record(self, monkeypatch):
-        real = mc.records_by_scan
+        real = mc.scan_distinct
         calls = []
 
         def fake(values):
@@ -815,7 +815,7 @@ class TestAuditCatchesPlantedFaults:
                 return RecordStack(list(scan)[1:])
             return scan
 
-        monkeypatch.setattr(mc, "records_by_scan", fake)
+        monkeypatch.setattr(mc, "scan_distinct", fake)
         self._assert_caught("definitional scan")
         assert len(calls) == self.planted + 1
 
@@ -866,7 +866,7 @@ class TestAuditCatchesPlantedFaults:
         assert built == [1, 2]
 
     def test_every_trial_runs_through_each_check(self, monkeypatch):
-        seen = {"run_trajectory": 0, "check_trajectory": 0, "records_by_scan": 0}
+        seen = {"run_trajectory": 0, "check_trajectory": 0, "scan_distinct": 0}
 
         def counted(name):
             real = getattr(mc, name)
@@ -882,6 +882,28 @@ class TestAuditCatchesPlantedFaults:
         report = simulate_trajectory_audit(self.cfg)
         assert seen == dict.fromkeys(seen, self.cfg.trials)
         assert report.steps_checked == self.cfg.n * self.cfg.trials
+
+    def test_each_row_is_screened_and_scanned_once(self, monkeypatch):
+        # run_trajectory screens the row; the scan of check_trajectory
+        # reuses that screen instead of running its own.
+        screened, scanned = [], []
+        real_screen, real_scan = records._check_distinct, records.scan_distinct
+
+        def screen(values):
+            screened.append(len(values))
+            return real_screen(values)
+
+        def scan(values):
+            scanned.append(len(values))
+            return real_scan(values)
+
+        monkeypatch.setattr(records, "_check_distinct", screen)
+        monkeypatch.setattr(records, "scan_distinct", scan)
+        monkeypatch.setattr(mc, "scan_distinct", scan)
+        simulate_trajectory_audit(self.cfg)
+        rows = [self.cfg.n + 1] * self.cfg.trials
+        assert screened == rows
+        assert scanned == rows
 
     def test_run_block(self, monkeypatch):
         monkeypatch.setattr(mc, "_TARGET_CHUNK_VALUES", 4 * mc._words_per_trial(20))

@@ -253,19 +253,24 @@ class TestBlockwiseEnumeration:
 
 
 class TestCapacity:
+    """One cap, n <= 10, for every caller, with no option to move it."""
+
     def test_default_cap(self):
+        assert oracle.MAX_N == 10
         with pytest.raises(CapacityError) as exc:
-            oracle_pmf_b(9)
-        assert "8" in str(exc.value)
+            oracle_pmf_b(11)
+        assert "over the cap of n=10" in str(exc.value)
 
     def test_raised_cap_allows_more(self):
-        pmf = oracle_pmf_b(9, max_n=9)
+        # The old default stopped at n = 8.
+        pmf = oracle_pmf_b(9)
         assert pmf.total() == 1
 
     def test_hard_ceiling(self):
-        with pytest.raises(CapacityError):
-            oracle_pmf_b(11, max_n=11)
-        with pytest.raises(CapacityError):
+        for fn in (oracle_joint, oracle_pmf_r, oracle_single_break_profile):
+            with pytest.raises(CapacityError):
+                fn(11)
+        with pytest.raises(TypeError):
             oracle_joint(12, max_n=20)
 
     def test_domain(self):
