@@ -17,6 +17,12 @@ per trial (the suffix after the last value above X_n has length L with
 P[L >= l] = 1/(l + 1)); the record count of a full row is a
 right-to-left running maximum, which on wide rows reads only the maximum
 of a block that stays below it.
+Short rows (at most ``_SHORT_COLUMNS`` values, n <= 11) are copied a tile
+at a time into column-major order by ``_column_tiles``, so each kernel
+reads whole contiguous columns: the tie screen compares every pair of
+columns exactly, in place of the half-word sort that wider rows use, and
+the break-count walk reads every column.  The narrow record count reads
+its tiles the same way.
 ``simulate_trajectory_audit`` is the slow counterpart that replays each
 trajectory through the incremental stack and checks conservation step
 by step.
@@ -41,19 +47,27 @@ from .records import TrajectoryStats, run_trajectory, scan_distinct
 GENERATOR = "philox4x64-counter-window"
 # A chunk draws about 2**20 values (8 MiB): small enough that the allocator
 # reuses its memory, where a 64 MiB chunk is mapped and faulted in afresh
-# each time.  Peak memory is about 2 * threads * 8 MiB plus the 4 MiB
-# half-word copy of the tie screen.  At 2**17 values the per-chunk Python
-# calls dominate and long rows run slower.
+# each time.  Peak memory is about 2 * threads * 8 MiB, plus the 4 MiB
+# half-word copy of the tie screen on rows wider than _SHORT_COLUMNS.  At
+# 2**17 values the per-chunk Python calls dominate and long rows run slower.
 _TARGET_CHUNK_VALUES = 2**20
 _MAX_REDRAWS = 64
 # One trial row is never split across chunks, so its size is the floor of
 # a chunk's memory; 2**30 bytes holds rows up to n = 2**27 - 1.
 _MAX_ROW_BYTES = 2**30
 # The break-count walk reads this many columns with every row in place,
-# in tiles of _TILE_ROWS rows so the per-row state stays in cache.  A row
-# outlives l columns with probability 1/(l + 1), so about a ninth remain.
+# in column-major tiles of _TILE_ROWS rows so the per-row state stays in
+# cache.  A row outlives l columns with probability 1/(l + 1), so about a
+# ninth remain.
 _DENSE_COLUMNS = 8
 _TILE_ROWS = 8192
+# Rows of at most _SHORT_COLUMNS values are screened for ties by comparing
+# every pair of columns of a tile, and the break-count walk reads all their
+# columns.  Per 2**20-value chunk (2-CPU Xeon, medians of 21 runs), the
+# m(m - 1)/2 pair tests beat the half-word sort up to 12 columns (3.6-5.1
+# against 5.1-7.1 ms at 12), are about even at 13 to 15, and lose at 16
+# (6.3-6.4 against 5.4-5.5 ms).
+_SHORT_COLUMNS = 12
 # The record count reads at most _SCAN_VALUES values (1 MiB) per step.
 # Rows of at most _NARROW_COLUMNS values are copied column-major, a tile of
 # _SCAN_VALUES // _NARROW_COLUMNS rows at a time, and read one column per
@@ -86,13 +100,18 @@ class SimConfig:
             raise UsageError(f"n must be at least 1, got {self.n}")
         if self.trials < 1:
             raise UsageError(f"trials must be at least 1, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise UsageError("seed must fit in an unsigned 64-bit integer")
+        check_seed_and_workers(self.seed, self.workers)
         if self.kmax < 0:
             raise UsageError(f"kmax must be nonnegative, got {self.kmax}")
-        if self.workers < 1:
-            raise UsageError(f"workers must be at least 1, got {self.workers}")
         _words_per_trial(self.n)
+
+
+def check_seed_and_workers(seed: int, workers: int) -> None:
+    """The seed and worker rules of ``SimConfig``, for callers to check early."""
+    if not 0 <= seed < 2**64:
+        raise UsageError("seed must fit in an unsigned 64-bit integer")
+    if workers < 1:
+        raise UsageError(f"workers must be at least 1, got {workers}")
 
 
 @dataclass
@@ -184,23 +203,51 @@ def _row_has_tie(row: np.ndarray) -> bool:
     return bool((s[1:] == s[:-1]).any())
 
 
+def _column_tiles(vals: np.ndarray, tile_rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (r0, cols): rows [r0, r0 + cols.shape[1]) of ``vals``, column-major.
+
+    ``cols[j]`` is column j of the tile, contiguous.  One buffer serves
+    every tile, so a tile is valid only until the next one is drawn.
+    """
+    rows, m = vals.shape
+    buf = np.empty((m, min(rows, tile_rows)), dtype=vals.dtype)
+    for r0 in range(0, rows, tile_rows):
+        cols = buf[:, : min(tile_rows, rows - r0)]
+        cols[:] = vals[r0 : r0 + tile_rows].T
+        yield r0, cols
+
+
 def _resolve_ties(vals: np.ndarray, seed: int, n: int, t0: int) -> int:
     """Replace tied rows from their redraw streams; return redraw count.
 
-    Equal 64-bit values have equal 32-bit halves, so a sort of one half of
-    each row (half the bytes of a full sort) flags every row that may hold
-    a tie.  Each flagged row is then checked on its own with the exact
-    64-bit test that the redraws use, so the redrawn rows are exactly
-    those with a true tie.  No temporary is larger than the sorted half
-    words, half the size of the chunk.
+    Short rows (at most ``_SHORT_COLUMNS`` values) are screened exactly: each
+    column-major tile compares every pair of its columns as 64-bit values,
+    so a flagged row holds a true tie.  On wider rows, equal 64-bit values
+    have equal 32-bit halves, so a sort of one half of each row (half the
+    bytes of a full sort) flags every row that may hold a tie.  Each
+    flagged row is then checked on its own with the exact 64-bit test that
+    the redraws use, so the redrawn rows are exactly those with a true tie.
+    The largest temporary is one tile on short rows and the sorted half
+    words, half the size of the chunk, on wider ones.
     """
-    half = np.sort(vals.view(np.uint32)[:, 1::2], axis=1)
+    rows, m = vals.shape
+    if m <= _SHORT_COLUMNS:
+        tied = np.zeros(rows, dtype=bool)
+        for r0, cols in _column_tiles(vals, _TILE_ROWS):
+            flag = tied[r0 : r0 + cols.shape[1]]
+            for i in range(m - 1):
+                flag |= (cols[i + 1 :] == cols[i]).any(axis=0)
+        flagged = np.flatnonzero(tied)
+    else:
+        half = np.sort(vals.view(np.uint32)[:, 1::2], axis=1)
+        # Each flat hit of the (rows x n) comparison names its row by // n.
+        # The hits ascend, so keeping each change of row flags every row
+        # once, in order (np.unique would too, but imports numpy.ma: ~12 ms,
+        # 1 MiB).
+        hits = np.flatnonzero(half[:, 1:] == half[:, :-1]) // n
+        flagged = hits[np.diff(hits, prepend=-1) != 0]
     redraws = 0
-    # Each flat hit of the (rows x n) comparison names its row by // n.  The
-    # hits ascend, so keeping each change of row flags every row once, in
-    # order (np.unique would too, but imports numpy.ma: ~12 ms, 1 MiB).
-    hits = np.flatnonzero(half[:, 1:] == half[:, :-1]) // n
-    for r in hits[np.diff(hits, prepend=-1) != 0]:
+    for r in flagged:
         if not _row_has_tie(vals[r]):
             continue
         t = t0 + int(r)
@@ -240,30 +287,31 @@ def final_break_counts(vals: np.ndarray) -> np.ndarray:
     Walks each row backward from its last value X_n with the running
     maximum of the columns already read: a column counts when it beats
     that maximum and stays below X_n.  The first value above X_n ends the
-    row, since every record before it lies above X_n too.  The first
-    ``_DENSE_COLUMNS`` columns are read with all rows in place; the rows
-    still live (about a ninth) are then gathered once and read in column
-    blocks that double in width, dropping rows as they end.  Expected
-    work is O(log n) values per row and no temporary spans (rows x n).
+    row, since every record before it lies above X_n too.  The last
+    ``_DENSE_COLUMNS`` + 1 columns, or the whole row if it has at most
+    ``_SHORT_COLUMNS`` values, are copied column-major a tile at a time and
+    read with all rows in place.  On wider rows the rows still live (about
+    a ninth) are then gathered once and read in column blocks that double
+    in width, dropping rows as they end.  Expected work is O(log n) values
+    per row and no temporary spans (rows x n).
     """
     rows, m = vals.shape
     counts = np.zeros(rows, dtype=np.int64)
-    last = vals[:, -1]
     top = np.empty(rows, dtype=vals.dtype)
-    stop = max(m - 1 - _DENSE_COLUMNS, 0)
-    for r0 in range(0, rows, _TILE_ROWS):
-        tile = slice(r0, r0 + _TILE_ROWS)
-        below, mx, cnt = last[tile], top[tile], counts[tile]
-        mx[:] = vals[tile, m - 2]
+    stop = 0 if m <= _SHORT_COLUMNS else max(m - 1 - _DENSE_COLUMNS, 0)
+    for r0, cols in _column_tiles(vals[:, stop:], _TILE_ROWS):
+        tile = slice(r0, r0 + cols.shape[1])
+        below, mx, cnt = cols[-1], top[tile], counts[tile]
+        mx[:] = cols[-2]
         cnt += mx < below
-        for j in range(m - 3, stop - 1, -1):
-            v = vals[tile, j]
+        for v in cols[-3::-1]:
             hit = v > mx
             hit &= v < below
             cnt += hit
             np.maximum(mx, v, out=mx)
     if stop == 0:
         return counts
+    last = vals[:, -1]
     live = np.flatnonzero(top < last)
     mx, below = top[live], last[live]
     hi, width = stop, m - 1 - stop
@@ -288,8 +336,8 @@ def record_counts(vals: np.ndarray) -> np.ndarray:
     A column is a record iff it equals the maximum of itself and the
     columns after it, so every row is read right to left with a running
     maximum, and the last column always counts.  Narrow rows are read a
-    column at a time across a column-major tile.  Wide rows are read a
-    block at a time: a block whose maximum stays below the running
+    column at a time across the tiles of ``_column_tiles``.  Wide rows are
+    read a block at a time: a block whose maximum stays below the running
     maximum holds no record, so only its maximum is taken.  A block
     holds a record iff it holds the maximum of the columns from its start
     to the end, which for distinct values has probability width / (that
@@ -300,17 +348,11 @@ def record_counts(vals: np.ndarray) -> np.ndarray:
     rows, m = vals.shape
     counts = np.ones(rows, dtype=np.int64)
     if m <= _NARROW_COLUMNS:
-        size = _SCAN_VALUES // _NARROW_COLUMNS
-        buf = np.empty((m, min(rows, size)), dtype=vals.dtype)
-        hit = np.empty(buf.shape[1], dtype=bool)
-        for r0 in range(0, rows, size):
-            cnt = counts[r0 : r0 + size]
-            cols, h = buf[:, : cnt.size], hit[: cnt.size]
-            cols[:] = vals[r0 : r0 + size, ::-1].T
-            top = cols[0].copy()
-            for col in cols[1:]:
-                np.greater_equal(col, top, out=h)
-                cnt += h
+        for r0, cols in _column_tiles(vals, _SCAN_VALUES // _NARROW_COLUMNS):
+            cnt = counts[r0 : r0 + cols.shape[1]]
+            top = cols[-1].copy()
+            for col in cols[-2::-1]:
+                cnt += col >= top
                 np.maximum(top, col, out=top)
         return counts
     size = max(1, min(rows, _BLOCK_ROWS))
@@ -392,12 +434,18 @@ def _merge_chunks(
 
 def _run_block(cfg: SimConfig, wall: float, rate: str, work: int, **facts) -> dict:
     """Volatile facts of one run, kept apart from the reproducible result."""
+    # The package imports this module before it sets __version__, so the
+    # version is read at run time, when the package is whole.
+    from . import __version__
+
     return {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "wall_time_s": round(wall, 3),
         **facts,
         "chunks": -(-cfg.trials // _rows_per_chunk(cfg.n)),
         rate: round(work / wall, 1) if wall > 0 else None,
+        "numpy": np.__version__,
+        "brokenrecords": __version__,
     }
 
 

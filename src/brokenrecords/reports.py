@@ -28,6 +28,7 @@ from .exact import (
 from .montecarlo import (
     EmpiricalPmf,
     SimConfig,
+    check_seed_and_workers,
     simulate_b,
     simulate_b_checkpoints,
     simulate_r,
@@ -248,6 +249,9 @@ def converge_table(
     simulation of ``trials`` trajectories (sharing one seed across the
     sweep).  Full masses and survivor tails come from one exact pass per n
     up to ``tail_max_n``, and only the k <= 1 closed forms beyond it.
+    Every argument is checked before any exact pass, enumeration or draw;
+    the seed and worker count by the sampler's rules, even when no n is
+    sampled.
     """
     if not n_list:
         raise UsageError("n_list must name at least one n")
@@ -255,6 +259,7 @@ def converge_table(
         raise UsageError(f"trials must be nonnegative, got {trials}")
     if min(n_list) < 1:
         raise UsageError(f"every n must be at least 1, got {min(n_list)}")
+    check_seed_and_workers(seed, workers)
     # Every exact pass first, so a bad kmax or tail_max_n, or an n over the
     # exact ceiling, refuses before any enumeration or sampling.
     exact = [_exact_columns(n, min(kmax, n), tail_max_n) for n in n_list]

@@ -293,6 +293,26 @@ class TestConvergeCommand:
         assert "every n must be at least 1" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "0"],
+            ["--seed", "-1"],
+            ["--trials", "10", "--seed", "1", "--workers", "0"],
+        ],
+        ids=["workers-no-trials", "seed-no-trials", "workers-with-trials"],
+    )
+    def test_seed_and_workers_refused_before_any_work(self, flags, monkeypatch, capsys):
+        # With no trials nothing is sampled, yet the sampler's rules still
+        # hold; with trials, n = 4 must not be enumerated first.
+        calls = []
+        monkeypatch.setattr(cli.reports, "exact_pmf_b", calls.append)
+        monkeypatch.setattr(cli.reports, "oracle_joint", calls.append)
+        monkeypatch.setattr(cli.reports, "simulate_b", calls.append)
+        assert main(["converge", "--n-list", "4,100", *flags]) == 2
+        assert capsys.readouterr().err.startswith("usage: ")
+        assert calls == []
+
     def test_exact_ceiling_refused_before_any_sampling(self, monkeypatch, capsys):
         # n = 40000 at kmax 6 is over the exact pass's work cap; the n before
         # it must be neither enumerated nor sampled first.
@@ -370,6 +390,8 @@ class TestAuditCommand:
             "wall_time_s",
             "chunks",
             "steps_per_s",
+            "numpy",
+            "brokenrecords",
         }
         assert run_a["chunks"] == 1
 

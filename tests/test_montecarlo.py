@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brokenrecords
 import brokenrecords.montecarlo as mc
 import brokenrecords.records as records
 from brokenrecords import (
@@ -245,6 +246,130 @@ class TestTrialValues:
         assert redraws == total
 
 
+SHORT_WIDTHS = range(2, mc._SHORT_COLUMNS + 1)
+
+
+class TestShortRowTieScreen:
+    """The exact pairwise screen of rows of at most ``_SHORT_COLUMNS`` values."""
+
+    _first_clean_attempt = staticmethod(TestTrialValues._first_clean_attempt)
+
+    @pytest.mark.parametrize("m", SHORT_WIDTHS)
+    def test_a_true_tie_at_every_column_pair_is_redrawn(self, m):
+        seed, n, t0 = 11, m - 1, 30
+        clean, _ = trial_values(seed, n, t0, t0 + 3)
+        row, attempts = self._first_clean_attempt(seed, n, t0 + 1)
+        for i in range(m):
+            for j in range(i + 1, m):
+                vals = clean.copy()
+                vals[1][i] = vals[1][j]
+                assert mc._resolve_ties(vals, seed, n, t0) == attempts, (i, j)
+                assert np.array_equal(vals[1], row), (i, j)
+                assert np.array_equal(vals[[0, 2]], clean[[0, 2]]), (i, j)
+
+    def test_ties_at_tile_edges_are_redrawn(self):
+        # Rows on both sides of a tile boundary and in the last, short tile.
+        seed, n, t0 = 11, 8, 0
+        rows = mc._TILE_ROWS + 5
+        clean, _ = trial_values(seed, n, t0, t0 + rows)
+        tied = [0, mc._TILE_ROWS - 1, mc._TILE_ROWS, rows - 1]
+        vals = clean.copy()
+        for r in tied:
+            vals[r][r % n] = vals[r][n]
+        total = 0
+        for r in tied:
+            row, attempts = self._first_clean_attempt(seed, n, t0 + r)
+            total += attempts
+            clean[r] = row
+        assert mc._resolve_ties(vals, seed, n, t0) == total
+        assert np.array_equal(vals, clean)
+
+    @pytest.mark.parametrize("shift", [0, 32], ids=["low-half", "high-half"])
+    @pytest.mark.parametrize("m", [2, 9, mc._SHORT_COLUMNS])
+    def test_half_collision_alone_is_never_flagged(self, m, shift, monkeypatch):
+        # The screen is exact on short rows, so no row reaches the check.
+        seed, n, t0 = 11, m - 1, 30
+        vals, _ = trial_values(seed, n, t0, t0 + 3)
+        half = np.uint64(0xFFFFFFFF << shift)
+        other = np.uint64(1 << (32 - shift))
+        vals[1][0] = (vals[1][n] & half) | ((vals[1][n] ^ other) & ~half)
+        assert vals[1][0] != vals[1][n]
+        checked = []
+        monkeypatch.setattr(mc, "_row_has_tie", checked.append)
+        before = vals.copy()
+        assert mc._resolve_ties(vals, seed, n, t0) == 0
+        assert checked == []
+        assert np.array_equal(vals, before)
+
+    def test_screen_memory_stays_near_one_tile(self):
+        # The half-word screen would copy half the chunk; the pairwise
+        # screen holds one column-major tile and its flags.
+        n = 8
+        vals, _ = trial_values(11, n, 0, mc._rows_per_chunk(n))
+        tile = mc._TILE_ROWS * (n + 1) * vals.itemsize
+        tracemalloc.start()
+        try:
+            mc._resolve_ties(vals, 11, n, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * tile < vals.nbytes // 4
+
+
+@pytest.fixture
+def planted_ties(monkeypatch):
+    """First draws with a true tie in every 97th trial, at a varying pair."""
+    raw = mc._raw_rows
+
+    def planted(seed, n, t0, t1, attempt):
+        rows = raw(seed, n, t0, t1, attempt)
+        if attempt == 0:
+            for t in range(-(-t0 // 97) * 97, t1, 97):
+                i = t % (n + 1)
+                rows[t - t0, i] = rows[t - t0, (i + 1 + t % n) % (n + 1)]
+        return rows
+
+    monkeypatch.setattr(mc, "_raw_rows", planted)
+
+
+class TestShortRowPathsMatchTheWidePaths:
+    """With ``_SHORT_COLUMNS`` at 0 every row takes the wide-row code."""
+
+    @staticmethod
+    def _both(monkeypatch, fn):
+        short = fn()
+        with monkeypatch.context() as mp:
+            mp.setattr(mc, "_SHORT_COLUMNS", 0)
+            wide = fn()
+        return short, wide
+
+    @pytest.mark.parametrize("n", range(1, mc._SHORT_COLUMNS + 2))
+    def test_values_and_redraws(self, n, planted_ties, monkeypatch):
+        for t0, t1 in [(0, mc._TILE_ROWS + 123), (5, 6), (970, 971)]:
+            (vs, rs), (vw, rw) = self._both(
+                monkeypatch, lambda: trial_values(3, n, t0, t1)
+            )
+            assert np.array_equal(vs, vw)
+            assert rs == rw
+        assert rs == 1  # trial 970 = 10 * 97 was tied at first
+
+    @pytest.mark.parametrize("n", range(1, mc._SHORT_COLUMNS + 2))
+    def test_break_counts(self, n, monkeypatch):
+        for t0, t1 in [(0, mc._TILE_ROWS + 123), (7, 8)]:
+            vals, _ = trial_values(3, n, t0, t1)
+            for t in range(1, n + 1):
+                view = vals[:, : t + 1]
+                short, wide = self._both(monkeypatch, lambda: final_break_counts(view))
+                assert np.array_equal(short, wide), (t0, t)
+
+    def test_simulations(self, planted_ties, monkeypatch):
+        cfg = SimConfig(n=mc._SHORT_COLUMNS - 1, trials=3000, seed=17)
+        short, wide = self._both(monkeypatch, lambda: simulate_b_checkpoints(cfg))
+        for t in short:
+            assert short[t].counts == wide[t].counts
+            assert short[t].meta["tie_redraws"] == wide[t].meta["tie_redraws"] > 0
+
+
 def _reference_final_break_counts(vals):
     """Definitional form: a head column is a current record iff it equals
     the suffix maximum of the head; the last value breaks those below it."""
@@ -271,6 +396,16 @@ class TestBreakCountWalk:
         assert np.array_equal(
             final_break_counts(vals), _reference_final_break_counts(vals)
         )
+
+    @pytest.mark.parametrize("m", SHORT_WIDTHS)
+    def test_short_row_tiles(self, m):
+        # Two full tiles and a short one, and every prefix view of them.
+        vals, _ = trial_values(2718, m - 1, 0, 2 * mc._TILE_ROWS + 77)
+        for t in range(1, m):
+            view = vals[:, : t + 1]
+            assert np.array_equal(
+                final_break_counts(view), _reference_final_break_counts(view)
+            )
 
     def test_checkpoint_views(self):
         vals, _ = trial_values(31, 200, 0, 2000)
@@ -446,7 +581,7 @@ class TestRecordCountScan:
 
 
 class TestVectorizedStatistics:
-    @pytest.mark.parametrize("n", [1, 2, 7, 23])
+    @pytest.mark.parametrize("n", [*range(1, mc._SHORT_COLUMNS + 2), 23])
     def test_matches_stack_replay(self, n):
         vals, _ = trial_values(321, n, 0, 300)
         vec_b = final_break_counts(vals)
@@ -494,6 +629,8 @@ class TestDeterminism:
             "workers",
             "chunks",
             "trials_per_s",
+            "numpy",
+            "brokenrecords",
         }
 
 
@@ -608,6 +745,17 @@ class TestRunMeta:
         for run in runs:
             assert run["chunks"] == chunks
             assert run["trials_per_s"] > 0
+
+    def test_versions(self):
+        cfg = SimConfig(n=5, trials=10, seed=1)
+        runs = [
+            simulate_b(cfg).meta["run"],
+            simulate_r(cfg).meta["run"],
+            simulate_trajectory_audit(cfg).run,
+        ]
+        for run in runs:
+            assert run["numpy"] == np.__version__
+            assert run["brokenrecords"] == brokenrecords.__version__
 
 
 class TestRowCap:
@@ -910,7 +1058,14 @@ class TestAuditCatchesPlantedFaults:
         a = simulate_trajectory_audit(self.cfg)
         b = simulate_trajectory_audit(self.cfg)
         assert a == b
-        assert set(a.run) == {"timestamp", "wall_time_s", "chunks", "steps_per_s"}
+        assert set(a.run) == {
+            "timestamp",
+            "wall_time_s",
+            "chunks",
+            "steps_per_s",
+            "numpy",
+            "brokenrecords",
+        }
         assert a.run["chunks"] == 8  # 30 trials, 4 per chunk
 
 

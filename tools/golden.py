@@ -52,6 +52,13 @@ INVOCATIONS: dict[str, list[str]] = {
     "gof-n8": ["gof", "--n", "8", "--trials", "50000", "--seed", "404"],
     "gof-n1": ["gof", "--n", "1", "--trials", "10000", "--seed", "31"],
     "audit-n30": ["audit", "--n", "30", "--trials", "200", "--seed", "55"],
+    # Short rows: the replay checks the column-major tile walk against the
+    # stack, and the checkpoints send prefix views of one chunk through it.
+    "audit-n8": ["audit", "--n", "8", "--trials", "2000", "--seed", "21"],
+    "simulate-n11-checkpoints": [
+        "simulate", "--n", "11", "--trials", "20000", "--seed", "13",
+        "--checkpoints", "auto",
+    ],
 }
 # Every caller of the chunk scheduler once more on two threads; each
 # output must equal its one-thread twin above.
