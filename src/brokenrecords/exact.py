@@ -12,8 +12,8 @@ tuples, and ``joint_tail_prob_fast`` collapses that sum with prefix-sum
 layers in O(n * k) rational operations.  They must agree exactly, and the
 tests hold them to that.
 
-A third route, ``exact_pmf_b``, gives the full law for every k in one
-integer pass.  Split on the suffix after the last of X_0, ..., X_{n-1}
+A third route, ``exact_pmf_b``, gives the full law for every k from one
+row of integers.  Split on the suffix after the last of X_0, ..., X_{n-1}
 that lies above X_n.  Its length L satisfies P[L >= l] = 1/(l + 1), since
 that is the chance X_n is the largest of the last l + 1 values, and the
 records broken at step n are exactly the right-to-left maxima of that
@@ -23,23 +23,51 @@ is the unsigned Stirling number of the first kind.  Hence
 
     P[B_n = k] = sum_{l < n} c(l, k)/(l + 2)!  +  c(n, k)/(n + 1)!,
 
-and the last term, L = n, is the event that no old record survives.  The
-tests hold this route to the enumeration and to the survivor tails above.
+and the last term, L = n, is the event that no old record survives.  As
+n grows the last term vanishes, and since 1/(l + 2)! is the integral of
+t**l (1 - t)/l! over [0, 1] and sum_l c(l, k) t**l/l! = (-log(1 - t))**k/k!,
+the sum tends to the integral of s (-log s)**k/k! over [0, 1], which is
+2**-(k+1).  So the deviation from the limit is
+
+    dev_k = c(n, k)/(n + 1)!  -  sum_{l >= n} c(l, k)/(l + 2)!.
+
+Write e_i(l) for the i-th elementary symmetric function of 1, 1/2, ...,
+1/(l - 1), so that c(l, k) = (l - 1)! e_{k-1}(l) and c(l, k)/(l + 2)! =
+e_{k-1}(l)/(l(l + 1)(l + 2)).  With A_l = 1/(2l(l + 1)) the cubic
+telescopes, 1/(l(l + 1)(l + 2)) = A_l - A_{l+1}.  Summing by parts, with
+e_{k-1}(l + 1) - e_{k-1}(l) = e_{k-2}(l)/l and a boundary term e_{k-1}(l) A_l
+that vanishes as l grows, gives
+
+    sum_{l >= n} c(l, k)/(l + 2)!
+        = e_{k-1}(n)/(2n(n + 1)) + (1/2) sum_{l >= n} c(l, k - 1)/(l + 2)!.
+
+In dev_k the sum at k - 1 is c(n, k - 1)/(n + 1)! - dev_{k-1}, which makes
+dev_k = (e_{k-1} - e_{k-2})/(2n(n + 1)) + dev_{k-1}/2, where e_{-1} = 0
+and dev_0 = 0 (P[B_n = 0] = 1/2).  Unrolling it and multiplying through by
+2**(k+1) (n + 1)!, with (n - 1)! e_{j-1}(n) = c(n, j), leaves
+
+    (n + 1)! 2**(k+1) P[B_n = k]
+        = (n + 1)! + sum_{j=1}^{k} 2**j (c(n, j) - c(n, j - 1))
+        = (n + 1)! + 2**k c(n, k) - sum_{j=1}^{k-1} 2**j c(n, j)
+
+for 0 <= k <= n, so the law at n needs only the Stirling row c(n, 0..k).
+The tests hold this route to the enumeration and to the survivor tails above.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, pairwise
 from typing import Sequence
 
 from .errors import CapacityError, UsageError
 
 REFERENCE_TERM_LIMIT = 10**6
-# Ceiling on n * n * (kmax + 1) for exact_pmf_b: the pass fills n * (kmax + 1)
+# Ceiling on n * n * (kmax + 1) for exact_pmf_b: the pass fills n * kmax
 # cells, each an integer of O(n log n) bits.  Calls at the ceiling took
-# 6-13 s on a 2-CPU Xeon (n = 10**5 at kmax = 0, n = 10**4 at kmax = 99).
+# 2.5-3.3 s (n = 70,710 at kmax = 1) and 8.4-10.3 s (n = 10**4 at kmax = 99)
+# on a 2-CPU Xeon; n = 10**5 at kmax = 0 needs no pass.
 EXACT_MAX_WORK = 10**10
 
 
@@ -238,14 +266,14 @@ class BreakLaw(Pmf):
 
 
 def exact_pmf_b(n: int, kmax: int) -> BreakLaw:
-    """Exact P[B_n = k] for k = 0..min(kmax, n) in one integer pass.
+    """Exact P[B_n = k] for k = 0..min(kmax, n) from one Stirling row.
 
-    Carries the Stirling row c(l, 0..kmax) and T(l, 0..kmax), where
-    T(l) = (l + 1)! * sum_{j < l} c(j, k)/(j + 2)!, through
-    T(l + 1) = (l + 2) * T(l) + c(l, k); then (n + 1)! * P[B_n = k] is
-    T(n) + c(n, k).  Costs O(n * kmax) multiplications of a big integer by
-    a small one; refuses with CapacityError, before any arithmetic, when
-    n * n * (kmax + 1) exceeds ``EXACT_MAX_WORK``.
+    Carries c(l, 1..kmax) through c(l + 1, k) = l * c(l, k) + c(l, k - 1)
+    up to l = n, then reads every mass off the closed form in the module
+    docstring; kmax = 0 needs no pass, since P[B_n = 0] = 1/2.  Costs
+    O(n * kmax) multiplications of a big integer by a small one; refuses
+    with CapacityError, before any arithmetic, when n * n * (kmax + 1)
+    exceeds ``EXACT_MAX_WORK``.
     """
     if n < 1:
         raise UsageError(f"n must be at least 1, got {n}")
@@ -258,16 +286,16 @@ def exact_pmf_b(n: int, kmax: int) -> BreakLaw:
             f"exact law for n={n}, kmax={top} needs n*n*(kmax+1) = {work}, "
             f"over the ceiling of {EXACT_MAX_WORK}"
         )
-    stirling = [1] + [0] * top
-    acc = [0] * (top + 1)
-    for l in range(n):
-        for k in range(top + 1):
-            acc[k] = (l + 2) * acc[k] + stirling[k]
+    if not top:
+        return BreakLaw(n=n, mass={0: Fraction(1, 2)}, lone=(0,))
+    stirling = [0, 1] + [0] * (top - 1)  # c(l, 0..top), from l = 1
+    for l in range(1, n):
         for k in range(top, 0, -1):
             stirling[k] = l * stirling[k] + stirling[k - 1]
-        stirling[0] *= l
     scale = math.factorial(n + 1)
-    mass = {k: Fraction(a + c, scale) for k, (a, c) in enumerate(zip(acc, stirling))}
+    # Summed over j <= k, the steps give (n + 1)! 2**(k+1) P[B_n = k] - (n + 1)!.
+    steps = ((c - b) << k for k, (b, c) in enumerate(pairwise([0, *stirling])))
+    mass = {k: Fraction(scale + d, scale << (k + 1)) for k, d in enumerate(accumulate(steps))}
     return BreakLaw(n=n, mass=mass, lone=tuple(stirling))
 
 

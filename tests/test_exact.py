@@ -30,8 +30,30 @@ from brokenrecords import (
     single_break_term,
     telescoping_sum,
 )
+from brokenrecords.cli import main
 
 F = Fraction
+
+
+def _reference_exact_pmf_b(n, kmax):
+    """The two-accumulator pass, kept as a check on the closed form.
+
+    Carries the Stirling row c(l, 0..kmax) and T(l, 0..kmax), where
+    T(l) = (l + 1)! * sum_{j < l} c(j, k)/(j + 2)!, through
+    T(l + 1) = (l + 2) * T(l) + c(l, k); then (n + 1)! * P[B_n = k] is
+    T(n) + c(n, k).  Returns the masses and the row c(n, 0..kmax).
+    """
+    top = min(kmax, n)
+    stirling = [1] + [0] * top
+    acc = [0] * (top + 1)
+    for l in range(n):
+        for k in range(top + 1):
+            acc[k] = (l + 2) * acc[k] + stirling[k]
+        for k in range(top, 0, -1):
+            stirling[k] = l * stirling[k] + stirling[k - 1]
+        stirling[0] *= l
+    scale = math.factorial(n + 1)
+    return {k: F(a + c, scale) for k, (a, c) in enumerate(zip(acc, stirling))}, tuple(stirling)
 
 
 class TestTelescoping:
@@ -256,13 +278,40 @@ class TestExactPmfB:
         with pytest.raises(ValueError):
             exact_pmf_b(5, -1)
 
-    def test_capacity_ceiling(self):
+    @pytest.mark.parametrize(
+        "ns",
+        [range(1, 101), range(101, 301), range(301, 401), (512, 1000), (2000,), (5000,)],
+        ids=["1-100", "101-300", "301-400", "512-1000", "2000", "5000"],
+    )
+    def test_equals_two_accumulator_reference(self, ns):
+        for n in ns:
+            for kmax in (0, 1, 3, 8, 12):
+                law = exact_pmf_b(n, kmax)
+                assert (law.mass, law.lone) == _reference_exact_pmf_b(n, kmax), (n, kmax)
+
+    def test_full_support_equals_reference(self):
+        # At kmax = n the closed form cancels most: at k = n its terms are
+        # as large as (n + 1)! and cancel down to 2**(n+1).
+        for n in range(1, 61):
+            law = exact_pmf_b(n, n)
+            assert (law.mass, law.lone) == _reference_exact_pmf_b(n, n), n
+
+    def test_capacity_ceiling(self, monkeypatch, capsys):
+        # kmax = 0 sits on the ceiling at n = 10**5 and needs no big
+        # integer at all.
+        with monkeypatch.context() as m:
+            m.setattr(exact.math, "factorial", None)
+            law = exact_pmf_b(10**5, 0)
+        assert law.mass == {0: F(1, 2)}
+        assert law.lone == (0,)
         # Refused from the sizes alone, before any arithmetic.
         with pytest.raises(CapacityError) as exc:
             exact_pmf_b(10**9, 8)
         assert "ceiling" in str(exc.value)
         with pytest.raises(CapacityError):
             exact_pmf_b(10**4, 10**4)
+        assert main(["exact", "--n", "100000", "--kmax", "1", "--tail-max-n", "100000"]) == 3
+        assert "capacity" in capsys.readouterr().err
 
 
 class TestLimitAndBound:

@@ -27,6 +27,8 @@ from pathlib import Path
 INVOCATIONS: dict[str, list[str]] = {
     "exact-n6": ["exact", "--n", "6", "--kmax", "4"],
     "exact-n2000": ["exact", "--n", "2000", "--kmax", "8"],
+    # Every k up to n, where the closed form for the masses cancels most.
+    "exact-n40-full": ["exact", "--n", "40", "--kmax", "40"],
     "oracle-n5-b": ["oracle", "--n", "5"],
     "oracle-n6-r": ["oracle", "--n", "6", "--view", "r"],
     "oracle-n8-joint": ["oracle", "--n", "8", "--view", "joint"],
