@@ -268,7 +268,7 @@ class BreakLaw(Pmf):
 def exact_pmf_b(n: int, kmax: int) -> BreakLaw:
     """Exact P[B_n = k] for k = 0..min(kmax, n) from one Stirling row.
 
-    Carries c(l, 1..kmax) through c(l + 1, k) = l * c(l, k) + c(l, k - 1)
+    Carries c(l, 0..kmax) through c(l + 1, k) = l * c(l, k) + c(l, k - 1)
     up to l = n, then reads every mass off the closed form in the module
     docstring; kmax = 0 needs no pass, since P[B_n = 0] = 1/2.  Costs
     O(n * kmax) multiplications of a big integer by a small one; refuses
