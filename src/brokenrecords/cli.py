@@ -20,7 +20,7 @@ from typing import TextIO
 
 from . import reports
 from .errors import CapacityError, InvariantError, PartialResultError, UsageError
-from .montecarlo import SimConfig, simulate_trajectory_audit
+from .montecarlo import SimConfig, simulate_trajectory_audit, usable_cpus
 from .oracle import MAX_N
 
 EXIT_OK = 0
@@ -61,8 +61,15 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--kmax", type=int, default=12, help="pool break counts above this (default 12)"
     )
+    _add_workers_flag(p)
+
+
+def _add_workers_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--workers", type=int, default=1, help="chunk scheduler threads (default 1)"
+        "--workers",
+        type=int,
+        default=usable_cpus(),
+        help="chunk scheduler threads (default %(default)s: every usable CPU)",
     )
 
 
@@ -130,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="base seed of the sweep (omitted: one is generated and printed)",
     )
-    p.add_argument("--workers", type=int, default=1, help="chunk scheduler threads")
+    _add_workers_flag(p)
     p.add_argument(
         "--tail-max-n",
         type=int,

@@ -64,10 +64,10 @@ from typing import Sequence
 from .errors import CapacityError, UsageError
 
 REFERENCE_TERM_LIMIT = 10**6
-# Ceiling on n * n * (kmax + 1) for exact_pmf_b: the pass fills n * kmax
-# cells, each an integer of O(n log n) bits.  Calls at the ceiling took
-# 2.5-3.3 s (n = 70,710 at kmax = 1) and 8.4-10.3 s (n = 10**4 at kmax = 99)
-# on a 2-CPU Xeon; n = 10**5 at kmax = 0 needs no pass.
+# Ceiling on n * n * (kmax + 1) for exact_pmf_b at kmax >= 1: the pass
+# fills n * kmax cells, each an integer of O(n log n) bits.  Calls at the
+# ceiling took 2.5-3.3 s (n = 70,710 at kmax = 1) and 8.4-10.3 s
+# (n = 10**4 at kmax = 99) on a 2-CPU Xeon; kmax = 0 needs no pass.
 EXACT_MAX_WORK = 10**10
 
 
@@ -248,21 +248,28 @@ def joint_tail_prob_fast(n: int, k: int) -> Fraction:
 class BreakLaw(Pmf):
     """Exact law of the final break count with its lone part split out.
 
-    ``lone[k]`` is c(n, k), which is (n + 1)! times the probability of
-    breaking exactly k records with no old record surviving.
+    Over the common denominator ``scale``, which is (n + 1)! after a pass
+    (and 1 at kmax = 0, where no pass runs), ``heads[k]`` is
+    scale * 2**(k+1) times P[B_n = k], and ``lone[k]`` is scale times the
+    probability of breaking exactly k records with no old record
+    surviving; after a pass that is c(n, k).
     """
 
     lone: tuple[int, ...] = ()
+    heads: tuple[int, ...] = ()
+    scale: int = 1
 
     def lone_mass(self, k: int) -> Fraction:
         """Mass of breaking exactly k records with none surviving."""
         if k >= len(self.lone):
             return Fraction(0)
-        return Fraction(self.lone[k], math.factorial(self.n + 1))
+        return Fraction(self.lone[k], self.scale)
 
     def tail_mass(self, k: int) -> Fraction:
         """Mass of breaking exactly k records with at least one survivor."""
-        return self.prob(k) - self.lone_mass(k)
+        if k >= len(self.heads):
+            return Fraction(0)
+        return Fraction(self.heads[k] - (self.lone[k] << (k + 1)), self.scale << (k + 1))
 
 
 def exact_pmf_b(n: int, kmax: int) -> BreakLaw:
@@ -271,23 +278,23 @@ def exact_pmf_b(n: int, kmax: int) -> BreakLaw:
     Carries c(l, 0..kmax) through c(l + 1, k) = l * c(l, k) + c(l, k - 1)
     up to l = n, then reads every mass off the closed form in the module
     docstring; kmax = 0 needs no pass, since P[B_n = 0] = 1/2.  Costs
-    O(n * kmax) multiplications of a big integer by a small one; refuses
-    with CapacityError, before any arithmetic, when n * n * (kmax + 1)
-    exceeds ``EXACT_MAX_WORK``.
+    O(n * kmax) multiplications of a big integer by a small one; at
+    kmax >= 1 it refuses with CapacityError, before any arithmetic, when
+    n * n * (kmax + 1) exceeds ``EXACT_MAX_WORK``.
     """
     if n < 1:
         raise UsageError(f"n must be at least 1, got {n}")
     if kmax < 0:
         raise UsageError(f"kmax must be nonnegative, got {kmax}")
     top = min(kmax, n)
+    if not top:
+        return BreakLaw(n=n, mass={0: Fraction(1, 2)}, lone=(0,), heads=(1,))
     work = n * n * (top + 1)
     if work > EXACT_MAX_WORK:
         raise CapacityError(
             f"exact law for n={n}, kmax={top} needs n*n*(kmax+1) = {work}, "
             f"over the ceiling of {EXACT_MAX_WORK}"
         )
-    if not top:
-        return BreakLaw(n=n, mass={0: Fraction(1, 2)}, lone=(0,))
     stirling = [0, 1] + [0] * (top - 1)  # c(l, 0..top), from l = 1
     for l in range(1, n):
         for k in range(top, 0, -1):
@@ -295,8 +302,9 @@ def exact_pmf_b(n: int, kmax: int) -> BreakLaw:
     scale = math.factorial(n + 1)
     # Summed over j <= k, the steps give (n + 1)! 2**(k+1) P[B_n = k] - (n + 1)!.
     steps = ((c - b) << k for k, (b, c) in enumerate(pairwise([0, *stirling])))
-    mass = {k: Fraction(scale + d, scale << (k + 1)) for k, d in enumerate(accumulate(steps))}
-    return BreakLaw(n=n, mass=mass, lone=tuple(stirling))
+    heads = tuple(scale + d for d in accumulate(steps))
+    mass = {k: Fraction(h, scale << (k + 1)) for k, h in enumerate(heads)}
+    return BreakLaw(n=n, mass=mass, lone=tuple(stirling), heads=heads, scale=scale)
 
 
 def geometric_limit(k: int) -> Fraction:

@@ -45,12 +45,13 @@ from .errors import CapacityError, InvariantError, PartialResultError, TieError,
 from .records import TrajectoryStats, run_trajectory, scan_distinct
 
 GENERATOR = "philox4x64-counter-window"
-# A chunk draws about 2**20 values (8 MiB): small enough that the allocator
+# A chunk draws about 2**19 values (4 MiB): small enough that the allocator
 # reuses its memory, where a 64 MiB chunk is mapped and faulted in afresh
-# each time.  Peak memory is about 2 * threads * 8 MiB, plus the 4 MiB
-# half-word copy of the tie screen on rows wider than _SHORT_COLUMNS.  At
-# 2**17 values the per-chunk Python calls dominate and long rows run slower.
-_TARGET_CHUNK_VALUES = 2**20
+# each time.  Only the chunks that a thread is working on hold rows, so
+# peak memory is about threads * (4 MiB + one screen tile).  On one thread
+# n = 500 runs as fast as at 2**20; at 2**17 values the per-chunk Python
+# calls dominate and long rows run slower.
+_TARGET_CHUNK_VALUES = 2**19
 _MAX_REDRAWS = 64
 # One trial row is never split across chunks, so its size is the floor of
 # a chunk's memory; 2**30 bytes holds rows up to n = 2**27 - 1.
@@ -68,6 +69,9 @@ _TILE_ROWS = 8192
 # against 5.1-7.1 ms at 12), are about even at 13 to 15, and lose at 16
 # (6.3-6.4 against 5.4-5.5 ms).
 _SHORT_COLUMNS = 12
+# Wider rows are screened on their sorted 32-bit half words, a tile of
+# about _SCREEN_VALUES values (whole rows, at least one) at a time.
+_SCREEN_VALUES = 2**16
 # The record count reads at most _SCAN_VALUES values (1 MiB) per step.
 # Rows of at most _NARROW_COLUMNS values are copied column-major, a tile of
 # _SCAN_VALUES // _NARROW_COLUMNS rows at a time, and read one column per
@@ -78,22 +82,30 @@ _NARROW_COLUMNS = 64
 _BLOCK_ROWS = 256
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset`` and cpusets shrink it), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Parameters of one simulation run.
 
     ``kmax`` pools break counts above it into an overflow bucket.
     ``workers`` only changes how chunks are scheduled, never the numbers:
-    it is clamped to ``os.cpu_count()`` threads, each with at most two
-    chunks in flight.  An ``n`` whose trial row is over the sampler's cap
-    is refused with CapacityError here, before any work.
+    it defaults to and is clamped to ``usable_cpus()`` threads, each with
+    at most two chunks in flight.  An ``n`` whose trial row is over the
+    sampler's cap is refused with CapacityError here, before any work.
     """
 
     n: int
     trials: int
     seed: int
     kmax: int = 12
-    workers: int = 1
+    workers: int = field(default_factory=usable_cpus)
 
     def __post_init__(self):
         if self.n < 1:
@@ -224,30 +236,30 @@ def _resolve_ties(vals: np.ndarray, seed: int, n: int, t0: int) -> int:
     column-major tile compares every pair of its columns as 64-bit values,
     so a flagged row holds a true tie.  On wider rows, equal 64-bit values
     have equal 32-bit halves, so a sort of one half of each row (half the
-    bytes of a full sort) flags every row that may hold a tie.  Each
-    flagged row is then checked on its own with the exact 64-bit test that
-    the redraws use, so the redrawn rows are exactly those with a true tie.
-    The largest temporary is one tile on short rows and the sorted half
-    words, half the size of the chunk, on wider ones.
+    bytes of a full sort), a tile of about ``_SCREEN_VALUES`` values at a
+    time, flags every row that may hold a tie.  Each flagged row is then
+    checked on its own with the exact 64-bit test that the redraws use, so
+    the redrawn rows are exactly those with a true tie.  The largest
+    temporary is one tile on either path, never a copy of the chunk.
     """
     rows, m = vals.shape
+    tied = np.zeros(rows, dtype=bool)
     if m <= _SHORT_COLUMNS:
-        tied = np.zeros(rows, dtype=bool)
         for r0, cols in _column_tiles(vals, _TILE_ROWS):
             flag = tied[r0 : r0 + cols.shape[1]]
             for i in range(m - 1):
                 flag |= (cols[i + 1 :] == cols[i]).any(axis=0)
-        flagged = np.flatnonzero(tied)
     else:
-        half = np.sort(vals.view(np.uint32)[:, 1::2], axis=1)
-        # Each flat hit of the (rows x n) comparison names its row by // n.
-        # The hits ascend, so keeping each change of row flags every row
-        # once, in order (np.unique would too, but imports numpy.ma: ~12 ms,
-        # 1 MiB).
-        hits = np.flatnonzero(half[:, 1:] == half[:, :-1]) // n
-        flagged = hits[np.diff(hits, prepend=-1) != 0]
+        size = max(1, _SCREEN_VALUES // m)
+        buf = np.empty((min(rows, size), m), dtype=np.uint32)
+        for r0 in range(0, rows, size):
+            half = buf[: min(size, rows - r0)]
+            half[:] = vals[r0 : r0 + size].view(np.uint32)[:, 1::2]
+            half.sort(axis=1)
+            # Each flat hit of the (tile rows x n) comparison names its row by // n.
+            tied[r0 + np.flatnonzero(half[:, 1:] == half[:, :-1]) // n] = True
     redraws = 0
-    for r in flagged:
+    for r in np.flatnonzero(tied):
         if not _row_has_tie(vals[r]):
             continue
         t = t0 + int(r)
@@ -388,8 +400,8 @@ def _rows_per_chunk(n: int) -> int:
 
 
 def _threads(cfg: SimConfig) -> int:
-    """Threads the scheduler runs: ``workers``, clamped to the CPU count."""
-    return min(cfg.workers, os.cpu_count() or 1)
+    """Threads the scheduler runs: ``workers``, clamped to the usable CPUs."""
+    return min(cfg.workers, usable_cpus())
 
 
 def _merge_chunks(
@@ -399,7 +411,7 @@ def _merge_chunks(
 ) -> tuple[np.ndarray, int]:
     """Run ``chunk_fn`` over every trial range and add up its counts.
 
-    Chunks go in trial order to ``min(cfg.workers, os.cpu_count())``
+    Chunks go in trial order to ``min(cfg.workers, usable_cpus())``
     threads, with at most two per thread in flight, and are summed in
     that order; one thread is the serial case.  Memory therefore follows
     the window, not the chunk count, and on the first failure the queued

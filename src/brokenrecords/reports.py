@@ -32,6 +32,7 @@ from .montecarlo import (
     simulate_b,
     simulate_b_checkpoints,
     simulate_r,
+    usable_cpus,
 )
 from .oracle import oracle_joint, oracle_pmf_r
 
@@ -240,7 +241,7 @@ def converge_table(
     trials: int,
     seed: int,
     *,
-    workers: int = 1,
+    workers: int = usable_cpus(),
     tail_max_n: int = TAIL_EXACT_MAX_N,
 ) -> dict:
     """Deviation-from-limit table across a sweep of n.

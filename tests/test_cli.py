@@ -124,6 +124,16 @@ class TestOracleCommand:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("argv", [["simulate", "--n"], ["gof", "--n"], ["converge", "--n-list"]])
+    def test_workers_default_to_every_usable_cpu(self, argv):
+        args = cli.build_parser().parse_args([*argv, "5", "--trials", "5"])
+        assert args.workers == mc.usable_cpus()
+
+    def test_default_run_reports_every_usable_cpu(self, capsys):
+        code, rep = run_json(capsys, "simulate", "--n", "5", "--trials", "10", "--seed", "1")
+        assert code == 0
+        assert rep["meta"]["run"]["workers"] == mc.usable_cpus()
+
     def test_matches_oracle_small_n(self, capsys):
         from brokenrecords import oracle_pmf_b
 

@@ -313,6 +313,23 @@ class TestExactPmfB:
         assert main(["exact", "--n", "100000", "--kmax", "1", "--tail-max-n", "100000"]) == 3
         assert "capacity" in capsys.readouterr().err
 
+    def test_kmax_0_is_never_refused(self, capsys):
+        # P[B_n = 0] = 1/2 needs no pass, so the ceiling does not apply.
+        assert exact_pmf_b(10**9, 0).mass == {0: F(1, 2)}
+        assert main(["exact", "--n", "200000", "--kmax", "0", "--tail-max-n", "200000"]) == 0
+        assert "1/2" in capsys.readouterr().out
+
+    def test_tails_share_one_denominator(self):
+        # Each survivor tail is one Fraction over (n + 1)! 2**(k+1), equal
+        # to the full mass less the lone mass.
+        for n, kmax in ((1, 1), (7, 7), (300, 6)):
+            law = exact_pmf_b(n, kmax)
+            assert law.scale == math.factorial(n + 1)
+            for k in range(kmax + 2):
+                assert law.tail_mass(k) == law.prob(k) - law.lone_mass(k), (n, k)
+        law = exact_pmf_b(5, 0)
+        assert (law.tail_mass(0), law.tail_mass(1), law.lone_mass(0)) == (F(1, 2), 0, 0)
+
 
 class TestLimitAndBound:
     def test_geometric_limit(self):

@@ -54,3 +54,10 @@ def test_invocation_exits_0(name, capsys):
 def test_two_threads_print_the_one_thread_report(name, capsys):
     one = golden.INVOCATIONS[name.removesuffix("-workers2")]
     assert _json(capsys, golden.INVOCATIONS[name]) == _json(capsys, one)
+
+
+def test_default_workers_print_the_one_thread_report(capsys):
+    # The default runs on every usable CPU and must print the same report.
+    one = golden.INVOCATIONS["simulate-n500"]
+    assert one[-2:] == ["--workers", "1"]
+    assert _json(capsys, one[:-2]) == _json(capsys, one)

@@ -44,7 +44,16 @@ class TestConfig:
     def test_defaults(self):
         cfg = SimConfig(n=5, trials=10, seed=1)
         assert cfg.kmax == 12
-        assert cfg.workers == 1
+        assert cfg.workers == mc.usable_cpus()
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
+        assert mc.usable_cpus() == 2
+        monkeypatch.delattr(mc.os, "sched_getaffinity")
+        assert mc.usable_cpus() == 64
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+        assert mc.usable_cpus() == 1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -246,6 +255,52 @@ class TestTrialValues:
         assert redraws == total
 
 
+class TestWideRowTieScreen:
+    """The half-word screen of wider rows, a tile of about
+    ``_SCREEN_VALUES`` values at a time."""
+
+    _first_clean_attempt = staticmethod(TestTrialValues._first_clean_attempt)
+
+    def _redraws_exactly(self, n, rows, tied):
+        seed, t0 = 11, 0
+        clean, _ = trial_values(seed, n, t0, t0 + rows)
+        vals = clean.copy()
+        for r in tied:
+            vals[r][r % n] = vals[r][n]
+        total = 0
+        for r in tied:
+            row, attempts = self._first_clean_attempt(seed, n, t0 + r)
+            total += attempts
+            clean[r] = row
+        assert mc._resolve_ties(vals, seed, n, t0) == total
+        assert np.array_equal(vals, clean)
+
+    def test_ties_at_tile_edges_are_redrawn(self):
+        # Rows on both sides of each tile boundary and in the last, short tile.
+        n = 500
+        size = mc._SCREEN_VALUES // (n + 1)
+        rows = 2 * size + 7
+        self._redraws_exactly(n, rows, [0, size - 1, size, 2 * size - 1, 2 * size, rows - 1])
+
+    def test_a_row_wider_than_a_tile_is_its_own_tile(self):
+        n = mc._SCREEN_VALUES + 3
+        self._redraws_exactly(n, 4, [1, 3])
+
+    def test_screen_memory_stays_near_one_tile(self):
+        # Sorting the half words of the whole chunk at once would take half
+        # its bytes; the screen holds the half words of one tile.
+        n = 500
+        vals, _ = trial_values(11, n, 0, mc._rows_per_chunk(n))
+        tile = mc._SCREEN_VALUES * vals.itemsize
+        tracemalloc.start()
+        try:
+            mc._resolve_ties(vals, 11, n, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tile < vals.nbytes // 4
+
+
 SHORT_WIDTHS = range(2, mc._SHORT_COLUMNS + 1)
 
 
@@ -302,10 +357,10 @@ class TestShortRowTieScreen:
         assert np.array_equal(vals, before)
 
     def test_screen_memory_stays_near_one_tile(self):
-        # The half-word screen would copy half the chunk; the pairwise
-        # screen holds one column-major tile and its flags.
+        # The pairwise screen holds one column-major tile and its flags,
+        # however many tiles the rows span.
         n = 8
-        vals, _ = trial_values(11, n, 0, mc._rows_per_chunk(n))
+        vals, _ = trial_values(11, n, 0, 16 * mc._TILE_ROWS)
         tile = mc._TILE_ROWS * (n + 1) * vals.itemsize
         tracemalloc.start()
         try:
@@ -678,21 +733,23 @@ class TestPinnedCounts:
 
 
 class TestChunkBudget:
-    """Chunks of about 2**20 values: a bounded peak, and counts that do
+    """Chunks of about 2**19 values: a bounded peak, and counts that do
     not depend on the budget."""
 
     def test_a_chunk_fills_the_budget(self):
-        for n in [*range(1, 4097), 2**17 - 1, 2**18 - 4, 2**20 - 5, 2**20 - 1]:
+        budget = mc._TARGET_CHUNK_VALUES
+        assert budget == 2**19
+        for n in [*range(1, 4097), 2**17 - 1, 2**18 - 4, 2**19 - 5, 2**19 - 1]:
             rows, w = mc._rows_per_chunk(n), mc._words_per_trial(n)
-            assert rows * w <= 2**20 < (rows + 1) * w, n
+            assert rows * w <= budget < (rows + 1) * w, n
 
     def test_a_row_over_the_budget_is_its_own_chunk(self):
-        for n in (2**20, 2**21 + 3, 2**27 - 1):
-            assert mc._words_per_trial(n) > 2**20
+        for n in (2**19, 2**20, 2**21 + 3, 2**27 - 1):
+            assert mc._words_per_trial(n) > mc._TARGET_CHUNK_VALUES
             assert mc._rows_per_chunk(n) == 1
 
     def test_simulation_peak_stays_bounded(self):
-        # 20,000 trials at n = 500 take 10 chunks; at 2**23 values per
+        # 20,000 trials at n = 500 take 20 chunks; at 2**23 values per
         # chunk the same run peaked at about 104 MiB.
         tracemalloc.start()
         try:
@@ -700,7 +757,7 @@ class TestChunkBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert pmf.meta["run"]["chunks"] == 10
+        assert pmf.meta["run"]["chunks"] == 20
         assert peak < 16 * 2**20
 
     @staticmethod
@@ -714,7 +771,7 @@ class TestChunkBudget:
     def test_checkpoints_match_the_old_budget(self, monkeypatch):
         cfg = SimConfig(n=500, trials=40000, seed=9)
         new, old = self._at_old_budget(monkeypatch, lambda: simulate_b_checkpoints(cfg))
-        assert new[500].meta["run"]["chunks"] == 20
+        assert new[500].meta["run"]["chunks"] == 39
         assert old[500].meta["run"]["chunks"] == 3
         assert sorted(new) == sorted(old)
         for t in new:
@@ -725,7 +782,7 @@ class TestChunkBudget:
     def test_record_counts_match_the_old_budget(self, monkeypatch):
         cfg = SimConfig(n=64, trials=250000, seed=64)
         new, old = self._at_old_budget(monkeypatch, lambda: simulate_r(cfg))
-        assert new.meta["run"]["chunks"] == 17
+        assert new.meta["run"]["chunks"] == 33
         assert old.meta["run"]["chunks"] == 3
         assert new.counts == old.counts
         assert new.meta["tie_redraws"] == old.meta["tie_redraws"]
@@ -1166,7 +1223,7 @@ class TestScheduler:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_window_is_two_chunks_per_thread(self, workers, monkeypatch):
         monkeypatch.setattr(mc, "_TARGET_CHUNK_VALUES", 1024)
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(mc, "usable_cpus", lambda: 2)
         rows = mc._rows_per_chunk(7)
         cfg = SimConfig(n=7, trials=rows * 11 + 3, seed=3, workers=workers)
         base = simulate_b(cfg)
@@ -1179,16 +1236,25 @@ class TestScheduler:
         assert lazy.overflow == base.overflow
 
     def test_workers_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(mc, "usable_cpus", lambda: 2)
         cfg = SimConfig(n=7, trials=500, seed=3, workers=10**6)
         pmf, pool = self._lazy_run(monkeypatch, cfg)
         assert pool.max_workers == 2
         assert pool.peak <= 4
         assert pmf.meta["run"]["workers"] == 2
 
+    def test_workers_clamped_to_the_affinity_mask(self, monkeypatch):
+        # CPUs outside the mask count in os.cpu_count() but run nothing.
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        cfg = SimConfig(n=7, trials=500, seed=3, workers=10**6)
+        pmf, pool = self._lazy_run(monkeypatch, cfg)
+        assert pool.max_workers == 3
+        assert pmf.meta["run"]["workers"] == 3
+
     def test_failure_cancels_the_queued_chunks(self, monkeypatch):
         monkeypatch.setattr(mc, "_TARGET_CHUNK_VALUES", 1024)
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(mc, "usable_cpus", lambda: 2)
         rows = mc._rows_per_chunk(7)
         monkeypatch.setattr(mc, "trial_values", _fail_from(2 * rows))
         cfg = SimConfig(n=7, trials=rows * 10, seed=3, workers=2)

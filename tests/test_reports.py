@@ -9,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 from brokenrecords import SimConfig, expected_record_count, oracle_joint, oracle_pmf_b
+from brokenrecords import reports
+from brokenrecords.montecarlo import usable_cpus
 from brokenrecords.reports import (
     _unlimited_int_digits,
     build_row,
@@ -199,6 +201,13 @@ class TestConvergeTable:
         assert by[(2, 1)]["oracle_exact"] == F(1, 3)
         assert by[(20, 1)]["oracle_exact"] is None
         assert by[(20, 1)]["empirical"] is not None
+
+    def test_sampled_n_runs_on_every_usable_cpu_by_default(self, monkeypatch):
+        seen = []
+        simulate = reports.simulate_b
+        monkeypatch.setattr(reports, "simulate_b", lambda cfg: seen.append(cfg) or simulate(cfg))
+        converge_table([20], kmax=1, trials=100, seed=11)
+        assert [cfg.workers for cfg in seen] == [usable_cpus()]
 
     def test_k0_deviation_vanishes(self):
         rep = converge_table([2, 4, 20], kmax=2, trials=1000, seed=11)
