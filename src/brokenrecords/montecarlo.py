@@ -10,19 +10,19 @@ workers.  A trial whose draw contains a tied pair is redrawn from the
 attempt-1 key (then attempt 2, and so on), which keeps the redraw local
 to that trial; redraw totals land in the result metadata.
 
-Statistics are computed on whole chunks rather than in per-trial Python
-loops.  The break count of the last step reads each row backward from
-X_n and stops at the first value above it, which is about H_n columns
-per trial (the suffix after the last value above X_n has length L with
-P[L >= l] = 1/(l + 1)); the record count of a full row is a
-right-to-left running maximum, which on wide rows reads only the maximum
-of a block that stays below it.
-Short rows (at most ``_SHORT_COLUMNS`` values, n <= 11) are copied a tile
-at a time into column-major order by ``_column_tiles``, so each kernel
-reads whole contiguous columns: the tie screen compares every pair of
-columns exactly, in place of the half-word sort that wider rows use, and
-the break-count walk reads every column.  The narrow record count reads
-its tiles the same way.
+Statistics are computed on whole chunks, a tile of about ``_TILE_VALUES``
+values at a time, rather than in per-trial Python loops.  The break
+count of the last step reads each row backward from X_n and stops at the
+first value above it, which is about H_n columns per trial (the suffix
+after the last value above X_n has length L with P[L >= l] = 1/(l + 1));
+the record count of a full row is a right-to-left running maximum, which
+on wide rows reads only the maximum of a block that stays below it.
+``_column_tiles`` copies tiles into column-major order, so each kernel
+reads whole contiguous columns: the tie screen of short rows (at most
+``_SHORT_COLUMNS`` values, n <= 11) compares every pair of columns, in
+place of the half-word sort of wider rows; the break-count walk reads the
+last ``_SHORT_COLUMNS`` columns of every row, and the record count every
+column of rows of at most ``_NARROW_COLUMNS`` values.
 ``simulate_trajectory_audit`` is the slow counterpart that replays each
 trajectory through the incremental stack and checks conservation step
 by step.
@@ -48,7 +48,7 @@ GENERATOR = "philox4x64-counter-window"
 # A chunk draws about 2**19 values (4 MiB): small enough that the allocator
 # reuses its memory, where a 64 MiB chunk is mapped and faulted in afresh
 # each time.  Only the chunks that a thread is working on hold rows, so
-# peak memory is about threads * (4 MiB + one screen tile).  On one thread
+# peak memory is about threads * (4 MiB + one kernel tile).  On one thread
 # n = 500 runs as fast as at 2**20; at 2**17 values the per-chunk Python
 # calls dominate and long rows run slower.
 _TARGET_CHUNK_VALUES = 2**19
@@ -56,30 +56,26 @@ _MAX_REDRAWS = 64
 # One trial row is never split across chunks, so its size is the floor of
 # a chunk's memory; 2**30 bytes holds rows up to n = 2**27 - 1.
 _MAX_ROW_BYTES = 2**30
-# The break-count walk reads this many columns with every row in place,
-# in column-major tiles of _TILE_ROWS rows so the per-row state stays in
-# cache.  A row outlives l columns with probability 1/(l + 1), so about a
-# ninth remain.
-_DENSE_COLUMNS = 8
-_TILE_ROWS = 8192
 # Rows of at most _SHORT_COLUMNS values are screened for ties by comparing
-# every pair of columns of a tile, and the break-count walk reads all their
-# columns.  Per 2**20-value chunk (2-CPU Xeon, medians of 21 runs), the
-# m(m - 1)/2 pair tests beat the half-word sort up to 12 columns (3.6-5.1
-# against 5.1-7.1 ms at 12), are about even at 13 to 15, and lose at 16
-# (6.3-6.4 against 5.4-5.5 ms).
+# every pair of columns, and wider rows by a sort of their 32-bit half
+# words.  Per 2**20-value chunk (2-CPU Xeon, medians of 21 runs), the
+# m(m - 1)/2 pair tests beat the sort up to 12 columns (3.6-5.1 against
+# 5.1-7.1 ms at 12), are about even at 13 to 15, and lose at 16 (6.3-6.4
+# against 5.4-5.5 ms).
 _SHORT_COLUMNS = 12
-# Wider rows are screened on their sorted 32-bit half words, a tile of
-# about _SCREEN_VALUES values (whole rows, at least one) at a time.
-_SCREEN_VALUES = 2**16
-# The record count reads at most _SCAN_VALUES values (1 MiB) per step.
-# Rows of at most _NARROW_COLUMNS values are copied column-major, a tile of
-# _SCAN_VALUES // _NARROW_COLUMNS rows at a time, and read one column per
-# step.  Wider rows go in tiles of up to _BLOCK_ROWS rows and blocks of
-# _SCAN_VALUES // (tile rows) columns, so even a single row takes few steps.
-_SCAN_VALUES = 2**17
+# Every kernel works on tiles of about _TILE_VALUES values (whole rows, at
+# least one).  Per 2**19-value chunk at n = 8 to 500 (2-CPU Xeon, medians
+# of 101 runs), 2**14 was slower on almost every kernel, up to 2.1x, and
+# 2**18 on the short-row tie screen and the wide record count, up to 1.4x.
+# 2**16 was within 12% of the fastest budget on every kernel but the
+# narrow record count near 64 columns (3.3 against 2.7 ms at n = 63).
+_TILE_VALUES = 2**16
+# Rows of at most _NARROW_COLUMNS values get their record count a column
+# at a time; wider rows a block of columns at a time, skipping blocks with
+# no record.  Per 2**19-value chunk (2-CPU Xeon, medians of 61 runs),
+# blocks alone took 3.90 against 1.44 ms at n = 8 and 2.97 against 1.81
+# ms at n = 32, and were about even at n = 63 (3.04 against 2.85 ms).
 _NARROW_COLUMNS = 64
-_BLOCK_ROWS = 256
 
 
 def usable_cpus() -> int:
@@ -215,13 +211,15 @@ def _row_has_tie(row: np.ndarray) -> bool:
     return bool((s[1:] == s[:-1]).any())
 
 
-def _column_tiles(vals: np.ndarray, tile_rows: int) -> Iterator[tuple[int, np.ndarray]]:
+def _column_tiles(vals: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (r0, cols): rows [r0, r0 + cols.shape[1]) of ``vals``, column-major.
 
+    A tile holds ``_TILE_VALUES // m`` rows of m values, at least one.
     ``cols[j]`` is column j of the tile, contiguous.  One buffer serves
     every tile, so a tile is valid only until the next one is drawn.
     """
     rows, m = vals.shape
+    tile_rows = max(1, _TILE_VALUES // m)
     buf = np.empty((m, min(rows, tile_rows)), dtype=vals.dtype)
     for r0 in range(0, rows, tile_rows):
         cols = buf[:, : min(tile_rows, rows - r0)]
@@ -236,21 +234,21 @@ def _resolve_ties(vals: np.ndarray, seed: int, n: int, t0: int) -> int:
     column-major tile compares every pair of its columns as 64-bit values,
     so a flagged row holds a true tie.  On wider rows, equal 64-bit values
     have equal 32-bit halves, so a sort of one half of each row (half the
-    bytes of a full sort), a tile of about ``_SCREEN_VALUES`` values at a
-    time, flags every row that may hold a tie.  Each flagged row is then
-    checked on its own with the exact 64-bit test that the redraws use, so
-    the redrawn rows are exactly those with a true tie.  The largest
+    bytes of a full sort), a tile of ``_TILE_VALUES // m`` rows (at least
+    one) at a time, flags every row that may hold a tie.  Each flagged row
+    is then checked on its own with the exact 64-bit test that the redraws
+    use, so the redrawn rows are exactly those with a true tie.  The largest
     temporary is one tile on either path, never a copy of the chunk.
     """
     rows, m = vals.shape
     tied = np.zeros(rows, dtype=bool)
     if m <= _SHORT_COLUMNS:
-        for r0, cols in _column_tiles(vals, _TILE_ROWS):
+        for r0, cols in _column_tiles(vals):
             flag = tied[r0 : r0 + cols.shape[1]]
             for i in range(m - 1):
                 flag |= (cols[i + 1 :] == cols[i]).any(axis=0)
     else:
-        size = max(1, _SCREEN_VALUES // m)
+        size = max(1, _TILE_VALUES // m)
         buf = np.empty((min(rows, size), m), dtype=np.uint32)
         for r0 in range(0, rows, size):
             half = buf[: min(size, rows - r0)]
@@ -289,10 +287,6 @@ def trial_values(seed: int, n: int, t0: int, t1: int) -> tuple[np.ndarray, int]:
     return vals, redraws
 
 
-def _suffix_max(a: np.ndarray) -> np.ndarray:
-    return np.maximum.accumulate(a[:, ::-1], axis=1)[:, ::-1]
-
-
 def final_break_counts(vals: np.ndarray) -> np.ndarray:
     """Records broken by the last observation of each row of distinct values.
 
@@ -300,18 +294,17 @@ def final_break_counts(vals: np.ndarray) -> np.ndarray:
     maximum of the columns already read: a column counts when it beats
     that maximum and stays below X_n.  The first value above X_n ends the
     row, since every record before it lies above X_n too.  The last
-    ``_DENSE_COLUMNS`` + 1 columns, or the whole row if it has at most
-    ``_SHORT_COLUMNS`` values, are copied column-major a tile at a time and
-    read with all rows in place.  On wider rows the rows still live (about
-    a ninth) are then gathered once and read in column blocks that double
-    in width, dropping rows as they end.  Expected work is O(log n) values
-    per row and no temporary spans (rows x n).
+    ``_SHORT_COLUMNS`` columns, all of a short row, are copied column-major
+    a tile at a time and read with all rows in place.  The rows still live
+    after them (about a twelfth) are then gathered once and read in column
+    blocks that double in width, dropping rows as they end.  Expected work
+    is O(log n) values per row and no temporary spans (rows x n).
     """
     rows, m = vals.shape
     counts = np.zeros(rows, dtype=np.int64)
     top = np.empty(rows, dtype=vals.dtype)
-    stop = 0 if m <= _SHORT_COLUMNS else max(m - 1 - _DENSE_COLUMNS, 0)
-    for r0, cols in _column_tiles(vals[:, stop:], _TILE_ROWS):
+    stop = max(m - _SHORT_COLUMNS, 0)
+    for r0, cols in _column_tiles(vals[:, stop:]):
         tile = slice(r0, r0 + cols.shape[1])
         below, mx, cnt = cols[-1], top[tile], counts[tile]
         mx[:] = cols[-2]
@@ -330,7 +323,7 @@ def final_break_counts(vals: np.ndarray) -> np.ndarray:
     while hi > 0 and live.size:
         lo = max(hi - width, 0)
         block = vals[live, lo:hi]
-        smax = _suffix_max(block)
+        smax = np.maximum.accumulate(block[:, ::-1], axis=1)[:, ::-1]
         hit = block == smax
         hit &= block > mx[:, None]
         hit &= block < below[:, None]
@@ -354,21 +347,22 @@ def record_counts(vals: np.ndarray) -> np.ndarray:
     holds a record iff it holds the maximum of the columns from its start
     to the end, which for distinct values has probability width / (that
     many columns), so a row of m columns is read in full on about
-    H(m / width) blocks.  No temporary spans more than ``_SCAN_VALUES``
-    values.
+    H(m / width) blocks.  Wide tiles are ``_TILE_VALUES // _NARROW_COLUMNS``
+    rows (or fewer) by ``_TILE_VALUES // (tile rows)`` columns, so no
+    temporary spans more than ``_TILE_VALUES`` values.
     """
     rows, m = vals.shape
     counts = np.ones(rows, dtype=np.int64)
     if m <= _NARROW_COLUMNS:
-        for r0, cols in _column_tiles(vals, _SCAN_VALUES // _NARROW_COLUMNS):
+        for r0, cols in _column_tiles(vals):
             cnt = counts[r0 : r0 + cols.shape[1]]
             top = cols[-1].copy()
             for col in cols[-2::-1]:
                 cnt += col >= top
                 np.maximum(top, col, out=top)
         return counts
-    size = max(1, min(rows, _BLOCK_ROWS))
-    width = _SCAN_VALUES // size
+    size = max(1, min(rows, _TILE_VALUES // _NARROW_COLUMNS))
+    width = _TILE_VALUES // size
     for r0 in range(0, rows, size):
         tile = vals[r0 : r0 + size]
         cnt = counts[r0 : r0 + size]

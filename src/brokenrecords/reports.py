@@ -241,7 +241,7 @@ def converge_table(
     trials: int,
     seed: int,
     *,
-    workers: int = usable_cpus(),
+    workers: int | None = None,
     tail_max_n: int = TAIL_EXACT_MAX_N,
 ) -> dict:
     """Deviation-from-limit table across a sweep of n.
@@ -252,7 +252,7 @@ def converge_table(
     up to ``tail_max_n``, and only the k <= 1 closed forms beyond it.
     Every argument is checked before any exact pass, enumeration or draw;
     the seed and worker count by the sampler's rules, even when no n is
-    sampled.
+    sampled.  ``workers`` defaults to ``usable_cpus()`` at call time.
     """
     if not n_list:
         raise UsageError("n_list must name at least one n")
@@ -260,6 +260,7 @@ def converge_table(
         raise UsageError(f"trials must be nonnegative, got {trials}")
     if min(n_list) < 1:
         raise UsageError(f"every n must be at least 1, got {min(n_list)}")
+    workers = usable_cpus() if workers is None else workers
     check_seed_and_workers(seed, workers)
     # Every exact pass first, so a bad kmax or tail_max_n, or an n over the
     # exact ceiling, refuses before any enumeration or sampling.
@@ -437,8 +438,11 @@ def _flatten_meta(meta: dict, prefix: str = "") -> list[tuple[str, object]]:
 
 
 def _jsonable(obj):
+    """Rationals as "p/q" strings; inf and nan, which JSON lacks, as None."""
     if isinstance(obj, Fraction):
         return rational_str(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -447,7 +451,7 @@ def _jsonable(obj):
 
 
 def emit_json(report: dict, stream: TextIO) -> None:
-    json.dump(_jsonable(report), stream, indent=2)
+    json.dump(_jsonable(report), stream, indent=2, allow_nan=False)
     stream.write("\n")
 
 

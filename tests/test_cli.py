@@ -606,6 +606,29 @@ class TestFormatAgreement:
             assert float(c["empirical"]) == j["empirical"]
             assert float(c["limit"]) == j["limit"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "--n", "6", "--kmax", "4"],
+            ["oracle", "--n", "4", "--view", "joint"],
+            ["simulate", "--n", "5", "--trials", "1", "--seed", "1", "--stat", "r"],
+            ["simulate", "--n", "5", "--trials", "1", "--seed", "1", "--kmax", "1"],
+            ["simulate", "--n", "9", "--trials", "50", "--seed", "2", "--checkpoints", "auto"],
+            ["converge", "--n-list", "2,3,20", "--kmax", "3", "--trials", "1", "--seed", "4"],
+            ["gof", "--n", "5", "--trials", "1", "--seed", "1"],
+            ["audit", "--n", "5", "--trials", "1", "--seed", "1"],
+        ],
+        ids=lambda argv: "-".join(argv[:1] + argv[-2:]),
+    )
+    def test_json_is_strict(self, argv, capsys):
+        # One trial leaves the standard errors infinite; JSON has no
+        # Infinity or NaN, so they print as null.
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        assert main([*argv, "--format", "json"]) == 0
+        json.loads(capsys.readouterr().out, parse_constant=refuse)
+
     def test_default_table_format(self, capsys):
         assert main(["exact", "--n", "2"]) == 0
         out = capsys.readouterr().out

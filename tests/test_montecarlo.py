@@ -40,6 +40,18 @@ from brokenrecords import (
 )
 
 
+def _traced_peak(fn):
+    """``fn()`` and the peak of the memory that numpy and Python traced."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+TILE_BYTES = mc._TILE_VALUES * np.dtype(np.uint64).itemsize
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = SimConfig(n=5, trials=10, seed=1)
@@ -215,12 +227,7 @@ class TestTrialValues:
         vals[:, 3] = (vals[:, 2] & low) | (~vals[:, 2] & high)
         assert not any(mc._row_has_tie(row) for row in vals)
         before = vals.copy()
-        tracemalloc.start()
-        try:
-            redraws = mc._resolve_ties(vals, seed, n, t0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        redraws, peak = _traced_peak(lambda: mc._resolve_ties(vals, seed, n, t0))
         assert redraws == 0
         assert np.array_equal(vals, before)
         assert peak < vals.nbytes
@@ -256,8 +263,8 @@ class TestTrialValues:
 
 
 class TestWideRowTieScreen:
-    """The half-word screen of wider rows, a tile of about
-    ``_SCREEN_VALUES`` values at a time."""
+    """The half-word screen of wider rows, a tile of ``_TILE_VALUES // m``
+    rows at a time."""
 
     _first_clean_attempt = staticmethod(TestTrialValues._first_clean_attempt)
 
@@ -278,12 +285,12 @@ class TestWideRowTieScreen:
     def test_ties_at_tile_edges_are_redrawn(self):
         # Rows on both sides of each tile boundary and in the last, short tile.
         n = 500
-        size = mc._SCREEN_VALUES // (n + 1)
+        size = mc._TILE_VALUES // (n + 1)
         rows = 2 * size + 7
         self._redraws_exactly(n, rows, [0, size - 1, size, 2 * size - 1, 2 * size, rows - 1])
 
     def test_a_row_wider_than_a_tile_is_its_own_tile(self):
-        n = mc._SCREEN_VALUES + 3
+        n = mc._TILE_VALUES + 3
         self._redraws_exactly(n, 4, [1, 3])
 
     def test_screen_memory_stays_near_one_tile(self):
@@ -291,17 +298,13 @@ class TestWideRowTieScreen:
         # its bytes; the screen holds the half words of one tile.
         n = 500
         vals, _ = trial_values(11, n, 0, mc._rows_per_chunk(n))
-        tile = mc._SCREEN_VALUES * vals.itemsize
-        tracemalloc.start()
-        try:
-            mc._resolve_ties(vals, 11, n, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < tile < vals.nbytes // 4
+        _, peak = _traced_peak(lambda: mc._resolve_ties(vals, 11, n, 0))
+        assert peak < TILE_BYTES < vals.nbytes // 4
 
 
 SHORT_WIDTHS = range(2, mc._SHORT_COLUMNS + 1)
+# More rows than one column-major tile holds at any width of at least two.
+ONE_TILE_AT_ANY_WIDTH = mc._TILE_VALUES // 2 + 123
 
 
 class TestShortRowTieScreen:
@@ -325,9 +328,10 @@ class TestShortRowTieScreen:
     def test_ties_at_tile_edges_are_redrawn(self):
         # Rows on both sides of a tile boundary and in the last, short tile.
         seed, n, t0 = 11, 8, 0
-        rows = mc._TILE_ROWS + 5
+        size = mc._TILE_VALUES // (n + 1)
+        rows = size + 5
         clean, _ = trial_values(seed, n, t0, t0 + rows)
-        tied = [0, mc._TILE_ROWS - 1, mc._TILE_ROWS, rows - 1]
+        tied = [0, size - 1, size, rows - 1]
         vals = clean.copy()
         for r in tied:
             vals[r][r % n] = vals[r][n]
@@ -360,15 +364,45 @@ class TestShortRowTieScreen:
         # The pairwise screen holds one column-major tile and its flags,
         # however many tiles the rows span.
         n = 8
-        vals, _ = trial_values(11, n, 0, 16 * mc._TILE_ROWS)
-        tile = mc._TILE_ROWS * (n + 1) * vals.itemsize
-        tracemalloc.start()
-        try:
-            mc._resolve_ties(vals, 11, n, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * tile < vals.nbytes // 4
+        vals, _ = trial_values(11, n, 0, 16 * (mc._TILE_VALUES // (n + 1)))
+        _, peak = _traced_peak(lambda: mc._resolve_ties(vals, 11, n, 0))
+        assert peak < 2 * TILE_BYTES < vals.nbytes // 4
+
+
+class TestColumnTiles:
+    """``_column_tiles`` yields every row once, in order, in tiles of
+    ``_TILE_VALUES // m`` rows (at least one)."""
+
+    @staticmethod
+    def _check(vals):
+        rows, m = vals.shape
+        size = max(1, mc._TILE_VALUES // m)
+        end = 0
+        for r0, cols in mc._column_tiles(vals):
+            assert r0 == end
+            assert cols.shape == (m, min(size, rows - r0))
+            assert cols.size <= max(mc._TILE_VALUES, m)
+            assert np.array_equal(cols.T, vals[r0 : r0 + cols.shape[1]])
+            end = r0 + cols.shape[1]
+        assert end == rows
+
+    @settings(max_examples=200, deadline=None)
+    @given(budget=st.integers(1, 40), rows=st.integers(0, 30), m=st.integers(1, 60))
+    def test_every_row_once_in_order(self, budget, rows, m):
+        vals = np.arange(rows * (m + 3), dtype=np.uint64).reshape(rows, m + 3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc, "_TILE_VALUES", budget)
+            self._check(vals[:, 3:])  # a column slice, as the walk passes
+
+    @pytest.mark.parametrize("m", [1, 12, mc._TILE_VALUES, mc._TILE_VALUES + 3])
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_at_the_budget(self, m, rows):
+        self._check(np.arange(rows * m, dtype=np.uint64).reshape(rows, m))
+
+    def test_rows_past_one_tile(self):
+        m = 7
+        rows = 2 * (mc._TILE_VALUES // m) + 5
+        self._check(np.arange(rows * m, dtype=np.uint64).reshape(rows, m))
 
 
 @pytest.fixture
@@ -388,19 +422,21 @@ def planted_ties(monkeypatch):
 
 
 class TestShortRowPathsMatchTheWidePaths:
-    """With ``_SHORT_COLUMNS`` at 0 every row takes the wide-row code."""
+    """With ``_SHORT_COLUMNS`` at 2, the least the break-count walk reads,
+    every row of more than two values takes the wide-row code; rows of two
+    stay on the pairwise screen, which ``TestShortRowTieScreen`` covers."""
 
     @staticmethod
     def _both(monkeypatch, fn):
         short = fn()
         with monkeypatch.context() as mp:
-            mp.setattr(mc, "_SHORT_COLUMNS", 0)
+            mp.setattr(mc, "_SHORT_COLUMNS", 2)
             wide = fn()
         return short, wide
 
     @pytest.mark.parametrize("n", range(1, mc._SHORT_COLUMNS + 2))
     def test_values_and_redraws(self, n, planted_ties, monkeypatch):
-        for t0, t1 in [(0, mc._TILE_ROWS + 123), (5, 6), (970, 971)]:
+        for t0, t1 in [(0, ONE_TILE_AT_ANY_WIDTH), (5, 6), (970, 971)]:
             (vs, rs), (vw, rw) = self._both(
                 monkeypatch, lambda: trial_values(3, n, t0, t1)
             )
@@ -410,7 +446,7 @@ class TestShortRowPathsMatchTheWidePaths:
 
     @pytest.mark.parametrize("n", range(1, mc._SHORT_COLUMNS + 2))
     def test_break_counts(self, n, monkeypatch):
-        for t0, t1 in [(0, mc._TILE_ROWS + 123), (7, 8)]:
+        for t0, t1 in [(0, ONE_TILE_AT_ANY_WIDTH), (7, 8)]:
             vals, _ = trial_values(3, n, t0, t1)
             for t in range(1, n + 1):
                 view = vals[:, : t + 1]
@@ -454,8 +490,9 @@ class TestBreakCountWalk:
 
     @pytest.mark.parametrize("m", SHORT_WIDTHS)
     def test_short_row_tiles(self, m):
-        # Two full tiles and a short one, and every prefix view of them.
-        vals, _ = trial_values(2718, m - 1, 0, 2 * mc._TILE_ROWS + 77)
+        # Two full tiles and a short one of whole rows, and every prefix
+        # view of them.
+        vals, _ = trial_values(2718, m - 1, 0, 2 * (mc._TILE_VALUES // m) + 77)
         for t in range(1, m):
             view = vals[:, : t + 1]
             assert np.array_equal(
@@ -481,15 +518,23 @@ class TestBreakCountWalk:
     def test_chunk_crossing_tiles_and_gather(self):
         # More rows than one dense tile, and more columns than the dense
         # phase reads, so every row passes both phases of the walk.
-        n = mc._DENSE_COLUMNS + 40
-        rows = 2 * mc._TILE_ROWS + 123
+        n = mc._SHORT_COLUMNS + 40
+        rows = 2 * (mc._TILE_VALUES // mc._SHORT_COLUMNS) + 123
         vals, _ = trial_values(99, n, 0, rows)
         assert np.array_equal(
             final_break_counts(vals), _reference_final_break_counts(vals)
         )
         # Rows whose dense columns all lie below X_n are gathered.
-        dense = vals[:, n - mc._DENSE_COLUMNS : n]
+        dense = vals[:, n + 1 - mc._SHORT_COLUMNS : n]
         assert (dense < vals[:, -1:]).all(axis=1).sum() > rows // 20
+
+    def test_dense_phase_memory_stays_near_one_tile(self):
+        # Rows of _SHORT_COLUMNS values are read by the dense phase alone;
+        # past the per-row count and running maximum it holds one tile.
+        n = mc._SHORT_COLUMNS - 1
+        vals, _ = trial_values(11, n, 0, 16 * (mc._TILE_VALUES // (n + 1)))
+        counts, peak = _traced_peak(lambda: final_break_counts(vals))
+        assert peak - 2 * counts.nbytes < 2 * TILE_BYTES < vals.nbytes // 4
 
     def test_adversarial_rows(self):
         n = 30
@@ -548,24 +593,40 @@ class TestRecordCountScan:
         assert np.array_equal(record_counts(vals), _reference_record_counts(vals))
 
     def test_narrow_tiles_with_remainder(self):
-        tile = mc._SCAN_VALUES // mc._NARROW_COLUMNS
-        vals, _ = trial_values(99, mc._NARROW_COLUMNS - 1, 0, 2 * tile + 123)
-        assert np.array_equal(record_counts(vals), _reference_record_counts(vals))
-        for t in (1, 2, mc._NARROW_COLUMNS // 2):
-            view = vals[:, : t + 1]
+        # Two full tiles and a short one, as a whole chunk and as the
+        # prefix view of a wider one.
+        for m in (2, 3, mc._NARROW_COLUMNS // 2 + 1, mc._NARROW_COLUMNS):
+            rows = 2 * (mc._TILE_VALUES // m) + 123
+            vals, _ = trial_values(99, m - 1, 0, rows)
+            assert np.array_equal(record_counts(vals), _reference_record_counts(vals))
+            view = trial_values(99, m, 0, rows)[0][:, :m]
             assert np.array_equal(record_counts(view), _reference_record_counts(view))
 
     def test_wide_tiles_and_blocks_with_remainders(self):
         # Rows past two tiles and columns past two blocks, neither a multiple.
-        width = mc._SCAN_VALUES // mc._BLOCK_ROWS
-        vals, _ = trial_values(99, 2 * width + 7, 0, 2 * mc._BLOCK_ROWS + 123)
+        tile = mc._TILE_VALUES // mc._NARROW_COLUMNS
+        width = mc._TILE_VALUES // tile
+        vals, _ = trial_values(99, 2 * width + 7, 0, 2 * tile + 123)
         assert np.array_equal(record_counts(vals), _reference_record_counts(vals))
-        for t in (mc._NARROW_COLUMNS, width - 1, width, width + 1):
+        for t in (width, 2 * width - 1, 2 * width):
             view = vals[:, : t + 1]
             assert np.array_equal(record_counts(view), _reference_record_counts(view))
 
+    @pytest.mark.parametrize(
+        "n, rows, tiles",
+        [(8, 16 * (mc._TILE_VALUES // 9), 2), (200, 4 * (mc._TILE_VALUES // 64) + 5, 3)],
+        ids=["narrow", "wide"],
+    )
+    def test_memory_stays_near_one_tile(self, n, rows, tiles):
+        # Past the counts, the narrow path holds one column-major tile and
+        # its running maximum; the wide path a tile's block and its
+        # running maximum.
+        vals, _ = trial_values(11, n, 0, rows)
+        counts, peak = _traced_peak(lambda: record_counts(vals))
+        assert peak - counts.nbytes < tiles * TILE_BYTES < vals.nbytes // 4
+
     def test_few_long_rows(self):
-        # Three rows: blocks of _SCAN_VALUES // 3 columns, three to a row.
+        # Three rows: blocks of _TILE_VALUES // 3 columns, three to a row.
         vals, _ = trial_values(5, 100_000, 0, 3)
         assert np.array_equal(record_counts(vals), _reference_record_counts(vals))
         view = vals[:1]
@@ -574,8 +635,8 @@ class TestRecordCountScan:
     @pytest.mark.parametrize("small", [False, True])
     def test_adversarial_rows(self, small, monkeypatch):
         if small:  # blocks of 16 columns, so the skip is taken within a row
-            monkeypatch.setattr(mc, "_SCAN_VALUES", 80)
-            monkeypatch.setattr(mc, "_BLOCK_ROWS", 5)
+            monkeypatch.setattr(mc, "_TILE_VALUES", 80)
+            monkeypatch.setattr(mc, "_NARROW_COLUMNS", 16)
         n = 150
         top = 2**64 - 1
         body = np.random.default_rng(4).choice(2**40, size=n, replace=False)
@@ -598,9 +659,8 @@ class TestRecordCountScan:
     def test_ties_count_as_the_definition_does(self, small, monkeypatch):
         # Trial rows never tie; a tie with a later maximum counts as in the
         # suffix-max definition, on both paths and across blocks.
-        if small:
-            monkeypatch.setattr(mc, "_SCAN_VALUES", 2 * mc._NARROW_COLUMNS)
-            monkeypatch.setattr(mc, "_BLOCK_ROWS", 2)
+        if small:  # wide tiles of two rows by one narrow width
+            monkeypatch.setattr(mc, "_TILE_VALUES", 2 * mc._NARROW_COLUMNS)
         for width in (9, 3 * mc._NARROW_COLUMNS):
             row = list(range(width))
             row[0] = row[width // 2] = row[-1] = width
@@ -630,8 +690,7 @@ class TestRecordCountScan:
         assert np.array_equal(record_counts(vals), expected)
         # Small tiles and blocks: several of each, and skipped blocks.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mc, "_SCAN_VALUES", 2 * mc._NARROW_COLUMNS)
-            mp.setattr(mc, "_BLOCK_ROWS", 2)
+            mp.setattr(mc, "_TILE_VALUES", 2 * mc._NARROW_COLUMNS)
             assert np.array_equal(record_counts(vals), expected)
 
 
@@ -751,12 +810,7 @@ class TestChunkBudget:
     def test_simulation_peak_stays_bounded(self):
         # 20,000 trials at n = 500 take 20 chunks; at 2**23 values per
         # chunk the same run peaked at about 104 MiB.
-        tracemalloc.start()
-        try:
-            pmf = simulate_b(SimConfig(n=500, trials=20000, seed=2024))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        pmf, peak = _traced_peak(lambda: simulate_b(SimConfig(n=500, trials=20000, seed=2024)))
         assert pmf.meta["run"]["chunks"] == 20
         assert peak < 16 * 2**20
 

@@ -10,6 +10,7 @@ import pytest
 
 from brokenrecords import SimConfig, expected_record_count, oracle_joint, oracle_pmf_b
 from brokenrecords import reports
+import brokenrecords.montecarlo as mc
 from brokenrecords.montecarlo import usable_cpus
 from brokenrecords.reports import (
     _unlimited_int_digits,
@@ -209,6 +210,16 @@ class TestConvergeTable:
         converge_table([20], kmax=1, trials=100, seed=11)
         assert [cfg.workers for cfg in seen] == [usable_cpus()]
 
+    def test_default_workers_follow_the_cpus_at_call_time(self, monkeypatch):
+        # The CPU count changes after import, as under a later taskset.
+        seen = []
+        simulate = reports.simulate_b
+        monkeypatch.setattr(reports, "simulate_b", lambda cfg: seen.append(cfg) or simulate(cfg))
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+        converge_table([20], kmax=1, trials=100, seed=11)
+        assert [cfg.workers for cfg in seen] == [3]
+
     def test_k0_deviation_vanishes(self):
         rep = converge_table([2, 4, 20], kmax=2, trials=1000, seed=11)
         for row in rep["rows"]:
@@ -366,6 +377,15 @@ class TestEmitters:
         emit_json(rep, js)
         parsed = json.loads(js.getvalue())
         assert parsed["rows"][0]["exact_full"] == "1/2"
+
+    def test_json_non_finite_floats_as_null(self):
+        js = io.StringIO()
+        rows = [{"x": math.inf, "y": -math.inf, "z": math.nan, "w": 0.5}]
+        emit_json({"meta": {"se": math.inf}, "rows": rows}, js)
+        assert json.loads(js.getvalue()) == {
+            "meta": {"se": None},
+            "rows": [{"x": None, "y": None, "z": None, "w": 0.5}],
+        }
 
     def test_table_rendering(self):
         rep = exact_table(2)

@@ -42,6 +42,13 @@ INVOCATIONS: dict[str, list[str]] = {
     "simulate-n30-r": [
         "simulate", "--n", "30", "--trials", "5000", "--seed", "3", "--stat", "r",
     ],
+    # Rows wider than the narrow record count: 301 columns are four full
+    # column blocks and a remainder on full row tiles, and the chunks end
+    # in a short tile.
+    "simulate-n300-r": [
+        "simulate", "--n", "300", "--trials", "5000", "--seed", "3", "--stat", "r",
+        "--workers", "1",
+    ],
     "simulate-n40-checkpoints": [
         "simulate", "--n", "40", "--trials", "5000", "--seed", "3",
         "--checkpoints", "auto",
@@ -57,6 +64,9 @@ INVOCATIONS: dict[str, list[str]] = {
     # Short rows: the replay checks the column-major tile walk against the
     # stack, and the checkpoints send prefix views of one chunk through it.
     "audit-n8": ["audit", "--n", "8", "--trials", "2000", "--seed", "21"],
+    # The replay checks the wide record count against the stack, on one
+    # full row tile and one short one.
+    "audit-n100": ["audit", "--n", "100", "--trials", "2000", "--seed", "34"],
     "simulate-n11-checkpoints": [
         "simulate", "--n", "11", "--trials", "20000", "--seed", "13",
         "--checkpoints", "auto",
