@@ -25,10 +25,14 @@ last ``_SHORT_COLUMNS`` columns of every row, and the record count every
 column of rows of at most ``_NARROW_COLUMNS`` values.
 ``simulate_trajectory_audit`` is the slow counterpart that replays each
 trajectory through the incremental stack and checks conservation step
-by step.
+by step.  The replay is pure Python, so threads cannot share it: it runs
+in ranges of one tile of rows, in trial order, on forked worker
+processes, one per usable CPU, and in-process on one CPU, on one range
+or where the platform cannot fork.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -92,9 +96,11 @@ class SimConfig:
 
     ``kmax`` pools break counts above it into an overflow bucket.
     ``workers`` only changes how chunks are scheduled, never the numbers:
-    it defaults to and is clamped to ``usable_cpus()`` threads, each with
-    at most two chunks in flight.  An ``n`` whose trial row is over the
-    sampler's cap is refused with CapacityError here, before any work.
+    it defaults to and is clamped to ``usable_cpus()``, each worker with at
+    most two chunks in flight.  The sampler's workers are threads; the
+    audit's are forked processes, since its replay holds the GIL.  An
+    ``n`` whose trial row is over the sampler's cap is refused with
+    CapacityError here, before any work.
     """
 
     n: int
@@ -400,27 +406,35 @@ def _threads(cfg: SimConfig) -> int:
 
 def _merge_chunks(
     cfg: SimConfig,
-    chunk_fn: Callable[[int, int], tuple[np.ndarray, int]],
+    chunk_fn: Callable[[int, int], tuple],
     shape: int | tuple[int, ...],
+    rows: int,
+    workers: int,
+    fork: bool = False,
 ) -> tuple[np.ndarray, int]:
-    """Run ``chunk_fn`` over every trial range and add up its counts.
+    """Run ``chunk_fn`` over the trials, ``rows`` at a time, and add up its counts.
 
-    Chunks go in trial order to ``min(cfg.workers, usable_cpus())``
-    threads, with at most two per thread in flight, and are summed in
-    that order; one thread is the serial case.  Memory therefore follows
-    the window, not the chunk count, and on the first failure the queued
-    chunks are cancelled and ``PartialResultError.completed`` counts the
-    exact prefix of trials already summed.
+    Ranges go in trial order to ``workers`` threads, or with ``fork`` to
+    that many forked processes, with at most two per worker in flight, and
+    are summed in that order; one thread is the serial case.  Memory
+    therefore follows the window, not the range count.  On the first
+    failure in trial order the queued ranges are cancelled: an
+    InvariantError passes through unchanged, and any other failure, a dead
+    worker included, becomes PartialResultError whose ``completed`` counts
+    the exact prefix of trials already summed.
     """
-    chunks = _chunk_ranges(cfg.trials, _rows_per_chunk(cfg.n))
-    threads = _threads(cfg)
+    chunks = _chunk_ranges(cfg.trials, rows)
+    if fork:
+        pool, call = _forked_pool(chunk_fn, workers), _run_adopted
+    else:
+        pool, call = ThreadPoolExecutor(max_workers=workers), chunk_fn
     counts = np.zeros(shape, dtype=np.int64)
     redraws = completed = 0
     pending: deque = deque()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with pool:
         while True:
-            for t0, t1 in islice(chunks, 2 * threads - len(pending)):
-                pending.append((pool.submit(chunk_fn, t0, t1), t1 - t0))
+            for t0, t1 in islice(chunks, 2 * workers - len(pending)):
+                pending.append((pool.submit(call, t0, t1), t1 - t0))
             if not pending:
                 return counts, redraws
             fut, size = pending.popleft()
@@ -429,6 +443,8 @@ def _merge_chunks(
             except Exception as exc:
                 for queued, _ in pending:
                     queued.cancel()
+                if isinstance(exc, InvariantError):
+                    raise
                 raise PartialResultError(
                     f"simulation stopped after {completed} of {cfg.trials} trials",
                     completed=completed,
@@ -438,7 +454,41 @@ def _merge_chunks(
             completed += size
 
 
-def _run_block(cfg: SimConfig, wall: float, rate: str, work: int, **facts) -> dict:
+def _forked_pool(chunk_fn: Callable[[int, int], tuple], workers: int):
+    """A pool of ``workers`` forked processes, each holding ``chunk_fn``.
+
+    The function reaches the workers through the fork, not through pickle,
+    so it may be a closure; only trial ranges and results are pickled.  The
+    pool forks its workers before it starts a thread of its own.  Its
+    modules are imported here so that only a run that forks pays for them.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt,
+        initargs=(chunk_fn,),
+    )
+
+
+# Set only in a forked worker: the chunk function it runs.
+_adopted: Callable[[int, int], tuple] | None = None
+
+
+def _adopt(chunk_fn: Callable[[int, int], tuple]) -> None:
+    global _adopted
+    _adopted = chunk_fn
+
+
+def _run_adopted(t0: int, t1: int) -> tuple:
+    return _adopted(t0, t1)
+
+
+def _run_block(
+    cfg: SimConfig, rows: int, wall: float, rate: str, work: int, **facts
+) -> dict:
     """Volatile facts of one run, kept apart from the reproducible result."""
     # The package imports this module before it sets __version__, so the
     # version is read at run time, when the package is whole.
@@ -448,7 +498,7 @@ def _run_block(cfg: SimConfig, wall: float, rate: str, work: int, **facts) -> di
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "wall_time_s": round(wall, 3),
         **facts,
-        "chunks": -(-cfg.trials // _rows_per_chunk(cfg.n)),
+        "chunks": -(-cfg.trials // rows),
         rate: round(work / wall, 1) if wall > 0 else None,
         "numpy": np.__version__,
         "brokenrecords": __version__,
@@ -465,7 +515,10 @@ def _base_meta(cfg: SimConfig, redraws: int, wall: float, mode: str) -> dict:
         "generator": GENERATOR,
         "words_per_trial": _words_per_trial(cfg.n),
         "tie_redraws": redraws,
-        "run": _run_block(cfg, wall, "trials_per_s", cfg.trials, workers=_threads(cfg)),
+        "run": _run_block(
+            cfg, _rows_per_chunk(cfg.n), wall, "trials_per_s", cfg.trials,
+            workers=_threads(cfg),
+        ),
     }
 
 
@@ -492,7 +545,9 @@ def _simulate_breaks(config: SimConfig, ts: tuple[int, ...]) -> dict[int, Empiri
             out[row] = np.bincount(b, minlength=width)
         return out, rd
 
-    arr, redraws = _merge_chunks(config, chunk, (len(ts), width))
+    arr, redraws = _merge_chunks(
+        config, chunk, (len(ts), width), _rows_per_chunk(config.n), _threads(config)
+    )
     meta = _base_meta(config, redraws, time.perf_counter() - start, "break-count")
     return {
         t: EmpiricalPmf(
@@ -548,7 +603,9 @@ def simulate_r(config: SimConfig) -> EmpiricalPmf:
         vals, rd = trial_values(config.seed, config.n, t0, t1)
         return np.bincount(record_counts(vals), minlength=config.n + 2), rd
 
-    arr, redraws = _merge_chunks(config, chunk, config.n + 2)
+    arr, redraws = _merge_chunks(
+        config, chunk, config.n + 2, _rows_per_chunk(config.n), _threads(config)
+    )
     counts = {r: int(arr[r]) for r in range(1, config.n + 2)}
     meta = _base_meta(config, redraws, time.perf_counter() - start, "record-count")
     return EmpiricalPmf(
@@ -620,54 +677,71 @@ def check_trajectory(
         )
 
 
-def simulate_trajectory_audit(config: SimConfig) -> AuditReport:
-    """Replay every trial step by step and verify all invariants.
+def _audit_chunk(config: SimConfig, t0: int, t1: int) -> tuple[int, int]:
+    """Replay trials [t0, t1) and check them; return (steps checked, redraws).
 
     Each trajectory runs through the incremental stack, is checked with
     ``check_trajectory``, and its final counts are compared against the
-    vectorized chunk statistics.  Any discrepancy raises InvariantError
-    with the trial coordinates; a returned report means everything held.
+    vectorized chunk statistics.  The first discrepancy raises
+    InvariantError with the trial coordinates.
+    """
+    vals, redraws = trial_values(config.seed, config.n, t0, t1)
+    vec_b = final_break_counts(vals).tolist()
+    vec_r = record_counts(vals).tolist()
+    for r in range(t1 - t0):
+        trial = t0 + r
+        row = vals[r].tolist()
+        try:
+            stats = run_trajectory(row)
+        except TieError as exc:
+            raise InvariantError(
+                f"tie survived redraw in trial {trial}",
+                seed=config.seed,
+                trial=trial,
+            ) from exc
+        check_trajectory(stats, row, seed=config.seed, trial=trial)
+        if stats.b_path and stats.b_path[-1] != vec_b[r]:
+            raise InvariantError(
+                "vectorized break count disagrees with the stack",
+                seed=config.seed,
+                trial=trial,
+                step=config.n,
+            )
+        if stats.r_path[-1] != vec_r[r]:
+            raise InvariantError(
+                "vectorized record count disagrees with the stack",
+                seed=config.seed,
+                trial=trial,
+                step=config.n,
+            )
+    return (t1 - t0) * config.n, redraws
+
+
+def simulate_trajectory_audit(config: SimConfig) -> AuditReport:
+    """Replay every trial step by step and verify all invariants.
+
+    Trials are audited by ``_audit_chunk`` in ranges of one tile of rows
+    (``_TILE_VALUES // _words_per_trial(n)``, at least one), in trial
+    order.  The ranges go to ``min(workers, usable_cpus(), ranges)``
+    forked processes, or run in-process when that is one or the platform
+    cannot fork; ``run["workers"]`` says which.  The lowest failing trial
+    raises InvariantError with its coordinates, under any worker count; a
+    returned report means everything held.
     """
     start = time.perf_counter()
-    checked = 0
-    redraws_total = 0
-    for t0, t1 in _chunk_ranges(config.trials, _rows_per_chunk(config.n)):
-        vals, redraws = trial_values(config.seed, config.n, t0, t1)
-        redraws_total += redraws
-        vec_b = final_break_counts(vals).tolist()
-        vec_r = record_counts(vals).tolist()
-        for r in range(t1 - t0):
-            trial = t0 + r
-            row = vals[r].tolist()
-            try:
-                stats = run_trajectory(row)
-            except TieError as exc:
-                raise InvariantError(
-                    f"tie survived redraw in trial {trial}",
-                    seed=config.seed,
-                    trial=trial,
-                ) from exc
-            check_trajectory(stats, row, seed=config.seed, trial=trial)
-            if stats.b_path and stats.b_path[-1] != vec_b[r]:
-                raise InvariantError(
-                    "vectorized break count disagrees with the stack",
-                    seed=config.seed,
-                    trial=trial,
-                    step=config.n,
-                )
-            if stats.r_path[-1] != vec_r[r]:
-                raise InvariantError(
-                    "vectorized record count disagrees with the stack",
-                    seed=config.seed,
-                    trial=trial,
-                    step=config.n,
-                )
-            checked += config.n
+    rows = max(1, _TILE_VALUES // _words_per_trial(config.n))
+    workers = 1
+    if hasattr(os, "fork"):
+        workers = min(config.workers, usable_cpus(), -(-config.trials // rows))
+    steps, redraws = _merge_chunks(
+        config, functools.partial(_audit_chunk, config), (), rows, workers, fork=workers > 1
+    )
+    checked = int(steps)
     wall = time.perf_counter() - start
     return AuditReport(
         n=config.n,
         trials=config.trials,
         steps_checked=checked,
-        tie_redraws=redraws_total,
-        run=_run_block(config, wall, "steps_per_s", checked),
+        tie_redraws=redraws,
+        run=_run_block(config, rows, wall, "steps_per_s", checked, workers=workers),
     )

@@ -398,6 +398,7 @@ class TestAuditCommand:
         assert set(run_a) == set(run_b) == {
             "timestamp",
             "wall_time_s",
+            "workers",
             "chunks",
             "steps_per_s",
             "numpy",
@@ -406,7 +407,8 @@ class TestAuditCommand:
         assert run_a["chunks"] == 1
 
     def test_sampler_flags_are_usage_errors(self, capsys):
-        # The replay neither pools counts nor schedules chunks.
+        # The replay pools no counts, and its worker processes follow the
+        # usable CPUs (``taskset -c 0`` gives a serial run).
         for flag, value in (("--workers", "2"), ("--kmax", "4")):
             argv = ["audit", "--n", "5", "--trials", "10", "--seed", "1", flag, value]
             assert main(argv) == 2
@@ -414,18 +416,29 @@ class TestAuditCommand:
 
 
 class TestImportPath:
-    def test_cli_import_leaves_scipy_out(self):
+    def _loaded_after_cli_import(self, *prefixes):
+        """Modules under ``prefixes`` that ``import brokenrecords.cli`` loads."""
         src = os.path.dirname(os.path.dirname(brokenrecords.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         probe = (
             "import sys, brokenrecords.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         ).stdout
-        assert out.strip() == "[]"
+        return out.strip()
+
+    def test_cli_import_leaves_scipy_out(self):
+        assert self._loaded_after_cli_import("scipy") == "[]"
+
+    def test_cli_import_leaves_multiprocessing_out(self):
+        # Only an audit that forks workers imports these.
+        assert (
+            self._loaded_after_cli_import("multiprocessing", "concurrent.futures.process")
+            == "[]"
+        )
 
 
 class TestExitCodes:

@@ -4,7 +4,12 @@ Statistical assertions run at frozen seeds whose margins were confirmed
 to sit far inside the stated tolerances, so no test here is flaky.
 """
 
+import multiprocessing
+import os
+import threading
+import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -1165,19 +1170,115 @@ class TestAuditCatchesPlantedFaults:
         assert scanned == rows
 
     def test_run_block(self, monkeypatch):
-        monkeypatch.setattr(mc, "_TARGET_CHUNK_VALUES", 4 * mc._words_per_trial(20))
+        monkeypatch.setattr(mc, "_TILE_VALUES", 4 * mc._words_per_trial(20))
         a = simulate_trajectory_audit(self.cfg)
         b = simulate_trajectory_audit(self.cfg)
         assert a == b
         assert set(a.run) == {
             "timestamp",
             "wall_time_s",
+            "workers",
             "chunks",
             "steps_per_s",
             "numpy",
             "brokenrecords",
         }
         assert a.run["chunks"] == 8  # 30 trials, 4 per chunk
+
+
+def _within(seconds, fn):
+    """``fn()`` on a daemon thread; fails the test if it runs past ``seconds``."""
+    out = {}
+
+    def run():
+        try:
+            out["result"] = fn()
+        except BaseException as exc:  # handed to the test thread below
+            out["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"still running after {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
+
+
+class TestAuditInWorkerProcesses:
+    """Forked workers give the in-process report, and its failures."""
+
+    n, trials, seed = 20, 30, 41
+    rows = 5  # rows per range, so the 30 trials span 6 ranges
+
+    @pytest.fixture(autouse=True)
+    def _small_ranges(self, monkeypatch):
+        monkeypatch.setattr(mc, "_TILE_VALUES", self.rows * mc._words_per_trial(self.n))
+        # Two CPUs even on a one-CPU host, so workers=2 forks.
+        monkeypatch.setattr(mc, "usable_cpus", lambda: 2)
+
+    def _audit(self, workers):
+        cfg = SimConfig(n=self.n, trials=self.trials, seed=self.seed, workers=workers)
+        try:
+            return _within(60, lambda: simulate_trajectory_audit(cfg))
+        finally:
+            assert multiprocessing.active_children() == []
+
+    def _plant(self, monkeypatch, *trials):
+        """``final_break_counts`` one too high on the rows of ``trials``."""
+        planted = [trial_values(self.seed, self.n, t, t + 1)[0][0] for t in trials]
+        real = mc.final_break_counts
+
+        def fake(vals):
+            out = real(vals)
+            for row in planted:
+                out[(vals == row).all(axis=1)] += 1
+            return out
+
+        monkeypatch.setattr(mc, "final_break_counts", fake)
+
+    def test_reports_agree(self):
+        serial, forked = self._audit(1), self._audit(2)
+        assert serial == forked
+        assert serial.steps_checked == self.n * self.trials
+        assert (serial.run["workers"], forked.run["workers"]) == (1, 2)
+        assert serial.run["chunks"] == forked.run["chunks"] == 6
+
+    # A second planted trial in the same range, or in a later one.
+    @pytest.mark.parametrize("planted", [(7,), (7, 8), (7, 27)])
+    def test_the_lowest_planted_trial_is_reported(self, planted, monkeypatch):
+        self._plant(monkeypatch, *planted)
+        caught = []
+        for workers in (1, 2):
+            with pytest.raises(InvariantError) as exc:
+                self._audit(workers)
+            assert type(exc.value) is InvariantError
+            caught.append((exc.value.seed, exc.value.trial, exc.value.step, str(exc.value)))
+        message = "vectorized break count disagrees with the stack"
+        assert caught == [(self.seed, 7, self.n, message)] * 2
+
+    def test_a_dead_worker_stops_the_run_at_the_summed_prefix(self, monkeypatch):
+        parent, real = os.getpid(), mc.trial_values
+
+        def dying(seed, n, t0, t1):
+            if t0 == 2 * self.rows:
+                if os.getpid() == parent:
+                    raise RuntimeError("the third range ran in the test process")
+                time.sleep(0.5)  # ranges 0 and 1 are summed meanwhile
+                os._exit(1)
+            return real(seed, n, t0, t1)
+
+        monkeypatch.setattr(mc, "trial_values", dying)
+        with pytest.raises(PartialResultError) as exc:
+            self._audit(2)
+        assert exc.value.completed == 2 * self.rows
+        assert isinstance(exc.value.__cause__, BrokenProcessPool)
+
+    def test_without_fork_the_audit_runs_in_process(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        report = self._audit(2)
+        assert report == self._audit(1)
+        assert report.run["workers"] == 1
 
 
 def _stats(n, r_path, b_path, idx):

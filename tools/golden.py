@@ -64,8 +64,9 @@ INVOCATIONS: dict[str, list[str]] = {
     # Short rows: the replay checks the column-major tile walk against the
     # stack, and the checkpoints send prefix views of one chunk through it.
     "audit-n8": ["audit", "--n", "8", "--trials", "2000", "--seed", "21"],
-    # The replay checks the wide record count against the stack, on one
-    # full row tile and one short one.
+    # The replay checks the wide record count against the stack, in four
+    # ranges of at most 630 rows (each less than one row tile), which go
+    # to forked worker processes on more than one CPU.
     "audit-n100": ["audit", "--n", "100", "--trials", "2000", "--seed", "34"],
     "simulate-n11-checkpoints": [
         "simulate", "--n", "11", "--trials", "20000", "--seed", "13",
