@@ -83,12 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exact masses and survivor tails")
     p.add_argument("--n", type=int, required=True, help="number of steps")
     p.add_argument("--kmax", type=int, default=None, help="largest break count tabulated")
-    p.add_argument(
-        "--tail-max-n",
-        type=int,
-        default=reports.TAIL_EXACT_MAX_N,
-        help="largest n for which the exact law and survivor tails are computed",
-    )
     _add_output_flags(p)
 
     p = sub.add_parser("oracle", help="exact law by exhaustive enumeration")
@@ -138,12 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="base seed of the sweep (omitted: one is generated and printed)",
     )
     _add_workers_flag(p)
-    p.add_argument(
-        "--tail-max-n",
-        type=int,
-        default=reports.TAIL_EXACT_MAX_N,
-        help="largest n for which the exact law and survivor tails are computed",
-    )
     _add_output_flags(p)
 
     p = sub.add_parser("gof", help="fit of simulated break counts to the references")
@@ -177,7 +165,7 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 def cmd_exact(args: argparse.Namespace) -> dict:
-    return reports.exact_table(args.n, args.kmax, tail_max_n=args.tail_max_n)
+    return reports.exact_table(args.n, args.kmax)
 
 
 def cmd_oracle(args: argparse.Namespace) -> dict:
@@ -210,14 +198,7 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
 def cmd_converge(args: argparse.Namespace) -> dict:
     n_list = _int_list(args.n_list, "--n-list")
     seed = _resolve_seed(args) if args.trials > 0 else args.seed or 0
-    return reports.converge_table(
-        n_list,
-        args.kmax,
-        args.trials,
-        seed,
-        workers=args.workers,
-        tail_max_n=args.tail_max_n,
-    )
+    return reports.converge_table(n_list, args.kmax, args.trials, seed, workers=args.workers)
 
 
 def cmd_gof(args: argparse.Namespace) -> dict:

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
-from .errors import UsageError
+from .errors import CapacityError, UsageError
 from .exact import (
     exact_pmf_b,
     expected_record_count,
@@ -36,7 +36,6 @@ from .montecarlo import (
 )
 from .oracle import oracle_joint, oracle_pmf_r
 
-TAIL_EXACT_MAX_N = 2000
 # converge and gof add the enumerated law up to n = 8 (about 25 ms).
 ENUMERATION_MAX_N = 8
 MIN_EXPECTED_PER_BIN = 5.0
@@ -104,41 +103,34 @@ def build_row(
     }
 
 
-def _exact_columns(
-    n: int, top: int, tail_max_n: int
-) -> list[tuple[Fraction | None, Fraction | None]]:
+def _exact_columns(n: int, top: int) -> list[tuple[Fraction | None, Fraction | None]]:
     """(exact_full, exact_tail) for k = 0..top.
 
-    Up to ``tail_max_n`` one ``exact_pmf_b`` pass gives the full mass at
-    every k and the survivor tail at k >= 1; beyond it only the k <= 1
-    closed forms remain and the tails stay empty.
+    One ``exact_pmf_b`` pass gives the full mass at every k and the
+    survivor tail at k >= 1.  Where the pass is over its ceiling, which it
+    knows from the sizes alone, only the k <= 1 closed forms remain and the
+    tails stay empty.
     """
-    if top < 0:
-        raise UsageError(f"kmax must be nonnegative, got {top}")
-    if tail_max_n < 0:
-        raise UsageError(f"tail_max_n must be nonnegative, got {tail_max_n}")
-    if n <= tail_max_n:
+    try:
         law = exact_pmf_b(n, top)
-        return [(law.prob(k), law.tail_mass(k) if k else None) for k in range(top + 1)]
-    closed = (prob_b0(n), prob_b1(n))
-    return [(closed[k] if k <= 1 else None, None) for k in range(top + 1)]
+    except CapacityError:
+        closed = (prob_b0(n), prob_b1(n))
+        return [(closed[k] if k <= 1 else None, None) for k in range(top + 1)]
+    return [(law.prob(k), law.tail_mass(k) if k else None) for k in range(top + 1)]
 
 
-def exact_table(n: int, kmax: int | None = None, *, tail_max_n: int = TAIL_EXACT_MAX_N) -> dict:
+def exact_table(n: int, kmax: int | None = None) -> dict:
     """Exact table for one n: full masses and survivor tails at every k.
 
-    Both columns come from one integer pass up to ``tail_max_n``, whose
-    cost grows like n * n * kmax; a larger n keeps the k <= 1 closed forms
-    and leaves the other cells empty.
+    Both columns come from one integer pass; past the pass's ceiling the
+    k <= 1 closed forms stay and the other cells are empty.
     """
-    if n < 1:
-        raise UsageError(f"n must be at least 1, got {n}")
     top = min(kmax, n) if kmax is not None else min(n, 8)
     rows = [
         build_row(n, k, exact_full=full, exact_tail=tail)
-        for k, (full, tail) in enumerate(_exact_columns(n, top, tail_max_n))
+        for k, (full, tail) in enumerate(_exact_columns(n, top))
     ]
-    meta = {"command": "exact", "n": n, "kmax": top, "tail_max_n": tail_max_n}
+    meta = {"command": "exact", "n": n, "kmax": top}
     return {"meta": meta, "rows": rows}
 
 
@@ -175,12 +167,15 @@ def simulate_table(config: SimConfig, *, stat: str = "b") -> dict:
     For break counts every row carries the limiting mass and the observed
     deviation from it.  For record counts the table lists the observed
     values of r only, with the exact and sample means in the meta block;
-    the exact mean comes first, so its capacity refusal precedes any draw.
+    past the exact mean's ceiling it and its deviation are empty.
     """
     if stat not in ("b", "r"):
         raise UsageError(f"stat must be b or r, got {stat!r}")
     if stat == "r":
-        exact_mean = expected_record_count(config.n)
+        try:
+            exact_mean = expected_record_count(config.n)
+        except CapacityError:
+            exact_mean = None
         emp = simulate_r(config)
         rows = [
             {
@@ -198,7 +193,9 @@ def simulate_table(config: SimConfig, *, stat: str = "b") -> dict:
         meta["sample_mean"] = emp.mean()
         meta["sample_mean_stderr"] = emp.mean_stderr()
         meta["exact_mean"] = exact_mean
-        meta["abs_mean_dev"] = abs(emp.mean() - float(exact_mean))
+        meta["abs_mean_dev"] = (
+            None if exact_mean is None else abs(emp.mean() - float(exact_mean))
+        )
         return {"meta": meta, "rows": rows}
     emp = simulate_b(config)
     rows = [
@@ -242,17 +239,17 @@ def converge_table(
     seed: int,
     *,
     workers: int | None = None,
-    tail_max_n: int = TAIL_EXACT_MAX_N,
 ) -> dict:
     """Deviation-from-limit table across a sweep of n.
 
     Each n gets enumeration up to ``ENUMERATION_MAX_N``, otherwise a
     simulation of ``trials`` trajectories (sharing one seed across the
-    sweep).  Full masses and survivor tails come from one exact pass per n
-    up to ``tail_max_n``, and only the k <= 1 closed forms beyond it.
-    Every argument is checked before any exact pass, enumeration or draw;
-    the seed and worker count by the sampler's rules, even when no n is
-    sampled.  ``workers`` defaults to ``usable_cpus()`` at call time.
+    sweep).  Full masses and survivor tails come from one exact pass per n,
+    and only the k <= 1 closed forms past the pass's ceiling.  Every
+    argument is checked before any enumeration or draw; the seed and worker
+    count by the sampler's rules, even when no n is sampled, and the kmax
+    by the first n's exact pass.  ``workers`` defaults to ``usable_cpus()``
+    at call time.
     """
     if not n_list:
         raise UsageError("n_list must name at least one n")
@@ -262,13 +259,11 @@ def converge_table(
         raise UsageError(f"every n must be at least 1, got {min(n_list)}")
     workers = usable_cpus() if workers is None else workers
     check_seed_and_workers(seed, workers)
-    # Every exact pass first, so a bad kmax or tail_max_n, or an n over the
-    # exact ceiling, refuses before any enumeration or sampling.
-    exact = [_exact_columns(n, min(kmax, n), tail_max_n) for n in n_list]
     rows = []
     oracle_ns: list[int] = []
     simulated_ns: list[int] = []
-    for n, columns in zip(n_list, exact):
+    for n in n_list:
+        columns = _exact_columns(n, min(kmax, n))
         opmf = None
         if n <= ENUMERATION_MAX_N:
             opmf = oracle_joint(n).marginal_b()
@@ -298,7 +293,6 @@ def converge_table(
         "seed": seed,
         "oracle_n": oracle_ns,
         "simulated_n": simulated_ns,
-        "tail_max_n": tail_max_n,
     }
     return {"meta": meta, "rows": rows}
 
@@ -418,14 +412,8 @@ def gof_report(config: SimConfig) -> dict:
     return {"meta": meta, "rows": rows}
 
 
-def _scalar(value) -> object:
-    if isinstance(value, Fraction):
-        return rational_str(value)
-    return value
-
-
-def _flatten_meta(meta: dict, prefix: str = "") -> list[tuple[str, object]]:
-    out: list[tuple[str, object]] = []
+def _flatten_meta(meta: dict, prefix: str = "") -> list[tuple[str, str]]:
+    out: list[tuple[str, str]] = []
     for key, value in meta.items():
         name = f"{prefix}{key}"
         if isinstance(value, dict):
@@ -433,7 +421,7 @@ def _flatten_meta(meta: dict, prefix: str = "") -> list[tuple[str, object]]:
         elif isinstance(value, (list, tuple)):
             out.append((name, ",".join(str(v) for v in value)))
         else:
-            out.append((name, _scalar(value)))
+            out.append((name, _csv_cell(value)))
     return out
 
 

@@ -62,8 +62,9 @@ class TestExactCommand:
         assert main(["exact", "--n", "0"]) == 2
 
     def test_negative_kmax_past_the_exact_pass_is_usage_error(self, capsys):
-        # n = 3000 is past --tail-max-n, so no exact pass sees the kmax.
-        assert main(["exact", "--n", "3000", "--kmax", "-1"]) == 2
+        # n = 10**9 is past the exact ceiling, so no pass runs; exact_pmf_b
+        # checks the kmax before its ceiling all the same.
+        assert main(["exact", "--n", str(10**9), "--kmax", "-1"]) == 2
         assert capsys.readouterr().err == "usage: kmax must be nonnegative, got -1\n"
 
     @pytest.mark.parametrize(
@@ -71,22 +72,23 @@ class TestExactCommand:
         [["exact", "--n", "5"], ["converge", "--n-list", "5"]],
         ids=["exact", "converge"],
     )
-    def test_negative_tail_max_n_is_usage_error(self, argv, capsys):
-        assert main([*argv, "--tail-max-n", "-1"]) == 2
-        assert "tail_max_n must be nonnegative" in capsys.readouterr().err
+    def test_tail_max_n_is_an_unknown_argument(self, argv, capsys):
+        # The exact pass's own ceiling is the only one, and no flag moves it.
+        assert main([*argv, "--tail-max-n", "10"]) == 2
+        assert "unrecognized arguments: --tail-max-n 10" in capsys.readouterr().err
 
-    def test_exact_route_ceiling_exits_3(self, capsys):
-        # Refused from the sizes alone, before any pass or simulation, so
-        # this allocates nothing.
-        huge = str(10**9)
-        assert main(["exact", "--n", huge, "--tail-max-n", huge]) == 3
-        assert "capacity" in capsys.readouterr().err
-        code = main([
-            "converge", "--n-list", huge, "--tail-max-n", huge,
-            "--trials", "10", "--seed", "1",
-        ])
-        assert code == 3
-        assert "capacity" in capsys.readouterr().err
+    def test_past_the_exact_ceiling_exits_0(self, capsys):
+        # The pass refuses n = 10**9 from the sizes alone, before any
+        # arithmetic, so the k <= 1 closed forms fill the table.
+        n = 10**9
+        closed = ["1/2", str(F(1, 4) + F(1, 2 * n * (n + 1)))]
+        code, rep = run_json(capsys, "exact", "--n", str(n))
+        assert code == 0
+        assert [r["exact_full"] for r in rep["rows"]] == closed + [None] * 7
+        assert all(r["exact_tail"] is None for r in rep["rows"])
+        code, rep = run_json(capsys, "converge", "--n-list", str(n), "--kmax", "2")
+        assert code == 0
+        assert [r["exact_full"] for r in rep["rows"]] == closed + [None]
 
 
 class TestOracleCommand:
@@ -233,17 +235,20 @@ class TestSimulateCommand:
         with _unlimited_int_digits():
             assert Fraction(printed) == brokenrecords.expected_record_count(10000)
 
-    def test_record_stat_exact_mean_refused_before_any_draw(self, monkeypatch, capsys):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a draw started before the exact-mean refusal")
-
+    def test_record_stat_samples_past_the_exact_mean_ceiling(self, monkeypatch, capsys):
+        argv = ["simulate", "--n", "10", "--trials", "5", "--seed", "1", "--stat", "r"]
+        code, full = run_json(capsys, *argv)
+        assert code == 0
+        # n * n = 100 is over this ceiling: the mean cells are empty, and the
+        # draw is the unpatched one.
         monkeypatch.setattr(brokenrecords.exact, "EXACT_MAX_WORK", 99)
-        monkeypatch.setattr(mc, "_raw_rows", refuse)
-        code = main([
-            "simulate", "--n", "10", "--trials", "5", "--seed", "1", "--stat", "r",
-        ])
-        assert code == 3
-        assert "exact mean record count for n=10" in capsys.readouterr().err
+        code, capped = run_json(capsys, *argv)
+        assert code == 0
+        assert (capped["meta"]["exact_mean"], capped["meta"]["abs_mean_dev"]) == (None, None)
+        assert capped["rows"] == full["rows"]
+        assert main([*argv, "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert {"# exact_mean=", "# abs_mean_dev="} <= set(lines)
 
     def test_missing_trials_is_usage_exit(self):
         assert main(["simulate", "--n", "3"]) == 2
@@ -323,19 +328,22 @@ class TestConvergeCommand:
         assert capsys.readouterr().err.startswith("usage: ")
         assert calls == []
 
-    def test_exact_ceiling_refused_before_any_sampling(self, monkeypatch, capsys):
-        # n = 40000 at kmax 6 is over the exact pass's work cap; the n before
-        # it must be neither enumerated nor sampled first.
-        calls = []
-        monkeypatch.setattr(cli.reports, "simulate_b", calls.append)
-        monkeypatch.setattr(cli.reports, "oracle_joint", calls.append)
-        argv = [
-            "converge", "--n-list", "8,3000,40000", "--kmax", "6",
-            "--trials", "200000", "--seed", "1", "--tail-max-n", "50000",
-        ]
-        assert main(argv) == 3
-        assert capsys.readouterr().err.startswith("capacity:")
-        assert calls == []
+    def test_past_the_exact_ceiling_the_sweep_still_samples(self, monkeypatch, capsys):
+        # At kmax 3, n = 50 sits on this ceiling and n = 51 is past it.
+        monkeypatch.setattr(brokenrecords.exact, "EXACT_MAX_WORK", 4 * 50 * 50)
+        code, rep = run_json(
+            capsys,
+            "converge", "--n-list", "8,50,51", "--kmax", "3",
+            "--trials", "2000", "--seed", "1",
+        )
+        assert code == 0
+        assert rep["meta"]["simulated_n"] == [50, 51]
+        by = {(r["n"], r["k"]): r for r in rep["rows"]}
+        assert all(by[(50, k)]["exact_full"] is not None for k in range(4))
+        assert [by[(51, k)]["exact_full"] is None for k in range(4)] == [False, False, True, True]
+        # Past the ceiling the deviation falls back to the sample.
+        row = by[(51, 2)]
+        assert row["abs_dev"] == abs(row["empirical"] - 0.125)
 
 
 class TestGofCommand:
@@ -575,10 +583,11 @@ class TestGoldenBytes:
     """Reports pinned byte for byte by their sha256.
 
     The digests were taken from the row-major enumeration kernel that the
-    column-major one replaced (the oracle's again once its ``max_n`` meta
-    line was dropped, the only change to its bytes); a kernel or
-    exact-route change that moves one digit of these reports fails here.  The argv of the first is the
-    converge-sweep benchmark workload.
+    column-major one replaced, and again once the oracle's ``max_n`` and
+    the sweep's ``tail_max_n`` meta lines were dropped, the only change to
+    their bytes.  A kernel or exact-route change that moves one digit of
+    these reports fails here.  The argv of the first is the converge-sweep
+    benchmark workload.
     """
 
     @pytest.mark.parametrize(
@@ -586,7 +595,7 @@ class TestGoldenBytes:
         [
             (
                 ["converge", "--n-list", "2,4,8,64,512,2000", "--kmax", "8"],
-                "f98e31fae9436cce8dd94bb7058fa493b6845c17ade4699a1c2087ab73063031",
+                "42947d43fafb2bd1843388e67dc2bc17ba9252a9b7ef364e631e7e8673b1c934",
             ),
             (
                 ["oracle", "--n", "8", "--view", "joint"],

@@ -6,6 +6,7 @@ that tie the two routes together).
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -310,13 +311,15 @@ class TestExactPmfB:
         assert "ceiling" in str(exc.value)
         with pytest.raises(CapacityError):
             exact_pmf_b(10**4, 10**4)
-        assert main(["exact", "--n", "100000", "--kmax", "1", "--tail-max-n", "100000"]) == 3
-        assert "capacity" in capsys.readouterr().err
+        # The report keeps the k <= 1 closed forms there, and no tails.
+        assert main(["exact", "--n", "100000", "--kmax", "1", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["exact_tail"] for r in rows] == [None, None]
 
     def test_kmax_0_is_never_refused(self, capsys):
         # P[B_n = 0] = 1/2 needs no pass, so the ceiling does not apply.
         assert exact_pmf_b(10**9, 0).mass == {0: F(1, 2)}
-        assert main(["exact", "--n", "200000", "--kmax", "0", "--tail-max-n", "200000"]) == 0
+        assert main(["exact", "--n", "200000", "--kmax", "0"]) == 0
         assert "1/2" in capsys.readouterr().out
 
     def test_tails_share_one_denominator(self):

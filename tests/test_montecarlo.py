@@ -1281,6 +1281,60 @@ class TestAuditInWorkerProcesses:
         assert report.run["workers"] == 1
 
 
+class TestAuditChunkAcrossTiles:
+    """One audit range spans several tiles of every kernel.
+
+    With 60-value tiles, rows of 12 values (n = 11) go five to a tile in
+    every kernel.  Rows of 101 values (n = 100) go one to a tile in the tie
+    screen and in the record count, which reads each in two column blocks,
+    and five to a tile in the break count, which reads the last 12 columns
+    in tiles.  Trials [3, 23) are therefore 4 to 20 tiles of each kernel.
+    """
+
+    seed, t0, t1 = 17, 3, 23
+
+    @pytest.fixture(autouse=True)
+    def _small_tiles(self, monkeypatch):
+        monkeypatch.setattr(mc, "_TILE_VALUES", 60)
+
+    def _audit(self, n):
+        cfg = SimConfig(n=n, trials=self.t1, seed=self.seed)
+        return mc._audit_chunk(cfg, self.t0, self.t1)
+
+    @pytest.mark.parametrize("n", [11, 100])
+    def test_the_range_passes(self, n):
+        assert self._audit(n) == ((self.t1 - self.t0) * n, 0)
+
+    @pytest.mark.parametrize(
+        "n, kernel, tile_rows",
+        [
+            (11, "final_break_counts", 5),
+            (100, "final_break_counts", 5),
+            (11, "record_counts", 5),
+            (100, "record_counts", 1),
+        ],
+    )
+    def test_a_fault_in_the_second_tile_names_its_trial(
+        self, n, kernel, tile_rows, monkeypatch
+    ):
+        row = tile_rows + tile_rows // 2  # a row of the kernel's second tile
+        real = getattr(mc, kernel)
+
+        def planted(vals):
+            out = real(vals)
+            out[row] += 1
+            return out
+
+        monkeypatch.setattr(mc, kernel, planted)
+        with pytest.raises(InvariantError) as exc:
+            self._audit(n)
+        what = "break" if kernel == "final_break_counts" else "record"
+        assert str(exc.value) == f"vectorized {what} count disagrees with the stack"
+        assert (exc.value.seed, exc.value.trial, exc.value.step) == (
+            self.seed, self.t0 + row, n
+        )
+
+
 def _stats(n, r_path, b_path, idx):
     stack = RecordStack([RecordEntry(i, v) for i, v in idx])
     return TrajectoryStats(

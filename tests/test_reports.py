@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from brokenrecords import SimConfig, expected_record_count, oracle_joint, oracle_pmf_b
-from brokenrecords import reports
+from brokenrecords import exact, reports
 import brokenrecords.montecarlo as mc
 from brokenrecords.montecarlo import usable_cpus
 from brokenrecords.reports import (
@@ -101,15 +101,17 @@ class TestExactTable:
         assert rows[2]["exact_tail"] == 0  # survivor event impossible
         assert rows[1]["abs_dev"] == float(F(1, 12))
 
-    def test_tail_cutoff(self):
-        rep = exact_table(50, kmax=3, tail_max_n=10)
-        assert all(r["exact_tail"] is None for r in rep["rows"] if r["k"] >= 1)
-        full = [r["exact_full"] for r in rep["rows"]]
-        assert full == [F(1, 2), F(1, 4) + F(1, 5100), None, None]
-        rep2 = exact_table(50, kmax=3, tail_max_n=100)
-        assert all(
-            r["exact_tail"] is not None for r in rep2["rows"] if r["k"] >= 1
-        )
+    def test_cells_end_at_the_exact_ceiling(self, monkeypatch):
+        # At kmax 3 the pass costs n * n * 4, so n = 50 sits on this ceiling
+        # and n = 51 is past it, where only the k <= 1 closed forms remain.
+        monkeypatch.setattr(exact, "EXACT_MAX_WORK", 4 * 50 * 50)
+        law = exact.exact_pmf_b(50, 3)
+        rows = exact_table(50, kmax=3)["rows"]
+        assert [r["exact_full"] for r in rows] == [law.prob(k) for k in range(4)]
+        assert [r["exact_tail"] for r in rows] == [None] + [law.tail_mass(k) for k in (1, 2, 3)]
+        rows = exact_table(51, kmax=3)["rows"]
+        assert [r["exact_full"] for r in rows] == [F(1, 2), F(1, 4) + F(1, 5304), None, None]
+        assert all(r["exact_tail"] is None for r in rows)
 
     def test_full_law_at_every_k(self):
         rows = exact_table(4, kmax=4)["rows"]
@@ -241,6 +243,20 @@ class TestConvergeTable:
         for row in rep["rows"]:
             assert row["exact_full"] is not None
             assert row["abs_dev"] <= row["remainder_bound"], (row["n"], row["k"])
+
+    def test_cells_end_at_the_exact_ceiling(self, monkeypatch):
+        # As for exact_table: n = 50 sits on the ceiling, n = 51 is past it.
+        monkeypatch.setattr(exact, "EXACT_MAX_WORK", 4 * 50 * 50)
+        law = exact.exact_pmf_b(50, 3)
+        by = {(r["n"], r["k"]): r for r in converge_table([50, 51], 3, 0, 0)["rows"]}
+        assert [by[(50, k)]["exact_full"] for k in range(4)] == [law.prob(k) for k in range(4)]
+        assert [by[(50, k)]["exact_tail"] for k in range(4)] == [
+            None, *(law.tail_mass(k) for k in (1, 2, 3))
+        ]
+        assert [by[(51, k)]["exact_full"] for k in range(4)] == [
+            F(1, 2), F(1, 4) + F(1, 5304), None, None
+        ]
+        assert all(by[(51, k)]["exact_tail"] is None for k in range(4))
 
     def test_no_trials_leaves_empirical_empty(self):
         rep = converge_table([20], kmax=2, trials=0, seed=0)

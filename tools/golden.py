@@ -29,6 +29,10 @@ INVOCATIONS: dict[str, list[str]] = {
     "exact-n2000": ["exact", "--n", "2000", "--kmax", "8"],
     # Every k up to n, where the closed form for the masses cancels most.
     "exact-n40-full": ["exact", "--n", "40", "--kmax", "40"],
+    # Both sides of the exact pass's ceiling at the default kmax 8
+    # (n = 33,333): every cell, then only the k <= 1 closed forms.
+    "exact-n5000": ["exact", "--n", "5000", "--kmax", "8"],
+    "exact-n40000": ["exact", "--n", "40000", "--kmax", "8"],
     "oracle-n5-b": ["oracle", "--n", "5"],
     "oracle-n6-r": ["oracle", "--n", "6", "--view", "r"],
     "oracle-n8-joint": ["oracle", "--n", "8", "--view", "joint"],
@@ -47,6 +51,11 @@ INVOCATIONS: dict[str, list[str]] = {
     # in a short tile.
     "simulate-n300-r": [
         "simulate", "--n", "300", "--trials", "5000", "--seed", "3", "--stat", "r",
+        "--workers", "1",
+    ],
+    # Past the exact mean's ceiling (n = 10**5): its cells are empty.
+    "simulate-n100001-r": [
+        "simulate", "--stat", "r", "--n", "100001", "--trials", "20", "--seed", "3",
         "--workers", "1",
     ],
     "simulate-n40-checkpoints": [
