@@ -1,8 +1,9 @@
 """Print the exact break-count laws and the identities behind them.
 
 Everything here is rational arithmetic: the mass at zero, the two-part
-k = 1 formula, the full law next to its survivor tails for larger k, and
-the telescoping identity that collapses the k = 1 sum to a closed form.
+k = 1 formula, the full law split into its survivor tails and the part
+where no older record survives, and the telescoping identity that
+collapses the k = 1 sum to a closed form.
 """
 
 from fractions import Fraction
@@ -10,12 +11,9 @@ from fractions import Fraction
 from brokenrecords import (
     exact_pmf_b,
     geometric_limit,
-    joint_tail_prob_fast,
     prob_b0,
     prob_b1,
-    prob_b1_lastrecord,
     remainder_bound,
-    telescoping_sum,
 )
 
 
@@ -23,21 +21,19 @@ def main() -> None:
     n = 12
     print(f"exact masses at n = {n}:")
     print(f"  P[B = 0] = {prob_b0(n)}  (one coin flip: is the newcomer a new record?)")
-    p1 = prob_b1(n)
+    law = exact_pmf_b(n, 5)
     print(
-        f"  P[B = 1] = {p1}"
-        f" = {prob_b1_lastrecord(n)} (no survivor) + {telescoping_sum(n - 1)} (a survivor)"
+        f"  P[B = 1] = {prob_b1(n)}"
+        f" = {law.lone_mass(1)} (no survivor) + {law.tail_mass(1)} (a survivor)"
     )
     print(f"           = 1/4 + 1/(2n(n+1)) = {Fraction(1, 4) + Fraction(1, 2 * n * (n + 1))}")
     print()
 
-    law = exact_pmf_b(n, 5)
     print("full law P[B = k] next to the survivor tail P[B = k, an older record survives]:")
     for k in range(1, 6):
-        full = law.prob(k)
-        tail = joint_tail_prob_fast(n, k)
-        print(f"  k = {k}:  {float(full):.6f} = {float(tail):.6f} (tail) + {float(law.lone_mass(k)):.6f} (none survive)")
-    print(f"  tail == full - lone at every k: {all(law.tail_mass(k) == joint_tail_prob_fast(n, k) for k in range(1, 6))}")
+        full, tail, lone = law.prob(k), law.tail_mass(k), law.lone_mass(k)
+        print(f"  k = {k}:  {float(full):.6f} = {float(tail):.6f} (tail) + {float(lone):.6f} (none survive)")
+    print(f"  tail == full - lone at every k: {all(law.tail_mass(k) == law.prob(k) - law.lone_mass(k) for k in range(1, 6))}")
     print()
 
     print("telescoping identity, literal sum vs closed form:")
@@ -45,7 +41,7 @@ def main() -> None:
         literal = sum(
             Fraction(1, i * (i + 1) * (i + 2)) for i in range(1, m + 1)
         )
-        closed = telescoping_sum(m)
+        closed = Fraction(1, 4) - Fraction(1, 2 * (m + 1) * (m + 2))
         print(f"  m = {m:3d}:  {literal} == {closed}  ({literal == closed})")
     print("  the sum approaches 1/4 as m grows")
     print()

@@ -16,15 +16,9 @@ from .exact import (
     exact_pmf_b,
     expected_record_count,
     geometric_limit,
-    joint_tail_prob,
-    joint_tail_prob_fast,
-    p_term,
     prob_b0,
     prob_b1,
-    prob_b1_lastrecord,
     remainder_bound,
-    single_break_term,
-    telescoping_sum,
 )
 from .montecarlo import (
     AuditReport,
@@ -45,7 +39,6 @@ from .oracle import (
     oracle_joint,
     oracle_pmf_b,
     oracle_pmf_r,
-    oracle_single_break_profile,
 )
 from .records import (
     RecordEntry,
@@ -77,16 +70,11 @@ __all__ = [
     "expected_record_count",
     "final_break_counts",
     "geometric_limit",
-    "joint_tail_prob",
-    "joint_tail_prob_fast",
     "oracle_joint",
     "oracle_pmf_b",
     "oracle_pmf_r",
-    "oracle_single_break_profile",
-    "p_term",
     "prob_b0",
     "prob_b1",
-    "prob_b1_lastrecord",
     "record_counts",
     "records_by_scan",
     "remainder_bound",
@@ -95,8 +83,6 @@ __all__ = [
     "simulate_b_checkpoints",
     "simulate_r",
     "simulate_trajectory_audit",
-    "single_break_term",
-    "telescoping_sum",
     "trial_values",
     "__version__",
 ]

@@ -5,19 +5,12 @@ quantity is intrinsically real, like the logarithmic remainder bound.  The
 break count of the final step is written k throughout; n is the number of
 steps, so a trajectory holds n + 1 observations.
 
-Two independent routes compute the probability that the final step breaks
-exactly k records while at least one old record survives:
-``joint_tail_prob`` sums a closed-form term over all decreasing index
-tuples, and ``joint_tail_prob_fast`` collapses that sum with prefix-sum
-layers in O(n * k) rational operations.  They must agree exactly, and the
-tests hold them to that.
-
-A third route, ``exact_pmf_b``, gives the full law for every k from one
-row of integers.  Split on the suffix after the last of X_0, ..., X_{n-1}
-that lies above X_n.  Its length L satisfies P[L >= l] = 1/(l + 1), since
-that is the chance X_n is the largest of the last l + 1 values, and the
-records broken at step n are exactly the right-to-left maxima of that
-suffix.  Given L = l the suffix is a uniform arrangement, so by Renyi's
+``exact_pmf_b`` gives the full law for every k from one row of integers.
+Split on the suffix after the last of X_0, ..., X_{n-1} that lies above
+X_n.  Its length L satisfies P[L >= l] = 1/(l + 1), since that is the
+chance X_n is the largest of the last l + 1 values, and the records
+broken at step n are exactly the right-to-left maxima of that suffix.
+Given L = l the suffix is a uniform arrangement, so by Renyi's
 record theorem it holds k such maxima with probability c(l, k)/l!, where c
 is the unsigned Stirling number of the first kind.  Hence
 
@@ -51,19 +44,18 @@ and dev_0 = 0 (P[B_n = 0] = 1/2).  Unrolling it and multiplying through by
         = (n + 1)! + 2**k c(n, k) - sum_{j=1}^{k-1} 2**j c(n, j)
 
 for 0 <= k <= n, so the law at n needs only the Stirling row c(n, 0..k).
-The tests hold this route to the enumeration and to the survivor tails above.
+The tests hold this route to the enumeration and to the paper's own sums
+over survivor positions, which live with them in ``tests/paper_sums.py``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, pairwise
-from typing import Sequence
+from itertools import accumulate, pairwise
 
 from .errors import CapacityError, UsageError
 
-REFERENCE_TERM_LIMIT = 10**6
 # Ceiling on n * n * (kmax + 1) for exact_pmf_b at kmax >= 1: the pass
 # fills n * kmax cells, each an integer of O(n log n) bits.  Calls at the
 # ceiling took 2.5-3.3 s (n = 70,710 at kmax = 1) and 8.4-10.3 s
@@ -97,21 +89,6 @@ class Pmf:
         return sum(k * p for k, p in self.mass.items())
 
 
-def _reciprocal_cubic(d: int) -> Fraction:
-    return Fraction(1, d * (d + 1) * (d + 2))
-
-
-def telescoping_sum(m: int) -> Fraction:
-    """Sum of 1/(i(i+1)(i+2)) over i = 1..m: equals 1/4 - 1/(2(m+1)(m+2)).
-
-    The closed form comes from telescoping the partial-fraction split
-    1/(i(i+1)(i+2)) = (1/2)(1/(i(i+1)) - 1/((i+1)(i+2))).
-    """
-    if m < 1:
-        raise UsageError(f"m must be at least 1, got {m}")
-    return Fraction(1, 4) - Fraction(1, 2 * (m + 1) * (m + 2))
-
-
 def prob_b0(n: int) -> Fraction:
     """Probability the final step breaks nothing: exactly 1/2 for every n.
 
@@ -123,128 +100,20 @@ def prob_b0(n: int) -> Fraction:
     return Fraction(1, 2)
 
 
-def prob_b1_lastrecord(n: int) -> Fraction:
-    """Probability the final step breaks one record that stood alone.
-
-    The sole record is then the previous observation, so the last two
-    observations are the two largest of all n + 1 and arrive in increasing
-    order: probability 1/(n(n+1)).
-    """
-    if n < 1:
-        raise UsageError(f"n must be at least 1, got {n}")
-    return Fraction(1, n * (n + 1))
-
-
-def single_break_term(n: int, i: int) -> Fraction:
-    """Probability the final step breaks one record while the record at
-    index i survives as the deepest affected survivor.
-
-    Requires 0 <= i <= n - 2; equals 1/((n-i-1)(n-i)(n-i+1)).
-    """
-    if n < 2:
-        raise UsageError(f"n must be at least 2, got {n}")
-    if not 0 <= i <= n - 2:
-        raise UsageError(f"i must lie in [0, {n - 2}], got {i}")
-    return _reciprocal_cubic(n - i - 1)
-
-
 def prob_b1(n: int) -> Fraction:
     """Full probability the final step breaks exactly one record.
 
-    Splits by whether the broken record stood alone (1/(n(n+1))) or a
-    record survived (the telescoping sum over survivor positions), giving
-    1/4 + 1/(2n(n+1)).  At n = 1 this is 1/2, as it must be: the second
-    observation either breaks the only record or nothing.
+    The broken record stood alone with probability 1/(n(n+1)): the last
+    two observations are then the two largest, in increasing order.
+    Otherwise the record at some index i survives beneath it, with
+    probability 1/((n-i-1)(n-i)(n-i+1)), and those terms telescope to
+    1/4 - 1/(2n(n+1)).  Together they give 1/4 + 1/(2n(n+1)), which is
+    1/2 at n = 1, as it must be: the second observation either breaks the
+    only record or nothing.
     """
     if n < 1:
         raise UsageError(f"n must be at least 1, got {n}")
-    if n == 1:
-        return Fraction(1, 2)
-    return prob_b1_lastrecord(n) + telescoping_sum(n - 1)
-
-
-def p_term(i0: int, idx: Sequence[int]) -> Fraction:
-    """Weight of one decreasing index tuple in the joint tail sum.
-
-    For i0 > i1 > ... > ik >= 0 with idx = (i1, ..., ik), the term is
-    prod_{p=1}^{k-1} 1/(i0 - i_p) times 1/((i0 - i_k)(i0 - i_k + 1)(i0 - i_k + 2)).
-    It is the probability that the newest k + 1 current records sit at
-    those indices and the next observation breaks the newest k of them.
-    """
-    idx = tuple(idx)
-    if not idx:
-        raise UsageError("idx must name at least one index")
-    if idx[-1] < 0:
-        raise UsageError(f"indices must be nonnegative, got {idx[-1]}")
-    for a, b in zip((i0,) + idx, idx):
-        if b >= a:
-            raise UsageError(f"indices must strictly decrease, got {a} then {b}")
-    term = _reciprocal_cubic(i0 - idx[-1])
-    for i in idx[:-1]:
-        term /= i0 - i
-    return term
-
-
-def joint_tail_prob(n: int, k: int) -> Fraction:
-    """Probability the final step breaks exactly k records and at least one
-    old record survives, by literal summation.
-
-    Sums ``p_term`` over every strictly decreasing k-tuple drawn from
-    {0, ..., n - 2}, which is binomial(n - 1, k) terms; refuses with
-    CapacityError beyond ``REFERENCE_TERM_LIMIT``.  Returns 0 when k
-    exceeds n - 1 (no room for a survivor); k = 0 is outside the contract
-    because breaking nothing needs no survivor bookkeeping.
-    """
-    if n < 1:
-        raise UsageError(f"n must be at least 1, got {n}")
-    if k < 1:
-        raise UsageError(f"k must be at least 1, got {k}")
-    if k > n - 1:
-        return Fraction(0)
-    terms = math.comb(n - 1, k)
-    if terms > REFERENCE_TERM_LIMIT:
-        raise CapacityError(
-            f"tail sum for n={n}, k={k} has {terms} terms, over the "
-            f"cap of {REFERENCE_TERM_LIMIT}; use joint_tail_prob_fast"
-        )
-    i0 = n - 1
-    total = Fraction(0)
-    for combo in combinations(range(n - 1), k):
-        total += p_term(i0, combo[::-1])
-    return total
-
-
-def joint_tail_prob_fast(n: int, k: int) -> Fraction:
-    """Same joint probability as ``joint_tail_prob`` in O(n * k) operations.
-
-    Collapses the sum over decreasing tuples one coordinate at a time:
-    the innermost layer is a running prefix sum of the cubic terms, and
-    each outer layer is a prefix sum of the previous layer weighted by
-    1/(i0 - i).  Tuples without room for the remaining coordinates
-    contribute zero automatically.
-    """
-    if n < 1:
-        raise UsageError(f"n must be at least 1, got {n}")
-    if k < 1:
-        raise UsageError(f"k must be at least 1, got {k}")
-    if k > n - 1:
-        return Fraction(0)
-    i0 = n - 1
-    layer = [Fraction(0)] * (i0 + 1)
-    acc = Fraction(0)
-    for x in range(1, i0 + 1):
-        acc += _reciprocal_cubic(i0 - (x - 1))
-        layer[x] = acc
-    for _ in range(k - 1):
-        nxt = [Fraction(0)] * (i0 + 1)
-        acc = Fraction(0)
-        for x in range(1, i0 + 1):
-            prev = layer[x - 1]
-            if prev:
-                acc += prev / (i0 - (x - 1))
-            nxt[x] = acc
-        layer = nxt
-    return layer[i0]
+    return Fraction(1, 4) + Fraction(1, 2 * n * (n + 1))
 
 
 @dataclass

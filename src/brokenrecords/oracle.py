@@ -14,9 +14,9 @@ when its value tops every value after it -- read right to left with a
 running maximum.  Each step of that scan is a handful of ufunc calls over
 one contiguous row of 5,040 values, into preallocated buffers, so the
 only Python-level loop is over the n + 1 positions.  One pass over
-positions n - 1 .. 0 gives the prefix records, the break count and the
-survivor beneath a lone break; a second pass from position n gives the
-record count after the final step.  The row-major alternative, a
+positions n - 1 .. 0 gives the prefix records and the break count; a
+second pass from position n gives the record count after the final
+step.  The row-major alternative, a
 ``maximum.accumulate`` along rows of n + 1 values, runs numpy's inner
 loop once per ordering over only nine or so values, and that per-row
 overhead dominates: it is about five times slower at n = 8, and larger
@@ -24,7 +24,7 @@ blocks only make it worse.  None of this shares code with the
 incremental stack or the vectorized sampler it is used to check.
 
 Costs grow factorially, so n is capped at ``MAX_N``: n = 10 enumerates
-11! orderings in about 3 s and 31 MB of process peak on a 2-CPU Xeon, and
+11! orderings in about 2 s and 31 MB of process peak on a 2-CPU Xeon, and
 every n above it is refused with CapacityError before any work.  Working
 memory is one block, whatever n is.
 """
@@ -85,7 +85,6 @@ class JointPmf:
 class _EnumCounts(NamedTuple):
     joint: dict[tuple[int, int], int]
     r_now: dict[int, int]
-    b1_index: dict[int, int]
 
 
 _TEMPLATE_WIDTH = 7  # 7! = 5,040 orderings per block
@@ -142,29 +141,23 @@ def _enumerate(n: int) -> _EnumCounts:
     hit = np.empty(width, dtype=bool)
     # uint8 holds every count and joint cell b * (n + 1) + r_prev while
     # (n + 1)**2 <= 256, well past MAX_N.
-    r_prev, b, survivor, r, cell = np.empty((5, width), dtype=np.uint8)
+    r_prev, b, r, cell = np.empty((4, width), dtype=np.uint8)
     joint = np.zeros(size * size, dtype=np.int64)
     r_now = np.zeros(size + 1, dtype=np.int64)
-    b1_index = np.zeros(size, dtype=np.int64)
     last = block[n]
     for head in itertools.permutations(range(size), size - t):
         rest = np.array(sorted(set(range(size)) - set(head)), dtype=np.uint8)
         block[: size - t] = np.array(head, dtype=np.uint8)[:, None]
         np.take(rest, template, out=block[size - t :])
         # Records of the first n values, read right to left from n - 1,
-        # which is always one.  b counts those below the final value;
-        # the survivor beneath a lone break is the second record found.
+        # which is always one.  b counts those below the final value.
         np.copyto(top, block[n - 1])
         r_prev.fill(1)
         np.less(top, last, out=b)
-        survivor.fill(0)
         for i in range(n - 2, -1, -1):
             col = block[i]
             np.greater(col, top, out=rec)
             np.maximum(top, col, out=top)
-            np.equal(r_prev, 1, out=hit)
-            hit &= rec
-            np.copyto(survivor, i, where=hit)
             r_prev += rec
             np.less(col, last, out=hit)
             hit &= rec
@@ -180,14 +173,9 @@ def _enumerate(n: int) -> _EnumCounts:
         cell += r_prev
         joint += np.bincount(cell, minlength=size * size)
         r_now += np.bincount(r, minlength=size + 1)
-        np.equal(b, 1, out=hit)
-        np.greater_equal(r_prev, 2, out=rec)
-        hit &= rec
-        b1_index += np.bincount(survivor[hit], minlength=size)
     return _EnumCounts(
         joint={divmod(key, size): c for key, c in _counts(joint).items()},
         r_now=_counts(r_now),
-        b1_index=_counts(b1_index),
     )
 
 
@@ -225,13 +213,3 @@ def oracle_pmf_r(n: int) -> Pmf:
         return Pmf(n=0, mass={1: Fraction(1)})
     return Pmf(n=n, mass=_masses(n, "r_now"))
 
-
-def oracle_single_break_profile(n: int) -> dict[int, Fraction]:
-    """Mass of single-survivor-position events behind a lone break.
-
-    Maps each index i to the exact probability that the final step breaks
-    exactly one record while the record at index i survives directly
-    beneath it.  Summing the values and adding the no-survivor mass
-    recovers the full single-break probability.
-    """
-    return dict(sorted(_masses(n, "b1_index").items()))

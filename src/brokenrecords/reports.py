@@ -36,7 +36,7 @@ from .montecarlo import (
 )
 from .oracle import oracle_joint, oracle_pmf_r
 
-# converge and gof add the enumerated law up to n = 8 (about 25 ms).
+# converge and gof add the enumerated law up to n = 8 (about 15 ms).
 ENUMERATION_MAX_N = 8
 MIN_EXPECTED_PER_BIN = 5.0
 
@@ -246,10 +246,11 @@ def converge_table(
     simulation of ``trials`` trajectories (sharing one seed across the
     sweep).  Full masses and survivor tails come from one exact pass per n,
     and only the k <= 1 closed forms past the pass's ceiling.  Every
-    argument is checked before any enumeration or draw; the seed and worker
-    count by the sampler's rules, even when no n is sampled, and the kmax
-    by the first n's exact pass.  ``workers`` defaults to ``usable_cpus()``
-    at call time.
+    argument is checked before any enumeration or draw: the seed and worker
+    count by the sampler's rules, even when no n is sampled; each sampled
+    n's row size and the kmax by its ``SimConfig``, all built before the
+    loop; and the kmax, when nothing is sampled, by the first n's exact
+    pass.  ``workers`` defaults to ``usable_cpus()`` at call time.
     """
     if not n_list:
         raise UsageError("n_list must name at least one n")
@@ -259,6 +260,11 @@ def converge_table(
         raise UsageError(f"every n must be at least 1, got {min(n_list)}")
     workers = usable_cpus() if workers is None else workers
     check_seed_and_workers(seed, workers)
+    configs = {
+        n: SimConfig(n=n, trials=trials, seed=seed, kmax=kmax, workers=workers)
+        for n in n_list
+        if trials > 0 and n > ENUMERATION_MAX_N
+    }
     rows = []
     oracle_ns: list[int] = []
     simulated_ns: list[int] = []
@@ -269,10 +275,8 @@ def converge_table(
             opmf = oracle_joint(n).marginal_b()
             oracle_ns.append(n)
         emp = None
-        if opmf is None and trials > 0:
-            emp = simulate_b(
-                SimConfig(n=n, trials=trials, seed=seed, kmax=kmax, workers=workers)
-            )
+        if n in configs:
+            emp = simulate_b(configs[n])
             simulated_ns.append(n)
         for k, (full, tail) in enumerate(columns):
             rows.append(

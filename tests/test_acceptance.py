@@ -13,18 +13,20 @@ import pytest
 
 from brokenrecords import (
     SimConfig,
-    joint_tail_prob,
-    joint_tail_prob_fast,
     oracle_joint,
     oracle_pmf_b,
     oracle_pmf_r,
     prob_b0,
-    prob_b1_lastrecord,
     records_by_scan,
     run_trajectory,
     simulate_b,
     simulate_r,
     simulate_trajectory_audit,
+)
+from paper_sums import (
+    joint_tail_prob,
+    joint_tail_prob_fast,
+    prob_b1_lastrecord,
     telescoping_sum,
 )
 

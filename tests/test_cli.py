@@ -448,6 +448,25 @@ class TestImportPath:
             == "[]"
         )
 
+    def test_public_surface(self):
+        # The paper's literal sums are test references (tests/paper_sums.py),
+        # not package API.
+        from brokenrecords import exact, oracle
+
+        for name in brokenrecords.__all__:
+            getattr(brokenrecords, name)
+        removed = (
+            "p_term",
+            "joint_tail_prob",
+            "joint_tail_prob_fast",
+            "single_break_term",
+            "telescoping_sum",
+            "prob_b1_lastrecord",
+            "oracle_single_break_profile",
+        )
+        for module in (brokenrecords, exact, oracle):
+            assert [name for name in removed if hasattr(module, name)] == []
+
 
 class TestExitCodes:
     def test_unknown_command(self):
@@ -577,6 +596,21 @@ class TestRowCapacity:
         assert code == 3
         assert "cap of the window sampler" in capsys.readouterr().err
         assert threading.active_count() == threads
+
+    def test_converge_refuses_a_later_oversized_row_before_any_draw(
+        self, monkeypatch, capsys
+    ):
+        # n = 20,000 fits and comes first; the sweep must still refuse
+        # n = 10**9 before it samples anything.
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the oversized row was refused")
+
+        monkeypatch.setattr(mc, "_raw_rows", refuse)
+        argv = ["converge", "--n-list", "20000,1000000000", "--kmax", "2"]
+        assert main([*argv, "--trials", "20000", "--seed", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "cap of the window sampler" in err
 
 
 class TestGoldenBytes:

@@ -16,19 +16,16 @@ import pytest
 from brokenrecords import (
     CapacityError,
     expected_record_count,
-    joint_tail_prob,
     oracle_joint,
     oracle_pmf_b,
     oracle_pmf_r,
-    oracle_single_break_profile,
     prob_b0,
     prob_b1,
-    prob_b1_lastrecord,
     run_trajectory,
-    single_break_term,
 )
 import brokenrecords.oracle as oracle
 from brokenrecords.oracle import _enumerate
+from paper_sums import joint_tail_prob, prob_b1_lastrecord, single_break_term
 
 F = Fraction
 
@@ -140,17 +137,20 @@ class TestLaws:
 
 
 class TestSingleBreakProfile:
+    """The survivor beneath a lone break, tallied one permutation at a time."""
+
     def test_matches_term_formula(self):
-        for n in range(2, 7):
-            profile = oracle_single_break_profile(n)
-            assert set(profile) <= set(range(n - 1))
-            for i, mass in profile.items():
-                assert mass == single_break_term(n, i)
+        for n in range(2, 8):
+            profile = _reference_counts(n)[2]
+            assert set(profile) == set(range(n - 1))
+            for i, c in profile.items():
+                assert F(c, math.factorial(n + 1)) == single_break_term(n, i)
 
     def test_sums_to_survivor_mass(self):
-        for n in range(2, 7):
-            profile = oracle_single_break_profile(n)
-            assert sum(profile.values()) == oracle_joint(n).tail_mass(1)
+        for n in range(2, 8):
+            profile = _reference_counts(n)[2]
+            total = F(sum(profile.values()), math.factorial(n + 1))
+            assert total == oracle_joint(n).tail_mass(1)
 
 
 def _suffix_record_indices(vals: tuple[int, ...], m: int) -> list[int]:
@@ -201,11 +201,10 @@ class TestBlockwiseEnumeration:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_counts_match_reference_loop(self, n):
-        joint, r_now, b1_index = _reference_counts(n)
+        joint, r_now, _ = _reference_counts(n)
         counts = _enumerate(n)
         assert counts.joint == joint
         assert counts.r_now == r_now
-        assert counts.b1_index == b1_index
 
     def test_record_counts_n8_are_stirling_numbers(self):
         # R_n = r on exactly c(n + 1, r) of the (n + 1)! orderings.
@@ -213,10 +212,10 @@ class TestBlockwiseEnumeration:
         assert _enumerate(8).r_now == {r: c for r, c in enumerate(row) if c}
 
     def test_survivor_index_n8_matches_term_formula(self):
-        counts = _enumerate(8).b1_index
-        assert set(counts) == set(range(7))
-        for i, c in counts.items():
-            assert c == single_break_term(8, i) * math.factorial(9)
+        # The lone break over a survivor at each index 0..6 sums to the
+        # enumerated survivor tail at k = 1.
+        terms = sum(single_break_term(8, i) for i in range(7))
+        assert terms == oracle_joint(8).tail_mass(1)
 
     def test_working_memory_is_one_block(self):
         _enumerate.cache_clear()
@@ -267,7 +266,7 @@ class TestCapacity:
         assert pmf.total() == 1
 
     def test_hard_ceiling(self):
-        for fn in (oracle_joint, oracle_pmf_r, oracle_single_break_profile):
+        for fn in (oracle_joint, oracle_pmf_r):
             with pytest.raises(CapacityError):
                 fn(11)
         with pytest.raises(TypeError):
