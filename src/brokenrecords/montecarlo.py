@@ -18,11 +18,15 @@ after the last value above X_n has length L with P[L >= l] = 1/(l + 1));
 the record count of a full row is a right-to-left running maximum, which
 on wide rows reads only the maximum of a block that stays below it.
 ``_column_tiles`` copies tiles into column-major order, so each kernel
-reads whole contiguous columns: the tie screen of short rows (at most
-``_SHORT_COLUMNS`` values, n <= 11) compares every pair of columns, in
-place of the half-word sort of wider rows; the break-count walk reads the
-last ``_SHORT_COLUMNS`` columns of every row, and the record count every
-column of rows of at most ``_NARROW_COLUMNS`` values.
+reads whole contiguous columns.  Short rows (at most ``_SHORT_COLUMNS``
+values, n <= 11) are read once, as tiles of each value's top 16 bits
+(its key): one pass compares every pair of key columns, flagging the rows
+that hold two equal keys, and walks the break count at every requested
+horizon.  Distinct keys are ordered as their values are, so only the few
+flagged rows are finished on 64 bits, where a true tie is redrawn; wider
+rows are screened by a half-word sort.  The 64-bit break-count walk reads
+the last ``_SHORT_COLUMNS`` columns of a row column-major, and the record
+count every column of rows of at most ``_NARROW_COLUMNS`` values.
 ``simulate_trajectory_audit`` is the slow counterpart that replays each
 trajectory through the incremental stack and checks conservation step
 by step.  The replay is pure Python, so threads cannot share it: it runs
@@ -35,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -60,19 +65,26 @@ _MAX_REDRAWS = 64
 # One trial row is never split across chunks, so its size is the floor of
 # a chunk's memory; 2**30 bytes holds rows up to n = 2**27 - 1.
 _MAX_ROW_BYTES = 2**30
-# Rows of at most _SHORT_COLUMNS values are screened for ties by comparing
-# every pair of columns, and wider rows by a sort of their 32-bit half
-# words.  Per 2**20-value chunk (2-CPU Xeon, medians of 21 runs), the
-# m(m - 1)/2 pair tests beat the sort up to 12 columns (3.6-5.1 against
-# 5.1-7.1 ms at 12), are about even at 13 to 15, and lose at 16 (6.3-6.4
-# against 5.4-5.5 ms).
+# Rows of at most _SHORT_COLUMNS values are read once as tiles of 16-bit
+# keys (_key_walk); wider rows are screened by a sort of their 32-bit half
+# words and counted by the 64-bit walk, whose dense phase reads the last
+# _SHORT_COLUMNS columns of every row.  Per 2**19-value chunk past the draw
+# (2-CPU Xeon, medians of 61 interleaved runs), the key pass with its
+# finish took 2.4-3.3 ms against 4.1-4.8 ms for the sort and the walk at
+# every width from 12 to 16 columns (3.30 against 4.60 ms at 16).  The
+# value stays at 12 all the same: a 16-column dense phase slows the walk of
+# wider rows by 0.1-0.4 ms at n = 16 to 30 (2.57 against 2.20 ms at 16).
 _SHORT_COLUMNS = 12
 # Every kernel works on tiles of about _TILE_VALUES values (whole rows, at
 # least one).  Per 2**19-value chunk at n = 8 to 500 (2-CPU Xeon, medians
 # of 101 runs), 2**14 was slower on almost every kernel, up to 2.1x, and
-# 2**18 on the short-row tie screen and the wide record count, up to 1.4x.
-# 2**16 was within 12% of the fastest budget on every kernel but the
-# narrow record count near 64 columns (3.3 against 2.7 ms at n = 63).
+# 2**18 on the wide record count, up to 1.4x.  2**16 was within 12% of the
+# fastest budget on every kernel but the narrow record count near 64
+# columns (3.3 against 2.7 ms at n = 63) and the key walk of short rows
+# (medians of 61 runs: 1.47 against 1.30 ms at 2**17 at n = 8, 2.38
+# against 1.78 ms at 2**18 at n = 11).  At n = 1 the key walk is slower
+# on larger tiles (0.73 ms at 2**17 against 0.46), and at n <= 2 a tile of
+# 2**17 keys and its temporaries outgrow one 64-bit tile of 2**16 values.
 _TILE_VALUES = 2**16
 # Rows of at most _NARROW_COLUMNS values get their record count a column
 # at a time; wider rows a block of columns at a time, skipping blocks with
@@ -80,6 +92,8 @@ _TILE_VALUES = 2**16
 # blocks alone took 3.90 against 1.44 ms at n = 8 and 2.97 against 1.81
 # ms at n = 32, and were about even at n = 63 (3.04 against 2.85 ms).
 _NARROW_COLUMNS = 64
+# The uint16 lane of a uint64 that holds its top 16 bits, the key of _key_walk.
+_KEY_LANE = 3 if sys.byteorder == "little" else 0
 
 
 def usable_cpus() -> int:
@@ -233,37 +247,59 @@ def _column_tiles(vals: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         yield r0, cols
 
 
-def _resolve_ties(vals: np.ndarray, seed: int, n: int, t0: int) -> int:
-    """Replace tied rows from their redraw streams; return redraw count.
+def _key_tiles(vals: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """``_column_tiles`` of the keys of ``vals``: the top 16 bits of each value.
 
-    Short rows (at most ``_SHORT_COLUMNS`` values) are screened exactly: each
-    column-major tile compares every pair of its columns as 64-bit values,
-    so a flagged row holds a true tie.  On wider rows, equal 64-bit values
-    have equal 32-bit halves, so a sort of one half of each row (half the
-    bytes of a full sort), a tile of ``_TILE_VALUES // m`` rows (at least
-    one) at a time, flags every row that may hold a tie.  Each flagged row
-    is then checked on its own with the exact 64-bit test that the redraws
-    use, so the redrawn rows are exactly those with a true tie.  The largest
-    temporary is one tile on either path, never a copy of the chunk.
+    The keys are read from the uint16 lane that holds them on this
+    platform's byte order, so no 64-bit temporary is made.
+    """
+    return _column_tiles(vals.view(np.uint16)[:, _KEY_LANE::4])
+
+
+def _key_walk(vals: np.ndarray, ts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Tie flags and break counts of short rows, read off the top 16 bits.
+
+    Each column-major tile of ``_key_tiles`` is read once for both jobs:
+    every pair of its columns is compared, which flags each row holding two
+    equal keys, and the backward walk of ``final_break_counts`` runs on the
+    keys at every horizon t of ``ts``, counting in int8 (a count is at most
+    t < ``_SHORT_COLUMNS``).  Distinct keys are ordered as their values are,
+    so every unflagged row's count is exact.  A flagged row holds a tie or
+    two values that differ only below their keys, about C(m, 2) / 2**16 of
+    the rows; its counts are left for the caller to finish.  Returns
+    (flags, counts), with counts[i] the counts at horizon ts[i].
     """
     rows, m = vals.shape
-    tied = np.zeros(rows, dtype=bool)
-    if m <= _SHORT_COLUMNS:
-        for r0, cols in _column_tiles(vals):
-            flag = tied[r0 : r0 + cols.shape[1]]
-            for i in range(m - 1):
-                flag |= (cols[i + 1 :] == cols[i]).any(axis=0)
-    else:
-        size = max(1, _TILE_VALUES // m)
-        buf = np.empty((min(rows, size), m), dtype=np.uint32)
-        for r0 in range(0, rows, size):
-            half = buf[: min(size, rows - r0)]
-            half[:] = vals[r0 : r0 + size].view(np.uint32)[:, 1::2]
-            half.sort(axis=1)
-            # Each flat hit of the (tile rows x n) comparison names its row by // n.
-            tied[r0 + np.flatnonzero(half[:, 1:] == half[:, :-1]) // n] = True
+    flagged = np.zeros(rows, dtype=bool)
+    counts = np.zeros((len(ts), rows), dtype=np.int8)
+    top = np.empty(min(rows, max(1, _TILE_VALUES // m)), dtype=np.uint16)
+    for r0, keys in _key_tiles(vals):
+        k = keys.shape[1]
+        flag = flagged[r0 : r0 + k]
+        for j in range(1, m):
+            flag |= (keys[:j] == keys[j]).any(axis=0)
+        for cnt, t in zip(counts[:, r0 : r0 + k], ts):
+            cols, mx = keys[: t + 1], top[:k]
+            below = cols[-1]
+            mx[:] = cols[-2]
+            cnt += mx < below
+            for v in cols[-3::-1]:
+                hit = v > mx
+                hit &= v < below
+                cnt += hit
+                np.maximum(mx, v, out=mx)
+    return flagged, counts
+
+
+def _redraw(vals: np.ndarray, rows: np.ndarray, seed: int, n: int, t0: int) -> int:
+    """Redraw each of ``rows`` that holds a true tie; return the redraw count.
+
+    Each row is checked on its own with the exact 64-bit test that the
+    redraws use, so a row flagged only by a screen's false alarm is kept.
+    A tied row is replaced by the first tie-free attempt of its trial.
+    """
     redraws = 0
-    for r in np.flatnonzero(tied):
+    for r in rows:
         if not _row_has_tie(vals[r]):
             continue
         t = t0 + int(r)
@@ -280,6 +316,36 @@ def _resolve_ties(vals: np.ndarray, seed: int, n: int, t0: int) -> int:
     return redraws
 
 
+def _resolve_ties(vals: np.ndarray, seed: int, n: int, t0: int) -> int:
+    """Replace tied rows from their redraw streams; return redraw count.
+
+    Each row that a screen flags is passed to ``_redraw``, which checks it
+    exactly, so the redrawn rows are exactly those with a true tie.  Short
+    rows (at most ``_SHORT_COLUMNS`` values) are screened by the key tiles
+    of ``_key_walk``: equal values have equal top 16 bits.  On wider rows,
+    equal 64-bit values have equal 32-bit halves, so a sort of one half of
+    each row (half the bytes of a full sort), a tile of ``_TILE_VALUES // m``
+    rows (at least one) at a time, flags every row that may hold a tie.
+    ``view(np.uint32)[:, 1::2]`` is the high half only on little-endian
+    platforms and the low half elsewhere, which is harmless: equal values
+    have equal halves of either kind.  The largest temporary is one tile on
+    either path, never a copy of the chunk.
+    """
+    rows, m = vals.shape
+    if m <= _SHORT_COLUMNS:
+        return _redraw(vals, np.flatnonzero(_key_walk(vals, ())[0]), seed, n, t0)
+    tied = np.zeros(rows, dtype=bool)
+    size = max(1, _TILE_VALUES // m)
+    buf = np.empty((min(rows, size), m), dtype=np.uint32)
+    for r0 in range(0, rows, size):
+        half = buf[: min(size, rows - r0)]
+        half[:] = vals[r0 : r0 + size].view(np.uint32)[:, 1::2]
+        half.sort(axis=1)
+        # Each flat hit of the (tile rows x n) comparison names its row by // n.
+        tied[r0 + np.flatnonzero(half[:, 1:] == half[:, :-1]) // n] = True
+    return _redraw(vals, np.flatnonzero(tied), seed, n, t0)
+
+
 def trial_values(seed: int, n: int, t0: int, t1: int) -> tuple[np.ndarray, int]:
     """Tie-free uint64 observations for trials [t0, t1), plus redraw count.
 
@@ -291,6 +357,42 @@ def trial_values(seed: int, n: int, t0: int, t1: int) -> tuple[np.ndarray, int]:
     vals = _raw_rows(seed, n, t0, t1, 0)
     redraws = _resolve_ties(vals, seed, n, t0)
     return vals, redraws
+
+
+def _finish_flagged(
+    vals: np.ndarray, rows: np.ndarray, counts: np.ndarray, ts: tuple[int, ...],
+    seed: int, n: int, t0: int,
+) -> int:
+    """Make exact the ``rows`` that ``_key_walk`` flagged; return the redraws.
+
+    The truly tied rows are redrawn, then all of ``rows`` are gathered
+    once and counted again at every horizon by ``final_break_counts``.
+    """
+    redraws = _redraw(vals, rows, seed, n, t0)
+    flagged = vals[rows]
+    for cnt, t in zip(counts, ts):
+        cnt[rows] = final_break_counts(flagged[:, : t + 1])
+    return redraws
+
+
+def _break_counts(
+    seed: int, n: int, t0: int, t1: int, ts: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Rows of trials [t0, t1), their break counts, and the redraw count.
+
+    The rows are those of ``trial_values``; ``counts[i, r]`` is the number
+    of records broken at step ``ts[i]`` of row r.  Short rows are drawn raw
+    and read once by ``_key_walk``, and only the rows it flags are finished
+    by ``_finish_flagged``; wider rows come from ``trial_values`` and
+    ``final_break_counts``.  The sampler and the audit both count here.
+    """
+    if n + 1 > _SHORT_COLUMNS:
+        vals, redraws = trial_values(seed, n, t0, t1)
+        return vals, np.array([final_break_counts(vals[:, : t + 1]) for t in ts]), redraws
+    vals = _raw_rows(seed, n, t0, t1, 0)
+    flagged, counts = _key_walk(vals, ts)
+    redraws = _finish_flagged(vals, np.flatnonzero(flagged), counts, ts, seed, n, t0)
+    return vals, counts, redraws
 
 
 def final_break_counts(vals: np.ndarray) -> np.ndarray:
@@ -538,11 +640,12 @@ def _simulate_breaks(config: SimConfig, ts: tuple[int, ...]) -> dict[int, Empiri
     width = config.kmax + 2
 
     def chunk(t0: int, t1: int) -> tuple[np.ndarray, int]:
-        vals, rd = trial_values(config.seed, config.n, t0, t1)
+        _, counts, rd = _break_counts(config.seed, config.n, t0, t1, ts)
         out = np.zeros((len(ts), width), dtype=np.int64)
-        for row, t in enumerate(ts):
-            b = np.minimum(final_break_counts(vals[:, : t + 1]), config.kmax + 1)
-            out[row] = np.bincount(b, minlength=width)
+        for row, b in enumerate(counts):
+            tally = np.bincount(b, minlength=width)
+            out[row, :-1] = tally[: width - 1]
+            out[row, -1] = tally[width - 1 :].sum()
         return out, rd
 
     arr, redraws = _merge_chunks(
@@ -685,8 +788,8 @@ def _audit_chunk(config: SimConfig, t0: int, t1: int) -> tuple[int, int]:
     vectorized chunk statistics.  The first discrepancy raises
     InvariantError with the trial coordinates.
     """
-    vals, redraws = trial_values(config.seed, config.n, t0, t1)
-    vec_b = final_break_counts(vals).tolist()
+    vals, counts, redraws = _break_counts(config.seed, config.n, t0, t1, (config.n,))
+    vec_b = counts[0].tolist()
     vec_r = record_counts(vals).tolist()
     for r in range(t1 - t0):
         trial = t0 + r

@@ -313,7 +313,7 @@ ONE_TILE_AT_ANY_WIDTH = mc._TILE_VALUES // 2 + 123
 
 
 class TestShortRowTieScreen:
-    """The exact pairwise screen of rows of at most ``_SHORT_COLUMNS`` values."""
+    """The key screen of rows of at most ``_SHORT_COLUMNS`` values."""
 
     _first_clean_attempt = staticmethod(TestTrialValues._first_clean_attempt)
 
@@ -350,23 +350,29 @@ class TestShortRowTieScreen:
 
     @pytest.mark.parametrize("shift", [0, 32], ids=["low-half", "high-half"])
     @pytest.mark.parametrize("m", [2, 9, mc._SHORT_COLUMNS])
-    def test_half_collision_alone_is_never_flagged(self, m, shift, monkeypatch):
-        # The screen is exact on short rows, so no row reaches the check.
+    def test_half_collision_is_checked_and_kept(self, m, shift, monkeypatch):
+        # Either half collision leaves the top 16 bits equal, so the key
+        # screen flags the row; the exact check sees no tie and keeps it.
         seed, n, t0 = 11, m - 1, 30
         vals, _ = trial_values(seed, n, t0, t0 + 3)
         half = np.uint64(0xFFFFFFFF << shift)
         other = np.uint64(1 << (32 - shift))
         vals[1][0] = (vals[1][n] & half) | ((vals[1][n] ^ other) & ~half)
         assert vals[1][0] != vals[1][n]
+        assert vals[1][0] >> np.uint64(48) == vals[1][n] >> np.uint64(48)
         checked = []
-        monkeypatch.setattr(mc, "_row_has_tie", checked.append)
+        exact = mc._row_has_tie
+        monkeypatch.setattr(
+            mc, "_row_has_tie", lambda r: checked.append(r.copy()) or exact(r)
+        )
         before = vals.copy()
         assert mc._resolve_ties(vals, seed, n, t0) == 0
-        assert checked == []
+        assert len(checked) == 1
+        assert np.array_equal(checked[0], before[1])
         assert np.array_equal(vals, before)
 
     def test_screen_memory_stays_near_one_tile(self):
-        # The pairwise screen holds one column-major tile and its flags,
+        # The key screen holds one column-major tile of keys and its flags,
         # however many tiles the rows span.
         n = 8
         vals, _ = trial_values(11, n, 0, 16 * (mc._TILE_VALUES // (n + 1)))
@@ -429,7 +435,8 @@ def planted_ties(monkeypatch):
 class TestShortRowPathsMatchTheWidePaths:
     """With ``_SHORT_COLUMNS`` at 2, the least the break-count walk reads,
     every row of more than two values takes the wide-row code; rows of two
-    stay on the pairwise screen, which ``TestShortRowTieScreen`` covers."""
+    stay on the key walk, which ``TestShortRowTieScreen`` and
+    ``TestKeyWalk`` cover."""
 
     @staticmethod
     def _both(monkeypatch, fn):
@@ -464,6 +471,125 @@ class TestShortRowPathsMatchTheWidePaths:
         for t in short:
             assert short[t].counts == wide[t].counts
             assert short[t].meta["tie_redraws"] == wide[t].meta["tie_redraws"] > 0
+
+
+def _python_break_count(row, t):
+    """Records of ``row[:t]`` broken by ``row[t]``, on Python integers."""
+    values = [int(v) for v in row[: t + 1]]
+    best, count = -1, 0
+    for v in reversed(values[:-1]):
+        if v > best:
+            count += v < values[-1]
+            best = v
+    return count
+
+
+ONE = np.uint64(1)
+
+
+def _plant_key_collision(row, r):
+    """Make two values of ``row`` differ only in bit 0, so that they share
+    their key, where the key walk compares them; ``r`` picks where.
+
+    Even ``r``: X_{n-1} = X_n - 1, the first comparison of every walk.
+    Odd ``r`` (rows of three values or more): column j = r mod (n - 1) is
+    made one above the running maximum of the columns after it, and X_n
+    the largest value, so column j is a record that X_n breaks.
+    """
+    n = row.size - 1
+    if r % 2 == 0 or n < 2:
+        row[n] |= ONE
+        row[n - 1] = row[n] ^ ONE
+        return
+    j = r % (n - 1)
+    hi = j + 1 + int(np.argmax(row[j + 1 : n]))
+    row[hi] &= ~ONE
+    row[j] = row[hi] | ONE
+    row[n] = ~np.uint64(0)
+
+
+class TestKeyWalk:
+    """The one pass of ``_key_walk`` over 16-bit keys, and the exact finish
+    of the rows it flags, through ``_break_counts`` as the sampler and the
+    audit call it."""
+
+    _first_clean_attempt = staticmethod(TestTrialValues._first_clean_attempt)
+    seed = 11
+
+    @pytest.mark.parametrize("m", SHORT_WIDTHS)
+    def test_key_tiles_are_the_top_16_bits(self, m):
+        vals, _ = trial_values(self.seed, m - 1, 0, ONE_TILE_AT_ANY_WIDTH)
+        end = 0
+        for r0, keys in mc._key_tiles(vals):
+            rows = vals[r0 : r0 + keys.shape[1]]
+            assert keys.dtype == np.uint16
+            assert np.array_equal(keys, (rows >> np.uint64(48)).astype(np.uint16).T)
+            end = r0 + keys.shape[1]
+        assert end == vals.shape[0] > mc._TILE_VALUES // m
+
+    @staticmethod
+    def _tile_edges(m, rows):
+        size = mc._TILE_VALUES // m
+        return [0, 1, size - 1, size, 2 * size - 1, 2 * size, rows - 1]
+
+    def _planted_run(self, monkeypatch, m, plant):
+        """``_break_counts`` of three tiles of four rows and a short one at
+        width m, with ``plant(row, r)`` applied to the first draw of the rows
+        at the tile edges."""
+        monkeypatch.setattr(mc, "_TILE_VALUES", 4 * m)
+        n, rows = m - 1, 3 * 4 + 3
+        edges = self._tile_edges(m, rows)
+        raw = mc._raw_rows
+
+        def planted(seed, n, t0, t1, attempt):
+            out = raw(seed, n, t0, t1, attempt)
+            if attempt == 0:
+                for r in edges:
+                    if t0 <= r < t1:
+                        plant(out[r - t0], r)
+            return out
+
+        monkeypatch.setattr(mc, "_raw_rows", planted)
+        ts = tuple(range(1, n + 1))
+        vals, counts, redraws = mc._break_counts(self.seed, n, 0, rows, ts)
+        for i, t in enumerate(ts):
+            python = [_python_break_count(row, t) for row in vals]
+            assert counts[i].tolist() == python, t
+        return vals, counts, redraws, edges, planted
+
+    @pytest.mark.parametrize("m", SHORT_WIDTHS)
+    def test_key_collisions_are_counted_exactly(self, m, monkeypatch):
+        vals, counts, redraws, edges, planted = self._planted_run(
+            monkeypatch, m, _plant_key_collision
+        )
+        assert redraws == 0
+        assert np.array_equal(vals, planted(self.seed, m - 1, 0, vals.shape[0], 0))
+        # The planted rows are flagged, and the keys alone miscount them.
+        flags, keyed = mc._key_walk(vals, (m - 1,))
+        assert np.flatnonzero(flags).tolist() == edges
+        assert (keyed[0, edges] != counts[-1, edges]).all()
+
+    @pytest.mark.parametrize("m", [2, 9, mc._SHORT_COLUMNS])
+    def test_true_ties_are_redrawn_with_the_same_attempts(self, m, monkeypatch):
+        def tie(row, r):
+            row[r % (m - 1)] = row[m - 1]
+
+        vals, _, redraws, edges, _ = self._planted_run(monkeypatch, m, tie)
+        total = 0
+        for r in edges:
+            row, attempts = self._first_clean_attempt(self.seed, m - 1, r)
+            assert np.array_equal(vals[r], row), r
+            total += attempts
+        assert redraws == total
+
+    @pytest.mark.parametrize("n", [1, 8, mc._SHORT_COLUMNS - 1])
+    def test_short_path_memory_stays_under_one_tile(self, n):
+        # Past its per-row flags and counts, the key walk of a whole chunk
+        # at every horizon holds one tile of keys and a few columns.
+        vals = mc._raw_rows(self.seed, n, 0, mc._rows_per_chunk(n), 0)
+        ts = tuple(range(1, n + 1))
+        (flags, counts), peak = _traced_peak(lambda: mc._key_walk(vals, ts))
+        assert peak - flags.nbytes - counts.nbytes < TILE_BYTES
 
 
 def _reference_final_break_counts(vals):
@@ -1186,6 +1312,56 @@ class TestAuditCatchesPlantedFaults:
         assert a.run["chunks"] == 8  # 30 trials, 4 per chunk
 
 
+class TestAuditChecksTheKeyWalk:
+    """At n = 8 the audit replays the rows that ``_key_walk`` counted, so a
+    fault in the walk or a missing exact finish stops it at that trial."""
+
+    cfg = SimConfig(n=8, trials=40, seed=88)
+    planted = 13
+
+    @pytest.fixture
+    def key_collision(self, monkeypatch):
+        """X_{n-1} one below X_n in the first draw of the planted trial: the
+        keys alone miss the record that X_n breaks."""
+        raw = mc._raw_rows
+
+        def planted(seed, n, t0, t1, attempt):
+            out = raw(seed, n, t0, t1, attempt)
+            if attempt == 0 and t0 <= self.planted < t1:
+                _plant_key_collision(out[self.planted - t0], 0)
+            return out
+
+        monkeypatch.setattr(mc, "_raw_rows", planted)
+
+    def _assert_caught(self):
+        with pytest.raises(InvariantError) as exc:
+            simulate_trajectory_audit(self.cfg)
+        assert str(exc.value) == "vectorized break count disagrees with the stack"
+        assert (exc.value.seed, exc.value.trial, exc.value.step) == (
+            self.cfg.seed, self.planted, self.cfg.n
+        )
+
+    def test_a_key_collision_passes_with_the_exact_finish(self, key_collision):
+        report = simulate_trajectory_audit(self.cfg)
+        assert report.steps_checked == self.cfg.n * self.cfg.trials
+        assert report.tie_redraws == 0
+
+    def test_without_the_exact_finish(self, key_collision, monkeypatch):
+        monkeypatch.setattr(mc, "_finish_flagged", lambda *args: 0)
+        self._assert_caught()
+
+    def test_one_shifted_key_walk_count(self, monkeypatch):
+        real = mc._key_walk
+
+        def shifted(vals, ts):
+            flags, counts = real(vals, ts)
+            counts[0, self.planted] += 1
+            return flags, counts
+
+        monkeypatch.setattr(mc, "_key_walk", shifted)
+        self._assert_caught()
+
+
 def _within(seconds, fn):
     """``fn()`` on a daemon thread; fails the test if it runs past ``seconds``."""
     out = {}
@@ -1285,10 +1461,11 @@ class TestAuditChunkAcrossTiles:
     """One audit range spans several tiles of every kernel.
 
     With 60-value tiles, rows of 12 values (n = 11) go five to a tile in
-    every kernel.  Rows of 101 values (n = 100) go one to a tile in the tie
-    screen and in the record count, which reads each in two column blocks,
-    and five to a tile in the break count, which reads the last 12 columns
-    in tiles.  Trials [3, 23) are therefore 4 to 20 tiles of each kernel.
+    every kernel, the key walk of their break counts included.  Rows of 101
+    values (n = 100) go one to a tile in the tie screen and in the record
+    count, which reads each in two column blocks, and five to a tile in the
+    break count, which reads the last 12 columns in tiles.  Trials [3, 23)
+    are therefore 4 to 20 tiles of each kernel.
     """
 
     seed, t0, t1 = 17, 3, 23
@@ -1308,7 +1485,7 @@ class TestAuditChunkAcrossTiles:
     @pytest.mark.parametrize(
         "n, kernel, tile_rows",
         [
-            (11, "final_break_counts", 5),
+            (11, "_key_walk", 5),
             (100, "final_break_counts", 5),
             (11, "record_counts", 5),
             (100, "record_counts", 1),
@@ -1320,15 +1497,16 @@ class TestAuditChunkAcrossTiles:
         row = tile_rows + tile_rows // 2  # a row of the kernel's second tile
         real = getattr(mc, kernel)
 
-        def planted(vals):
-            out = real(vals)
-            out[row] += 1
+        def planted(*args):
+            out = real(*args)
+            # The key walk returns (flags, counts at each horizon).
+            (out[1][0] if kernel == "_key_walk" else out)[row] += 1
             return out
 
         monkeypatch.setattr(mc, kernel, planted)
         with pytest.raises(InvariantError) as exc:
             self._audit(n)
-        what = "break" if kernel == "final_break_counts" else "record"
+        what = "record" if kernel == "record_counts" else "break"
         assert str(exc.value) == f"vectorized {what} count disagrees with the stack"
         assert (exc.value.seed, exc.value.trial, exc.value.step) == (
             self.seed, self.t0 + row, n
@@ -1343,13 +1521,14 @@ def _stats(n, r_path, b_path, idx):
 
 
 def _fail_from(threshold):
-    """``trial_values`` with a fault injected in every chunk from ``threshold``."""
-    real = mc.trial_values
+    """``_break_counts``, which every sampler chunk calls, with a fault
+    injected in every chunk from ``threshold``."""
+    real = mc._break_counts
 
-    def wrapper(seed, n, t0, t1):
+    def wrapper(seed, n, t0, t1, ts):
         if t0 >= threshold:
             raise RuntimeError("injected fault")
-        return real(seed, n, t0, t1)
+        return real(seed, n, t0, t1, ts)
 
     return wrapper
 
@@ -1358,7 +1537,7 @@ class TestPartialFailure:
     def test_single_worker_reports_completed(self, monkeypatch):
         monkeypatch.setattr(mc, "_TARGET_CHUNK_VALUES", 1024)
         rows = mc._rows_per_chunk(7)
-        monkeypatch.setattr(mc, "trial_values", _fail_from(rows))
+        monkeypatch.setattr(mc, "_break_counts", _fail_from(rows))
         cfg = SimConfig(n=7, trials=rows * 4, seed=3)
         with pytest.raises(PartialResultError) as exc:
             simulate_b(cfg)
@@ -1368,7 +1547,7 @@ class TestPartialFailure:
     def test_threaded_workers_report_partial(self, monkeypatch):
         monkeypatch.setattr(mc, "_TARGET_CHUNK_VALUES", 1024)
         rows = mc._rows_per_chunk(7)
-        monkeypatch.setattr(mc, "trial_values", _fail_from(rows))
+        monkeypatch.setattr(mc, "_break_counts", _fail_from(rows))
         cfg = SimConfig(n=7, trials=rows * 4, seed=3, workers=2)
         with pytest.raises(PartialResultError) as exc:
             simulate_b(cfg)
@@ -1465,7 +1644,7 @@ class TestScheduler:
         monkeypatch.setattr(mc, "_TARGET_CHUNK_VALUES", 1024)
         monkeypatch.setattr(mc, "usable_cpus", lambda: 2)
         rows = mc._rows_per_chunk(7)
-        monkeypatch.setattr(mc, "trial_values", _fail_from(2 * rows))
+        monkeypatch.setattr(mc, "_break_counts", _fail_from(2 * rows))
         cfg = SimConfig(n=7, trials=rows * 10, seed=3, workers=2)
         pools = self._lazy_pools(monkeypatch)
         with pytest.raises(PartialResultError) as exc:
