@@ -921,6 +921,30 @@ class TestPinnedCounts:
         assert not any(counts[13:])
         assert pmf.meta["tie_redraws"] == 0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_record_counts_n8(self, workers):
+        pmf = simulate_r(SimConfig(n=8, trials=20000, seed=808, workers=workers))
+        assert [pmf.counts[r] for r in range(1, 10)] == [
+            2154, 6064, 6529, 3755, 1231, 239, 27, 1, 0
+        ]
+        assert pmf.meta["tie_redraws"] == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_auto_checkpoints_n11(self, workers):
+        by_t = simulate_b_checkpoints(
+            SimConfig(n=11, trials=20000, seed=1111, workers=workers)
+        )
+        pinned = {
+            2: [10114, 6585, 3301],
+            5: [10149, 5290, 2971, 1264, 288, 38],
+            11: [9991, 5084, 2685, 1358, 601, 210, 57, 12, 2, 0, 0, 0],
+        }
+        assert sorted(by_t) == sorted(pinned)
+        for t, counts in pinned.items():
+            assert [by_t[t].counts[k] for k in range(t + 1)] == counts
+            assert by_t[t].overflow == 0
+            assert by_t[t].meta["tie_redraws"] == 0
+
 
 class TestChunkBudget:
     """Chunks of about 2**19 values: a bounded peak, and counts that do

@@ -43,6 +43,11 @@ INVOCATIONS: dict[str, list[str]] = {
     "simulate-n12-workers2": [
         "simulate", "--n", "12", "--trials", "30000", "--seed", "8", "--workers", "2",
     ],
+    # Rows of at most 12 values: the short-row draw of the record count.
+    "simulate-n8-r": [
+        "simulate", "--n", "8", "--trials", "20000", "--seed", "808", "--stat", "r",
+        "--workers", "1",
+    ],
     "simulate-n30-r": [
         "simulate", "--n", "30", "--trials", "5000", "--seed", "3", "--stat", "r",
     ],
