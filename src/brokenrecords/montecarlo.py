@@ -10,23 +10,22 @@ workers.  A trial whose draw contains a tied pair is redrawn from the
 attempt-1 key (then attempt 2, and so on), which keeps the redraw local
 to that trial; redraw totals land in the result metadata.
 
-Statistics are computed on whole chunks, a tile of about ``_TILE_VALUES``
-values at a time, rather than in per-trial Python loops.  The break
-count of the last step reads each row backward from X_n and stops at the
-first value above it, which is about H_n columns per trial (the suffix
-after the last value above X_n has length L with P[L >= l] = 1/(l + 1));
-the record count of a full row is a right-to-left running maximum, which
-on wide rows reads only the maximum of a block that stays below it.
-``_column_tiles`` copies tiles into column-major order, so each kernel
-reads whole contiguous columns.  Short rows (at most ``_SHORT_COLUMNS``
-values, n <= 11) are read once, as tiles of each value's top 16 bits
-(its key): one pass compares every pair of key columns, flagging the rows
-that hold two equal keys, and walks the break count at every requested
-horizon.  Distinct keys are ordered as their values are, so only the few
-flagged rows are finished on 64 bits, where a true tie is redrawn; wider
-rows are screened by a half-word sort.  The 64-bit break-count walk reads
-the last ``_SHORT_COLUMNS`` columns of a row column-major, and the record
-count every column of rows of at most ``_NARROW_COLUMNS`` values.
+One function, ``_break_counts``, draws, screens and counts every chunk of
+trials for ``trial_values``, the sampler and the audit, a tile of about
+``_TILE_VALUES`` values at a time rather than in per-trial Python loops.
+The break count of the last step reads each row backward from X_n and
+stops at the first value above it, about H_n columns per trial (the
+suffix after the last value above X_n has length L with P[L >= l] =
+1 / (l + 1)); the record count of a full row is a right-to-left running
+maximum, which on wide rows reads only the maximum of a block that stays
+below it.  ``_column_tiles`` copies tiles into column-major order, so
+each kernel reads whole contiguous columns.  Short rows (at most
+``_SHORT_COLUMNS`` values, n <= 11) are read once, as tiles of each
+value's top 16 bits (its key): one pass flags the rows that hold two
+equal keys and walks the break count at every requested horizon.
+Distinct keys are ordered as their values are, so only the few flagged
+rows are finished on 64 bits, where a true tie is redrawn; wider rows are
+screened by a half-word sort.
 ``simulate_trajectory_audit`` is the slow counterpart that replays each
 trajectory through the incremental stack and checks conservation step
 by step.  The replay is pure Python, so threads cannot share it: it runs
@@ -38,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import sys
 import time
@@ -108,13 +108,14 @@ def usable_cpus() -> int:
 class SimConfig:
     """Parameters of one simulation run.
 
-    ``kmax`` pools break counts above it into an overflow bucket.
-    ``workers`` only changes how chunks are scheduled, never the numbers:
-    it defaults to and is clamped to ``usable_cpus()``, each worker with at
-    most two chunks in flight.  The sampler's workers are threads; the
-    audit's are forked processes, since its replay holds the GIL.  An
-    ``n`` whose trial row is over the sampler's cap is refused with
-    CapacityError here, before any work.
+    ``kmax`` pools break counts above it into an overflow bucket.  ``workers``
+    only changes how chunks are scheduled, never the numbers: it defaults to
+    and is clamped to ``usable_cpus()``, each worker with at most two chunks
+    in flight.  The sampler's workers are threads; the audit's are forked
+    processes, since its replay holds the GIL.  A field that is not an
+    integer is refused with UsageError (a numpy integer is kept as an int),
+    and an ``n`` whose trial row is over the sampler's cap with
+    CapacityError, here, before any work.
     """
 
     n: int
@@ -124,6 +125,8 @@ class SimConfig:
     workers: int = field(default_factory=usable_cpus)
 
     def __post_init__(self):
+        for name in ("n", "trials", "seed", "kmax", "workers"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n < 1:
             raise UsageError(f"n must be at least 1, got {self.n}")
         if self.trials < 1:
@@ -136,10 +139,20 @@ class SimConfig:
 
 def check_seed_and_workers(seed: int, workers: int) -> None:
     """The seed and worker rules of ``SimConfig``, for callers to check early."""
+    seed, workers = _integer("seed", seed), _integer("workers", workers)
     if not 0 <= seed < 2**64:
         raise UsageError("seed must fit in an unsigned 64-bit integer")
     if workers < 1:
         raise UsageError(f"workers must be at least 1, got {workers}")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; UsageError for a float (whose redraw key would
+    lose the seed's low bits) or any other non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -316,24 +329,15 @@ def _redraw(vals: np.ndarray, rows: np.ndarray, seed: int, n: int, t0: int) -> i
     return redraws
 
 
-def _resolve_ties(vals: np.ndarray, seed: int, n: int, t0: int) -> int:
-    """Replace tied rows from their redraw streams; return redraw count.
-
-    Each row that a screen flags is passed to ``_redraw``, which checks it
-    exactly, so the redrawn rows are exactly those with a true tie.  Short
-    rows (at most ``_SHORT_COLUMNS`` values) are screened by the key tiles
-    of ``_key_walk``: equal values have equal top 16 bits.  On wider rows,
-    equal 64-bit values have equal 32-bit halves, so a sort of one half of
-    each row (half the bytes of a full sort), a tile of ``_TILE_VALUES // m``
-    rows (at least one) at a time, flags every row that may hold a tie.
-    ``view(np.uint32)[:, 1::2]`` is the high half only on little-endian
-    platforms and the low half elsewhere, which is harmless: equal values
-    have equal halves of either kind.  The largest temporary is one tile on
-    either path, never a copy of the chunk.
+def _half_word_screen(vals: np.ndarray) -> np.ndarray:
+    """Rows of ``vals`` that may hold a tie: equal 64-bit values have equal
+    32-bit halves, so one half of each row is sorted (half the bytes of a
+    full sort), a tile of ``_TILE_VALUES // m`` rows (at least one) at a
+    time.  ``view(np.uint32)[:, 1::2]`` is the high half on little-endian
+    platforms and the low half elsewhere; equal values have equal halves of
+    either kind.  The largest temporary is one tile, never the chunk.
     """
     rows, m = vals.shape
-    if m <= _SHORT_COLUMNS:
-        return _redraw(vals, np.flatnonzero(_key_walk(vals, ())[0]), seed, n, t0)
     tied = np.zeros(rows, dtype=bool)
     size = max(1, _TILE_VALUES // m)
     buf = np.empty((min(rows, size), m), dtype=np.uint32)
@@ -341,57 +345,46 @@ def _resolve_ties(vals: np.ndarray, seed: int, n: int, t0: int) -> int:
         half = buf[: min(size, rows - r0)]
         half[:] = vals[r0 : r0 + size].view(np.uint32)[:, 1::2]
         half.sort(axis=1)
-        # Each flat hit of the (tile rows x n) comparison names its row by // n.
-        tied[r0 + np.flatnonzero(half[:, 1:] == half[:, :-1]) // n] = True
-    return _redraw(vals, np.flatnonzero(tied), seed, n, t0)
+        # Each flat hit of the (tile rows x (m - 1)) comparison names its row.
+        tied[r0 + np.flatnonzero(half[:, 1:] == half[:, :-1]) // (m - 1)] = True
+    return np.flatnonzero(tied)
 
 
 def trial_values(seed: int, n: int, t0: int, t1: int) -> tuple[np.ndarray, int]:
     """Tie-free uint64 observations for trials [t0, t1), plus redraw count.
 
-    Row r holds the n + 1 observations of trial t0 + r.  The rows depend
-    only on (seed, n, trial index), never on the requested range.
+    Row r holds the n + 1 observations of trial t0 + r, as ``_break_counts``
+    draws and screens them: they depend only on (seed, n, trial index).
     """
     if t1 <= t0:
         raise UsageError(f"empty trial range [{t0}, {t1})")
-    vals = _raw_rows(seed, n, t0, t1, 0)
-    redraws = _resolve_ties(vals, seed, n, t0)
+    vals, _, redraws = _break_counts(seed, n, t0, t1, ())
     return vals, redraws
-
-
-def _finish_flagged(
-    vals: np.ndarray, rows: np.ndarray, counts: np.ndarray, ts: tuple[int, ...],
-    seed: int, n: int, t0: int,
-) -> int:
-    """Make exact the ``rows`` that ``_key_walk`` flagged; return the redraws.
-
-    The truly tied rows are redrawn, then all of ``rows`` are gathered
-    once and counted again at every horizon by ``final_break_counts``.
-    """
-    redraws = _redraw(vals, rows, seed, n, t0)
-    flagged = vals[rows]
-    for cnt, t in zip(counts, ts):
-        cnt[rows] = final_break_counts(flagged[:, : t + 1])
-    return redraws
 
 
 def _break_counts(
     seed: int, n: int, t0: int, t1: int, ts: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Rows of trials [t0, t1), their break counts, and the redraw count.
+    """Tie-free rows of trials [t0, t1), their break counts, and the redraws.
 
-    The rows are those of ``trial_values``; ``counts[i, r]`` is the number
-    of records broken at step ``ts[i]`` of row r.  Short rows are drawn raw
-    and read once by ``_key_walk``, and only the rows it flags are finished
-    by ``_finish_flagged``; wider rows come from ``trial_values`` and
-    ``final_break_counts``.  The sampler and the audit both count here.
+    Every chunk is drawn, screened and counted here, for the sampler, the
+    audit and ``trial_values`` (at no horizon); ``counts[i, r]`` counts the
+    records broken at step ``ts[i]`` of row r.  ``_redraw`` redraws the
+    truly tied rows among those that ``_key_walk`` (short rows, which it
+    also counts) or ``_half_word_screen`` (wider rows) flags.
+    ``final_break_counts`` counts the wider rows and recounts the flagged
+    short rows on 64 bits, gathered once.
     """
-    if n + 1 > _SHORT_COLUMNS:
-        vals, redraws = trial_values(seed, n, t0, t1)
-        return vals, np.array([final_break_counts(vals[:, : t + 1]) for t in ts]), redraws
     vals = _raw_rows(seed, n, t0, t1, 0)
+    if n + 1 > _SHORT_COLUMNS:
+        redraws = _redraw(vals, _half_word_screen(vals), seed, n, t0)
+        return vals, np.array([final_break_counts(vals[:, : t + 1]) for t in ts]), redraws
     flagged, counts = _key_walk(vals, ts)
-    redraws = _finish_flagged(vals, np.flatnonzero(flagged), counts, ts, seed, n, t0)
+    rows = np.flatnonzero(flagged)
+    redraws = _redraw(vals, rows, seed, n, t0)
+    exact = vals[rows]
+    for cnt, t in zip(counts, ts):
+        cnt[rows] = final_break_counts(exact[:, : t + 1])
     return vals, counts, redraws
 
 
@@ -409,6 +402,8 @@ def final_break_counts(vals: np.ndarray) -> np.ndarray:
     is O(log n) values per row and no temporary spans (rows x n).
     """
     rows, m = vals.shape
+    if m < 2:
+        raise UsageError(f"a break count needs rows of at least 2 values, got {m}")
     counts = np.zeros(rows, dtype=np.int64)
     top = np.empty(rows, dtype=vals.dtype)
     stop = max(m - _SHORT_COLUMNS, 0)
@@ -460,6 +455,8 @@ def record_counts(vals: np.ndarray) -> np.ndarray:
     temporary spans more than ``_TILE_VALUES`` values.
     """
     rows, m = vals.shape
+    if m < 1:
+        raise UsageError(f"a record count needs rows of at least 1 value, got {m}")
     counts = np.ones(rows, dtype=np.int64)
     if m <= _NARROW_COLUMNS:
         for r0, cols in _column_tiles(vals):

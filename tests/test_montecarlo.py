@@ -29,6 +29,7 @@ from brokenrecords import (
     RecordStack,
     SimConfig,
     TrajectoryStats,
+    UsageError,
     check_trajectory,
     default_checkpoints,
     expected_record_count,
@@ -88,6 +89,35 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["n", "trials", "seed", "kmax", "workers"])
+    @pytest.mark.parametrize("bad", [1.0, 2.5, "3", None], ids=repr)
+    def test_non_integer_fields_are_refused(self, name, bad):
+        kwargs = {"n": 8, "trials": 10, "seed": 1, "kmax": 4, "workers": 1, name: bad}
+        with pytest.raises(UsageError, match=f"^{name} must be an integer, got"):
+            SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("seed, workers", [(1.0, 1), (1, 1.5)])
+    def test_seed_and_workers_check_refuses_non_integers(self, seed, workers):
+        with pytest.raises(UsageError, match="must be an integer"):
+            mc.check_seed_and_workers(seed, workers)
+
+    def test_numpy_integers_are_kept_as_python_ints(self):
+        fields = ("n", "trials", "seed", "kmax", "workers")
+        cfg = SimConfig(
+            n=np.int64(8), trials=np.uint32(10), seed=np.uint64(2**64 - 1),
+            kmax=np.int8(4), workers=np.int16(1),
+        )
+        assert cfg == SimConfig(n=8, trials=10, seed=2**64 - 1, kmax=4, workers=1)
+        assert all(type(getattr(cfg, name)) is int for name in fields)
+
+    def test_a_numpy_seed_redraws_on_the_seed_key(self, planted_ties):
+        # Each redraw is keyed by seed + (attempt << 64), past uint64; the
+        # planted trials 0, 97, 194 and 291 are redrawn once each.
+        plain = simulate_b(SimConfig(n=8, trials=300, seed=17))
+        numpy = simulate_b(SimConfig(n=8, trials=300, seed=np.uint64(17)))
+        assert numpy.counts == plain.counts
+        assert numpy.meta["tie_redraws"] == plain.meta["tie_redraws"] == 4
+
     def test_frozen(self):
         cfg = SimConfig(n=1, trials=1, seed=0)
         with pytest.raises(AttributeError):
@@ -132,6 +162,20 @@ class TestEmpiricalPmf:
             spilled.mean()
 
 
+def _draw_from(monkeypatch, first, seed, n, t0):
+    """``trial_values`` of the trials from t0 whose first draw is ``first``:
+    ``_raw_rows`` hands it over at attempt 0 and draws every redraw."""
+    raw = mc._raw_rows
+
+    def planted(seed, n, a, b, attempt):
+        if attempt == 0:
+            return first[a - t0 : b - t0].copy()
+        return raw(seed, n, a, b, attempt)
+
+    monkeypatch.setattr(mc, "_raw_rows", planted)
+    return trial_values(seed, n, t0, t0 + len(first))
+
+
 class TestTrialValues:
     def test_range_independence(self):
         whole, _ = trial_values(99, 6, 0, 40)
@@ -153,12 +197,12 @@ class TestTrialValues:
         with pytest.raises(ValueError):
             trial_values(1, 2, 5, 5)
 
-    def test_planted_tie_is_redrawn(self):
+    def test_planted_tie_is_redrawn(self, monkeypatch):
         seed, n, t0 = 11, 5, 30
         vals, _ = trial_values(seed, n, t0, t0 + 3)
         keep0, keep2 = vals[0].copy(), vals[2].copy()
         vals[1][2] = vals[1][3]  # fabricate a collision in trial t0+1
-        redraws = mc._resolve_ties(vals, seed, n, t0)
+        vals, redraws = _draw_from(monkeypatch, vals, seed, n, t0)
         assert redraws >= 1
         assert not mc._row_has_tie(vals[1])
         assert np.array_equal(vals[0], keep0)
@@ -181,7 +225,7 @@ class TestTrialValues:
         raise AssertionError("no tie-free redraw in nine attempts")
 
     @pytest.mark.parametrize("shift", [0, 32], ids=["low-half", "high-half"])
-    def test_half_collision_alone_is_not_redrawn(self, shift):
+    def test_half_collision_alone_is_not_redrawn(self, shift, monkeypatch):
         # Copy one 32-bit half of a value into another column and flip a
         # bit of the other half: the halves collide, the values differ.
         seed, n, t0 = 11, 40, 30
@@ -191,9 +235,9 @@ class TestTrialValues:
         vals[1][7] = (vals[1][20] & half) | ((vals[1][20] ^ other) & ~half)
         assert vals[1][7] != vals[1][20]
         assert not mc._row_has_tie(vals[1])
-        before = vals.copy()
-        assert mc._resolve_ties(vals, seed, n, t0) == 0
-        assert np.array_equal(vals, before)
+        drawn, redraws = _draw_from(monkeypatch, vals, seed, n, t0)
+        assert redraws == 0
+        assert np.array_equal(drawn, vals)
 
     def test_two_half_collisions_flag_the_row_once(self, monkeypatch):
         # Two pairs with equal high halves and two with equal low halves:
@@ -214,13 +258,13 @@ class TestTrialValues:
         monkeypatch.setattr(
             mc, "_row_has_tie", lambda r: checked.append(r.copy()) or exact(r)
         )
-        before = vals.copy()
-        assert mc._resolve_ties(vals, seed, n, t0) == 0
+        drawn, redraws = _draw_from(monkeypatch, vals, seed, n, t0)
+        assert redraws == 0
         assert len(checked) == 1
-        assert np.array_equal(checked[0], before[1])
-        assert np.array_equal(vals, before)
+        assert np.array_equal(checked[0], vals[1])
+        assert np.array_equal(drawn, vals)
 
-    def test_tie_screen_memory_stays_under_the_chunk(self):
+    def test_tie_screen_memory_stays_under_the_chunk(self, monkeypatch):
         # Every row gets a pair of values with equal high halves and a pair
         # with equal low halves, so the half screen flags every row on
         # either byte order, yet no value repeats.
@@ -231,26 +275,27 @@ class TestTrialValues:
         vals[:, 1] = (vals[:, 0] & high) | (~vals[:, 0] & low)
         vals[:, 3] = (vals[:, 2] & low) | (~vals[:, 2] & high)
         assert not any(mc._row_has_tie(row) for row in vals)
-        before = vals.copy()
-        redraws, peak = _traced_peak(lambda: mc._resolve_ties(vals, seed, n, t0))
-        assert redraws == 0
-        assert np.array_equal(vals, before)
+        flagged, peak = _traced_peak(lambda: mc._half_word_screen(vals))
+        assert flagged.tolist() == list(range(64))
         assert peak < vals.nbytes
+        drawn, redraws = _draw_from(monkeypatch, vals, seed, n, t0)
+        assert redraws == 0
+        assert np.array_equal(drawn, vals)
 
     @pytest.mark.parametrize("col", [0, 20, 40], ids=["first", "middle", "last"])
-    def test_true_tie_at_any_column_is_redrawn(self, col):
+    def test_true_tie_at_any_column_is_redrawn(self, col, monkeypatch):
         seed, n, t0 = 11, 40, 30
         vals, _ = trial_values(seed, n, t0, t0 + 3)
         keep0, keep2 = vals[0].copy(), vals[2].copy()
         vals[1][col] = vals[1][(col + 13) % (n + 1)]
-        redraws = mc._resolve_ties(vals, seed, n, t0)
+        vals, redraws = _draw_from(monkeypatch, vals, seed, n, t0)
         row, attempts = self._first_clean_attempt(seed, n, t0 + 1)
         assert redraws == attempts
         assert np.array_equal(vals[1], row)
         assert np.array_equal(vals[0], keep0)
         assert np.array_equal(vals[2], keep2)
 
-    def test_a_true_tie_in_every_row_is_redrawn(self):
+    def test_a_true_tie_in_every_row_is_redrawn(self, monkeypatch):
         # The screen names rows from flat hits of the (rows x n) comparison;
         # a tie in every row, first and last included and at every column,
         # shows a hit mapped to the wrong row or a row dropped.
@@ -258,7 +303,7 @@ class TestTrialValues:
         vals, _ = trial_values(seed, n, t0, t0 + rows)
         for i in range(rows):
             vals[i][i % (n + 1)] = vals[i][(i + 7) % (n + 1)]
-        redraws = mc._resolve_ties(vals, seed, n, t0)
+        vals, redraws = _draw_from(monkeypatch, vals, seed, n, t0)
         total = 0
         for i in range(rows):
             row, attempts = self._first_clean_attempt(seed, n, t0 + i)
@@ -273,7 +318,7 @@ class TestWideRowTieScreen:
 
     _first_clean_attempt = staticmethod(TestTrialValues._first_clean_attempt)
 
-    def _redraws_exactly(self, n, rows, tied):
+    def _redraws_exactly(self, monkeypatch, n, rows, tied):
         seed, t0 = 11, 0
         clean, _ = trial_values(seed, n, t0, t0 + rows)
         vals = clean.copy()
@@ -284,26 +329,29 @@ class TestWideRowTieScreen:
             row, attempts = self._first_clean_attempt(seed, n, t0 + r)
             total += attempts
             clean[r] = row
-        assert mc._resolve_ties(vals, seed, n, t0) == total
-        assert np.array_equal(vals, clean)
+        drawn, redraws = _draw_from(monkeypatch, vals, seed, n, t0)
+        assert redraws == total
+        assert np.array_equal(drawn, clean)
 
-    def test_ties_at_tile_edges_are_redrawn(self):
+    def test_ties_at_tile_edges_are_redrawn(self, monkeypatch):
         # Rows on both sides of each tile boundary and in the last, short tile.
         n = 500
         size = mc._TILE_VALUES // (n + 1)
         rows = 2 * size + 7
-        self._redraws_exactly(n, rows, [0, size - 1, size, 2 * size - 1, 2 * size, rows - 1])
+        self._redraws_exactly(
+            monkeypatch, n, rows, [0, size - 1, size, 2 * size - 1, 2 * size, rows - 1]
+        )
 
-    def test_a_row_wider_than_a_tile_is_its_own_tile(self):
+    def test_a_row_wider_than_a_tile_is_its_own_tile(self, monkeypatch):
         n = mc._TILE_VALUES + 3
-        self._redraws_exactly(n, 4, [1, 3])
+        self._redraws_exactly(monkeypatch, n, 4, [1, 3])
 
     def test_screen_memory_stays_near_one_tile(self):
         # Sorting the half words of the whole chunk at once would take half
         # its bytes; the screen holds the half words of one tile.
         n = 500
         vals, _ = trial_values(11, n, 0, mc._rows_per_chunk(n))
-        _, peak = _traced_peak(lambda: mc._resolve_ties(vals, 11, n, 0))
+        _, peak = _traced_peak(lambda: mc._half_word_screen(vals))
         assert peak < TILE_BYTES < vals.nbytes // 4
 
 
@@ -318,7 +366,7 @@ class TestShortRowTieScreen:
     _first_clean_attempt = staticmethod(TestTrialValues._first_clean_attempt)
 
     @pytest.mark.parametrize("m", SHORT_WIDTHS)
-    def test_a_true_tie_at_every_column_pair_is_redrawn(self, m):
+    def test_a_true_tie_at_every_column_pair_is_redrawn(self, m, monkeypatch):
         seed, n, t0 = 11, m - 1, 30
         clean, _ = trial_values(seed, n, t0, t0 + 3)
         row, attempts = self._first_clean_attempt(seed, n, t0 + 1)
@@ -326,11 +374,13 @@ class TestShortRowTieScreen:
             for j in range(i + 1, m):
                 vals = clean.copy()
                 vals[1][i] = vals[1][j]
-                assert mc._resolve_ties(vals, seed, n, t0) == attempts, (i, j)
+                with monkeypatch.context() as mp:
+                    vals, redraws = _draw_from(mp, vals, seed, n, t0)
+                assert redraws == attempts, (i, j)
                 assert np.array_equal(vals[1], row), (i, j)
                 assert np.array_equal(vals[[0, 2]], clean[[0, 2]]), (i, j)
 
-    def test_ties_at_tile_edges_are_redrawn(self):
+    def test_ties_at_tile_edges_are_redrawn(self, monkeypatch):
         # Rows on both sides of a tile boundary and in the last, short tile.
         seed, n, t0 = 11, 8, 0
         size = mc._TILE_VALUES // (n + 1)
@@ -345,8 +395,9 @@ class TestShortRowTieScreen:
             row, attempts = self._first_clean_attempt(seed, n, t0 + r)
             total += attempts
             clean[r] = row
-        assert mc._resolve_ties(vals, seed, n, t0) == total
-        assert np.array_equal(vals, clean)
+        drawn, redraws = _draw_from(monkeypatch, vals, seed, n, t0)
+        assert redraws == total
+        assert np.array_equal(drawn, clean)
 
     @pytest.mark.parametrize("shift", [0, 32], ids=["low-half", "high-half"])
     @pytest.mark.parametrize("m", [2, 9, mc._SHORT_COLUMNS])
@@ -365,18 +416,18 @@ class TestShortRowTieScreen:
         monkeypatch.setattr(
             mc, "_row_has_tie", lambda r: checked.append(r.copy()) or exact(r)
         )
-        before = vals.copy()
-        assert mc._resolve_ties(vals, seed, n, t0) == 0
+        drawn, redraws = _draw_from(monkeypatch, vals, seed, n, t0)
+        assert redraws == 0
         assert len(checked) == 1
-        assert np.array_equal(checked[0], before[1])
-        assert np.array_equal(vals, before)
+        assert np.array_equal(checked[0], vals[1])
+        assert np.array_equal(drawn, vals)
 
     def test_screen_memory_stays_near_one_tile(self):
         # The key screen holds one column-major tile of keys and its flags,
         # however many tiles the rows span.
         n = 8
         vals, _ = trial_values(11, n, 0, 16 * (mc._TILE_VALUES // (n + 1)))
-        _, peak = _traced_peak(lambda: mc._resolve_ties(vals, 11, n, 0))
+        _, peak = _traced_peak(lambda: mc._key_walk(vals, ()))
         assert peak < 2 * TILE_BYTES < vals.nbytes // 4
 
 
@@ -630,6 +681,14 @@ class TestBreakCountWalk:
                 final_break_counts(view), _reference_final_break_counts(view)
             )
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_rows_with_no_step_are_refused(self, m, monkeypatch):
+        # A row of one value has no step: run_trajectory gives no b_path.
+        assert run_trajectory([0.5]).b_path == []
+        monkeypatch.setattr(mc, "_column_tiles", None)  # refused before any work
+        with pytest.raises(UsageError, match=f"at least 2 values, got {m}$"):
+            final_break_counts(np.zeros((3, m), dtype=np.uint64))
+
     def test_checkpoint_views(self):
         vals, _ = trial_values(31, 200, 0, 2000)
         for t in (1, 2, 3, 8, 9, 10, 50, 123, 200):
@@ -805,6 +864,11 @@ class TestRecordCountScan:
         for width in (9, 2 * mc._NARROW_COLUMNS):
             empty = np.empty((0, width), dtype=np.uint64)
             assert record_counts(empty).shape == (0,)
+
+    def test_rows_of_no_value_are_refused(self, monkeypatch):
+        monkeypatch.setattr(mc, "_column_tiles", None)  # refused before any work
+        with pytest.raises(UsageError, match="at least 1 value, got 0$"):
+            record_counts(np.zeros((3, 0), dtype=np.uint64))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -1371,7 +1435,11 @@ class TestAuditChecksTheKeyWalk:
         assert report.tie_redraws == 0
 
     def test_without_the_exact_finish(self, key_collision, monkeypatch):
-        monkeypatch.setattr(mc, "_finish_flagged", lambda *args: 0)
+        # The flagged rows' recount reads their keys, as the walk did.
+        def keyed(vals):
+            return mc._key_walk(vals, (vals.shape[1] - 1,))[1][0]
+
+        monkeypatch.setattr(mc, "final_break_counts", keyed)
         self._assert_caught()
 
     def test_one_shifted_key_walk_count(self, monkeypatch):
@@ -1458,17 +1526,17 @@ class TestAuditInWorkerProcesses:
         assert caught == [(self.seed, 7, self.n, message)] * 2
 
     def test_a_dead_worker_stops_the_run_at_the_summed_prefix(self, monkeypatch):
-        parent, real = os.getpid(), mc.trial_values
+        parent, real = os.getpid(), mc._break_counts
 
-        def dying(seed, n, t0, t1):
+        def dying(seed, n, t0, t1, ts):
             if t0 == 2 * self.rows:
                 if os.getpid() == parent:
                     raise RuntimeError("the third range ran in the test process")
                 time.sleep(0.5)  # ranges 0 and 1 are summed meanwhile
                 os._exit(1)
-            return real(seed, n, t0, t1)
+            return real(seed, n, t0, t1, ts)
 
-        monkeypatch.setattr(mc, "trial_values", dying)
+        monkeypatch.setattr(mc, "_break_counts", dying)
         with pytest.raises(PartialResultError) as exc:
             self._audit(2)
         assert exc.value.completed == 2 * self.rows

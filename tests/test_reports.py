@@ -271,6 +271,11 @@ class TestConvergeTable:
         with pytest.raises(ValueError):
             converge_table([2], kmax=-1, trials=0, seed=0)
 
+    @pytest.mark.parametrize("seed, workers", [(1.0, 1), (1, 1.5)])
+    def test_non_integer_seed_or_workers_refused_even_unsampled(self, seed, workers):
+        with pytest.raises(ValueError, match="must be an integer"):
+            converge_table([2], kmax=1, trials=0, seed=seed, workers=workers)
+
 
 class TestFitStatistics:
     def test_tv_basic(self):
