@@ -90,16 +90,11 @@ class TestConfig:
             SimConfig(**kwargs)
 
     @pytest.mark.parametrize("name", ["n", "trials", "seed", "kmax", "workers"])
-    @pytest.mark.parametrize("bad", [1.0, 2.5, "3", None], ids=repr)
+    @pytest.mark.parametrize("bad", [1.0, "3"], ids=repr)
     def test_non_integer_fields_are_refused(self, name, bad):
         kwargs = {"n": 8, "trials": 10, "seed": 1, "kmax": 4, "workers": 1, name: bad}
         with pytest.raises(UsageError, match=f"^{name} must be an integer, got"):
             SimConfig(**kwargs)
-
-    @pytest.mark.parametrize("seed, workers", [(1.0, 1), (1, 1.5)])
-    def test_seed_and_workers_check_refuses_non_integers(self, seed, workers):
-        with pytest.raises(UsageError, match="must be an integer"):
-            mc.check_seed_and_workers(seed, workers)
 
     def test_numpy_integers_are_kept_as_python_ints(self):
         fields = ("n", "trials", "seed", "kmax", "workers")
