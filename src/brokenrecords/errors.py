@@ -1,5 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one argument rule."""
 from __future__ import annotations
+
+import operator
 
 
 class TieError(ValueError):
@@ -50,3 +52,19 @@ class PartialResultError(RuntimeError):
     def __init__(self, message: str, *, completed: int):
         super().__init__(message)
         self.completed = completed
+
+
+def checked_int(name: str, value, least: int | None = 0) -> int:
+    """``value`` as an int of at least ``least`` (None: no bound), else UsageError.
+
+    Every count argument of the public API passes here.  A numpy integer
+    becomes the Python int of its value, so no fixed-width product wraps
+    around later; a float or any other non-integer is refused."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise UsageError(f"{name} must be {bound}, got {value}")
+    return value

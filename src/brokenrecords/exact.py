@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, pairwise
 
-from .errors import CapacityError, UsageError
+from .errors import CapacityError, checked_int
 
 # Ceiling on n * n * (kmax + 1) for exact_pmf_b at kmax >= 1: the pass
 # fills n * kmax cells, each an integer of O(n log n) bits.  Calls at the
@@ -95,8 +95,7 @@ def prob_b0(n: int) -> Fraction:
     The last observation breaks no record iff it is below its predecessor,
     and those two orderings are equally likely by exchangeability.
     """
-    if n < 1:
-        raise UsageError(f"n must be at least 1, got {n}")
+    checked_int("n", n, 1)
     return Fraction(1, 2)
 
 
@@ -111,8 +110,7 @@ def prob_b1(n: int) -> Fraction:
     1/2 at n = 1, as it must be: the second observation either breaks the
     only record or nothing.
     """
-    if n < 1:
-        raise UsageError(f"n must be at least 1, got {n}")
+    n = checked_int("n", n, 1)
     return Fraction(1, 4) + Fraction(1, 2 * n * (n + 1))
 
 
@@ -154,10 +152,7 @@ def exact_pmf_b(n: int, kmax: int) -> BreakLaw:
     kmax >= 1 it refuses with CapacityError, before any arithmetic, when
     n * n * (kmax + 1) exceeds ``EXACT_MAX_WORK``.
     """
-    if n < 1:
-        raise UsageError(f"n must be at least 1, got {n}")
-    if kmax < 0:
-        raise UsageError(f"kmax must be nonnegative, got {kmax}")
+    n, kmax = checked_int("n", n, 1), checked_int("kmax", kmax)
     top = min(kmax, n)
     if not top:
         return BreakLaw(n=n, mass={0: Fraction(1, 2)}, lone=(0,), heads=(1,))
@@ -181,9 +176,7 @@ def exact_pmf_b(n: int, kmax: int) -> BreakLaw:
 
 def geometric_limit(k: int) -> Fraction:
     """Limiting probability of breaking exactly k records: 2**-(k+1)."""
-    if k < 0:
-        raise UsageError(f"k must be nonnegative, got {k}")
-    return Fraction(1, 2 ** (k + 1))
+    return Fraction(1, 2 ** (checked_int("k", k) + 1))
 
 
 def remainder_bound(n: int, k: int) -> float:
@@ -193,10 +186,7 @@ def remainder_bound(n: int, k: int) -> float:
     deviation attains the bound exactly; for larger k the bound absorbs
     the harmonic factors picked up per extra coordinate.
     """
-    if n < 2:
-        raise UsageError(f"n must be at least 2, got {n}")
-    if k < 1:
-        raise UsageError(f"k must be at least 1, got {k}")
+    n, k = checked_int("n", n, 2), checked_int("k", k, 1)
     return (1.0 + math.log(n - 1)) ** (k - 1) / (2.0 * n * (n + 1))
 
 
@@ -227,8 +217,7 @@ def expected_record_count(n: int) -> Fraction:
     n * n: it refuses with CapacityError, before any arithmetic, when
     n * n exceeds ``EXACT_MAX_WORK`` (n = 10**5 takes about 0.5 s).
     """
-    if n < 0:
-        raise UsageError(f"n must be nonnegative, got {n}")
+    n = checked_int("n", n)
     if n * n > EXACT_MAX_WORK:
         raise CapacityError(
             f"exact mean record count for n={n} needs n*n = {n * n}, "

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 import sys
 import time
@@ -50,7 +49,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import CapacityError, InvariantError, PartialResultError, TieError, UsageError
+from .errors import (
+    CapacityError, InvariantError, PartialResultError, TieError, UsageError, checked_int
+)
 from .records import TrajectoryStats, run_trajectory, scan_distinct
 
 GENERATOR = "philox4x64-counter-window"
@@ -125,34 +126,26 @@ class SimConfig:
     workers: int = field(default_factory=usable_cpus)
 
     def __post_init__(self):
-        for name in ("n", "trials", "seed", "kmax", "workers"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.n < 1:
-            raise UsageError(f"n must be at least 1, got {self.n}")
-        if self.trials < 1:
-            raise UsageError(f"trials must be at least 1, got {self.trials}")
-        check_seed_and_workers(self.seed, self.workers)
-        if self.kmax < 0:
-            raise UsageError(f"kmax must be nonnegative, got {self.kmax}")
+        n, trials = checked_int("n", self.n, 1), checked_int("trials", self.trials, 1)
+        seed, workers = check_seed_and_workers(self.seed, self.workers)
+        kmax = checked_int("kmax", self.kmax)
+        checked = dict(n=n, trials=trials, seed=seed, kmax=kmax, workers=workers)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         _words_per_trial(self.n)
 
 
-def check_seed_and_workers(seed: int, workers: int) -> None:
+def check_seed_and_workers(seed: int, workers: int) -> tuple[int, int]:
     """The seed and worker rules of ``SimConfig``, for callers to check early."""
-    seed, workers = _integer("seed", seed), _integer("workers", workers)
+    return _checked_seed(seed), checked_int("workers", workers, 1)
+
+
+def _checked_seed(seed: int) -> int:
+    """The seed as an int that keys Philox4x64: at least 0 and below 2**64."""
+    seed = checked_int("seed", seed, None)
     if not 0 <= seed < 2**64:
         raise UsageError("seed must fit in an unsigned 64-bit integer")
-    if workers < 1:
-        raise UsageError(f"workers must be at least 1, got {workers}")
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; UsageError for a float (whose redraw key would
-    lose the seed's low bits) or any other non-integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+    return seed
 
 
 @dataclass
@@ -274,34 +267,43 @@ def _key_walk(vals: np.ndarray, ts: tuple[int, ...]) -> tuple[np.ndarray, np.nda
 
     Each column-major tile of ``_key_tiles`` is read once for both jobs:
     every pair of its columns is compared, which flags each row holding two
-    equal keys, and the backward walk of ``final_break_counts`` runs on the
-    keys at every horizon t of ``ts``, counting in int8 (a count is at most
-    t < ``_SHORT_COLUMNS``).  Distinct keys are ordered as their values are,
-    so every unflagged row's count is exact.  A flagged row holds a tie or
-    two values that differ only below their keys, about C(m, 2) / 2**16 of
-    the rows; its counts are left for the caller to finish.  Returns
-    (flags, counts), with counts[i] the counts at horizon ts[i].
+    equal keys, and ``_walk``, the backward walk of ``final_break_counts``,
+    runs on the keys at every horizon t of ``ts``, counting in int8 (a count
+    is at most t < ``_SHORT_COLUMNS``).  Distinct keys are ordered as their
+    values are, so every unflagged row's count is exact.  A flagged row holds
+    a tie or two values that differ only below their keys, about
+    C(m, 2) / 2**16 of the rows; its counts are left for the caller to
+    finish.  Returns (flags, counts), with counts[i] the counts at horizon
+    ts[i].
     """
     rows, m = vals.shape
     flagged = np.zeros(rows, dtype=bool)
     counts = np.zeros((len(ts), rows), dtype=np.int8)
-    top = np.empty(min(rows, max(1, _TILE_VALUES // m)), dtype=np.uint16)
+    top = np.empty(rows, dtype=np.uint16)
     for r0, keys in _key_tiles(vals):
-        k = keys.shape[1]
-        flag = flagged[r0 : r0 + k]
+        tile = slice(r0, r0 + keys.shape[1])
+        flag = flagged[tile]
         for j in range(1, m):
             flag |= (keys[:j] == keys[j]).any(axis=0)
-        for cnt, t in zip(counts[:, r0 : r0 + k], ts):
-            cols, mx = keys[: t + 1], top[:k]
-            below = cols[-1]
-            mx[:] = cols[-2]
-            cnt += mx < below
-            for v in cols[-3::-1]:
-                hit = v > mx
-                hit &= v < below
-                cnt += hit
-                np.maximum(mx, v, out=mx)
+        for cnt, t in zip(counts[:, tile], ts):
+            _walk(keys[: t + 1], top[tile], cnt)
     return flagged, counts
+
+
+def _walk(cols: np.ndarray, top: np.ndarray, cnt: np.ndarray) -> None:
+    """Add to ``cnt`` the records broken by the last of the columns ``cols``.
+
+    Reads each row backward with its running maximum in ``top``: a value
+    counts when it beats that maximum and stays below the last one.  ``top``
+    ends as the maximum of every column but the last."""
+    below = cols[-1]
+    top[:] = cols[-2]
+    cnt += top < below
+    for v in cols[-3::-1]:
+        hit = v > top
+        hit &= v < below
+        cnt += hit
+        np.maximum(top, v, out=top)
 
 
 def _redraw(vals: np.ndarray, rows: np.ndarray, seed: int, n: int, t0: int) -> int:
@@ -356,6 +358,8 @@ def trial_values(seed: int, n: int, t0: int, t1: int) -> tuple[np.ndarray, int]:
     Row r holds the n + 1 observations of trial t0 + r, as ``_break_counts``
     draws and screens them: they depend only on (seed, n, trial index).
     """
+    seed, n = _checked_seed(seed), checked_int("n", n, 1)
+    t0, t1 = checked_int("t0", t0), checked_int("t1", t1)
     if t1 <= t0:
         raise UsageError(f"empty trial range [{t0}, {t1})")
     vals, _, redraws = _break_counts(seed, n, t0, t1, ())
@@ -409,14 +413,7 @@ def final_break_counts(vals: np.ndarray) -> np.ndarray:
     stop = max(m - _SHORT_COLUMNS, 0)
     for r0, cols in _column_tiles(vals[:, stop:]):
         tile = slice(r0, r0 + cols.shape[1])
-        below, mx, cnt = cols[-1], top[tile], counts[tile]
-        mx[:] = cols[-2]
-        cnt += mx < below
-        for v in cols[-3::-1]:
-            hit = v > mx
-            hit &= v < below
-            cnt += hit
-            np.maximum(mx, v, out=mx)
+        _walk(cols, top[tile], counts[tile])
     if stop == 0:
         return counts
     last = vals[:, -1]
@@ -678,7 +675,8 @@ def simulate_b_checkpoints(
     row, exactly as in ``simulate_b``, so the final-horizon histogram is
     identical to a plain run of the same configuration.
     """
-    ts = default_checkpoints(config.n) if checkpoints is None else tuple(sorted(set(checkpoints)))
+    ts = default_checkpoints(config.n) if checkpoints is None else checkpoints
+    ts = tuple(sorted({checked_int("checkpoints", t, None) for t in ts}))
     if not ts:
         raise UsageError("checkpoints must name at least one horizon")
     if ts[0] < 1 or ts[-1] > config.n:
@@ -832,7 +830,7 @@ def simulate_trajectory_audit(config: SimConfig) -> AuditReport:
     rows = max(1, _TILE_VALUES // _words_per_trial(config.n))
     workers = 1
     if hasattr(os, "fork"):
-        workers = min(config.workers, usable_cpus(), -(-config.trials // rows))
+        workers = min(_threads(config), -(-config.trials // rows))
     steps, redraws = _merge_chunks(
         config, functools.partial(_audit_chunk, config), (), rows, workers, fork=workers > 1
     )

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, UsageError
+from .errors import CapacityError, checked_int
 from .exact import Pmf
 
 MAX_N = 10
@@ -182,10 +182,9 @@ def _enumerate(n: int) -> _EnumCounts:
 def _masses(n: int, tally: str) -> dict:
     """One tally of the enumeration at n as exact masses.
 
-    The one place where the oracle checks n and the cap, before any work.
+    The one place where the oracle checks the cap, before any work; its
+    callers have checked n.
     """
-    if n < 1:
-        raise UsageError(f"n must be at least 1, got {n}")
     if n > MAX_N:
         raise CapacityError(
             f"enumeration for n={n} needs {factorial(n + 1)} permutations, "
@@ -197,6 +196,7 @@ def _masses(n: int, tally: str) -> dict:
 
 def oracle_joint(n: int) -> JointPmf:
     """Exact joint law of (final break count, prior record count)."""
+    n = checked_int("n", n, 1)
     return JointPmf(n=n, mass=_masses(n, "joint"))
 
 
@@ -207,8 +207,7 @@ def oracle_pmf_b(n: int) -> Pmf:
 
 def oracle_pmf_r(n: int) -> Pmf:
     """Exact law of the record count after n + 1 observations."""
-    if n < 0:
-        raise UsageError(f"n must be nonnegative, got {n}")
+    n = checked_int("n", n)
     if n == 0:
         return Pmf(n=0, mass={1: Fraction(1)})
     return Pmf(n=n, mass=_masses(n, "r_now"))

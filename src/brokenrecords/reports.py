@@ -14,9 +14,9 @@ import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
-from .errors import CapacityError, UsageError
+from .errors import CapacityError, UsageError, checked_int
 from .exact import (
     exact_pmf_b,
     expected_record_count,
@@ -26,7 +26,6 @@ from .exact import (
     remainder_bound,
 )
 from .montecarlo import (
-    EmpiricalPmf,
     SimConfig,
     check_seed_and_workers,
     simulate_b,
@@ -246,20 +245,20 @@ def converge_table(
     simulation of ``trials`` trajectories (sharing one seed across the
     sweep).  Full masses and survivor tails come from one exact pass per n,
     and only the k <= 1 closed forms past the pass's ceiling.  Every
-    argument is checked before any enumeration or draw: the seed and worker
-    count by the sampler's rules, even when no n is sampled; each sampled
-    n's row size and the kmax by its ``SimConfig``, all built before the
-    loop; and the kmax, when nothing is sampled, by the first n's exact
-    pass.  ``workers`` defaults to ``usable_cpus()`` at call time.
+    argument is checked before any enumeration or draw: each n, the kmax
+    and the trials as integers in their domains, the seed and worker count
+    by the sampler's rules, even when no n is sampled, and each sampled n's
+    row size by its ``SimConfig``, all built before the loop.  ``workers``
+    defaults to ``usable_cpus()`` at call time.
     """
     if not n_list:
         raise UsageError("n_list must name at least one n")
-    if trials < 0:
-        raise UsageError(f"trials must be nonnegative, got {trials}")
-    if min(n_list) < 1:
-        raise UsageError(f"every n must be at least 1, got {min(n_list)}")
+    trials = checked_int("trials", trials)
+    n_list = [checked_int("every n", n, None) for n in n_list]
+    checked_int("every n", min(n_list), 1)
     workers = usable_cpus() if workers is None else workers
-    check_seed_and_workers(seed, workers)
+    seed, workers = check_seed_and_workers(seed, workers)
+    kmax = checked_int("kmax", kmax)
     configs = {
         n: SimConfig(n=n, trials=trials, seed=seed, kmax=kmax, workers=workers)
         for n in n_list
@@ -329,8 +328,7 @@ def chi2_sf(x: float, dof: int) -> float:
     when it is odd.  Every term is positive and taken in logs, so the
     relative error stays near machine precision far into the tail.
     """
-    if dof < 1:
-        raise UsageError(f"dof must be at least 1, got {dof}")
+    dof = checked_int("dof", dof, 1)
     if x <= 0:
         return 1.0
     y = x / 2
@@ -361,14 +359,10 @@ def chi_square_fit(
     return stat, dof, chi2_sf(stat, dof), len(obs)
 
 
-def _pooled_bins(emp: EmpiricalPmf, kmax: int) -> list[int]:
-    body = [emp.counts.get(k, 0) for k in range(kmax + 1)]
-    return body + [emp.trials - sum(body)]
-
-
-def _geometric_bins(kmax: int) -> list[Fraction]:
-    body = [geometric_limit(k) for k in range(kmax + 1)]
-    return body + [Fraction(1) - sum(body)]
+def _bins(mass: Callable[[int], int | Fraction], kmax: int, total: int = 1) -> list:
+    """``mass`` at 0..kmax, then one tail bin of the rest of ``total``."""
+    body = [mass(k) for k in range(kmax + 1)]
+    return body + [total - sum(body)]
 
 
 def gof_report(config: SimConfig) -> dict:
@@ -380,12 +374,11 @@ def gof_report(config: SimConfig) -> dict:
     """
     emp = simulate_b(config)
     kmax = config.kmax
-    observed = _pooled_bins(emp, kmax)
-    refs = [("geometric-limit", _geometric_bins(kmax))]
+    observed = _bins(lambda k: emp.counts.get(k, 0), kmax, emp.trials)
+    refs = [("geometric-limit", _bins(geometric_limit, kmax))]
     if config.n <= ENUMERATION_MAX_N:
         opmf = oracle_joint(config.n).marginal_b()
-        body = [opmf.prob(k) for k in range(kmax + 1)]
-        refs.append(("enumeration", body + [Fraction(1) - sum(body)]))
+        refs.append(("enumeration", _bins(opmf.prob, kmax)))
     rows = []
     for reference, probs in refs:
         tv = tv_distance([o / config.trials for o in observed], probs)

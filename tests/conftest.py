@@ -2,11 +2,17 @@
 
 Tests marked ``@pytest.mark.acceptance(num, title)`` feed a summary block
 printed at the end of the run: one PASS/FAIL line per numbered criterion.
+A ``RuntimeWarning``, such as numpy's warning on a scalar overflow, fails
+the test that raises it.
 """
 
 import pytest
 
 _results: dict[int, tuple[str, str]] = {}
+
+
+def pytest_configure(config):
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
 
 
 @pytest.hookimpl(hookwrapper=True)
