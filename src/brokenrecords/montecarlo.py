@@ -503,29 +503,28 @@ def _threads(cfg: SimConfig) -> int:
 def _merge_chunks(
     cfg: SimConfig,
     chunk_fn: Callable[[int, int], tuple],
-    shape: int | tuple[int, ...],
     rows: int,
     workers: int,
     fork: bool = False,
-) -> tuple[np.ndarray, int]:
+) -> tuple:
     """Run ``chunk_fn`` over the trials, ``rows`` at a time, and add up its counts.
 
     Ranges go in trial order to ``workers`` threads, or with ``fork`` to
     that many forked processes, with at most two per worker in flight, and
-    are summed in that order; one thread is the serial case.  Memory
-    therefore follows the window, not the range count.  On the first
-    failure in trial order the queued ranges are cancelled: an
-    InvariantError passes through unchanged, and any other failure, a dead
-    worker included, becomes PartialResultError whose ``completed`` counts
-    the exact prefix of trials already summed.
+    are summed in that order from 0, so the sum takes the shape of the
+    first range's counts; one thread is the serial case.  Memory therefore
+    follows the window, not the range count.  On the first failure in
+    trial order the queued ranges are cancelled: an InvariantError passes
+    through unchanged, and any other failure, a dead worker included,
+    becomes PartialResultError whose ``completed`` counts the exact prefix
+    of trials already summed.
     """
     chunks = _chunk_ranges(cfg.trials, rows)
     if fork:
         pool, call = _forked_pool(chunk_fn, workers), _run_adopted
     else:
         pool, call = ThreadPoolExecutor(max_workers=workers), chunk_fn
-    counts = np.zeros(shape, dtype=np.int64)
-    redraws = completed = 0
+    counts = redraws = completed = 0
     pending: deque = deque()
     with pool:
         while True:
@@ -642,9 +641,7 @@ def _simulate_breaks(config: SimConfig, ts: tuple[int, ...]) -> dict[int, Empiri
             out[row, -1] = tally[width - 1 :].sum()
         return out, rd
 
-    arr, redraws = _merge_chunks(
-        config, chunk, (len(ts), width), _rows_per_chunk(config.n), _threads(config)
-    )
+    arr, redraws = _merge_chunks(config, chunk, _rows_per_chunk(config.n), _threads(config))
     meta = _base_meta(config, redraws, time.perf_counter() - start, "break-count")
     return {
         t: EmpiricalPmf(
@@ -701,9 +698,7 @@ def simulate_r(config: SimConfig) -> EmpiricalPmf:
         vals, rd = trial_values(config.seed, config.n, t0, t1)
         return np.bincount(record_counts(vals), minlength=config.n + 2), rd
 
-    arr, redraws = _merge_chunks(
-        config, chunk, config.n + 2, _rows_per_chunk(config.n), _threads(config)
-    )
+    arr, redraws = _merge_chunks(config, chunk, _rows_per_chunk(config.n), _threads(config))
     counts = {r: int(arr[r]) for r in range(1, config.n + 2)}
     meta = _base_meta(config, redraws, time.perf_counter() - start, "record-count")
     return EmpiricalPmf(
@@ -731,48 +726,25 @@ def check_trajectory(
     ``run_trajectory`` already screened for ties, so it is scanned with no
     second screen.
     """
+    fail = functools.partial(InvariantError, seed=seed, trial=trial)
     r_path, b_path = stats.r_path, stats.b_path
     if r_path[0] != 1:
-        raise InvariantError(
-            "first observation must stand as the single record",
-            seed=seed,
-            trial=trial,
-            step=0,
-        )
+        raise fail("first observation must stand as the single record", step=0)
     for t in range(1, stats.n + 1):
         if r_path[t] != r_path[t - 1] + 1 - b_path[t - 1]:
-            raise InvariantError(
-                f"record count recursion failed at step {t}",
-                seed=seed,
-                trial=trial,
-                step=t,
-            )
+            raise fail(f"record count recursion failed at step {t}", step=t)
     if stats.total_broken != stats.n + 1 - r_path[-1]:
-        raise InvariantError(
-            "total breaks do not balance the surviving records",
-            seed=seed,
-            trial=trial,
-        )
+        raise fail("total breaks do not balance the surviving records")
     try:
         stats.final_records.validate()
     except ValueError as exc:
-        raise InvariantError(
-            f"final records are not a staircase: {exc}", seed=seed, trial=trial
-        ) from exc
+        raise fail(f"final records are not a staircase: {exc}") from exc
     if stats.final_records.time != stats.n:
-        raise InvariantError(
-            "newest record is not the final observation", seed=seed, trial=trial
-        )
+        raise fail("newest record is not the final observation")
     if len(stats.final_records) != stats.r_path[-1]:
-        raise InvariantError(
-            "final record count disagrees with its own stack", seed=seed, trial=trial
-        )
+        raise fail("final record count disagrees with its own stack")
     if scan_distinct(values) != stats.final_records:
-        raise InvariantError(
-            "definitional scan disagrees with the incremental stack",
-            seed=seed,
-            trial=trial,
-        )
+        raise fail("definitional scan disagrees with the incremental stack")
 
 
 def _audit_chunk(config: SimConfig, t0: int, t1: int) -> tuple[int, int]:
@@ -788,30 +760,17 @@ def _audit_chunk(config: SimConfig, t0: int, t1: int) -> tuple[int, int]:
     vec_r = record_counts(vals).tolist()
     for r in range(t1 - t0):
         trial = t0 + r
+        fail = functools.partial(InvariantError, seed=config.seed, trial=trial)
         row = vals[r].tolist()
         try:
             stats = run_trajectory(row)
         except TieError as exc:
-            raise InvariantError(
-                f"tie survived redraw in trial {trial}",
-                seed=config.seed,
-                trial=trial,
-            ) from exc
+            raise fail(f"tie survived redraw in trial {trial}") from exc
         check_trajectory(stats, row, seed=config.seed, trial=trial)
-        if stats.b_path and stats.b_path[-1] != vec_b[r]:
-            raise InvariantError(
-                "vectorized break count disagrees with the stack",
-                seed=config.seed,
-                trial=trial,
-                step=config.n,
-            )
+        if stats.b_path[-1] != vec_b[r]:
+            raise fail("vectorized break count disagrees with the stack", step=config.n)
         if stats.r_path[-1] != vec_r[r]:
-            raise InvariantError(
-                "vectorized record count disagrees with the stack",
-                seed=config.seed,
-                trial=trial,
-                step=config.n,
-            )
+            raise fail("vectorized record count disagrees with the stack", step=config.n)
     return (t1 - t0) * config.n, redraws
 
 
@@ -831,10 +790,9 @@ def simulate_trajectory_audit(config: SimConfig) -> AuditReport:
     workers = 1
     if hasattr(os, "fork"):
         workers = min(_threads(config), -(-config.trials // rows))
-    steps, redraws = _merge_chunks(
-        config, functools.partial(_audit_chunk, config), (), rows, workers, fork=workers > 1
+    checked, redraws = _merge_chunks(
+        config, functools.partial(_audit_chunk, config), rows, workers, fork=workers > 1
     )
-    checked = int(steps)
     wall = time.perf_counter() - start
     return AuditReport(
         n=config.n,

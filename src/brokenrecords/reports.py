@@ -331,6 +331,8 @@ def chi2_sf(x: float, dof: int) -> float:
     dof = checked_int("dof", dof, 1)
     if x <= 0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     y = x / 2
     log_y = math.log(y)
     if dof % 2 == 0:
@@ -459,10 +461,15 @@ def _header(rows: list[dict]) -> list[str]:
     return header
 
 
-def emit_csv(report: dict, stream: TextIO) -> None:
+def _emit_meta(report: dict, stream: TextIO) -> list[dict]:
+    """Write the ``# key=value`` header lines and return the report's rows."""
     for key, value in _flatten_meta(report.get("meta", {})):
         stream.write(f"# {key}={value}\n")
-    rows = report.get("rows", [])
+    return report.get("rows", [])
+
+
+def emit_csv(report: dict, stream: TextIO) -> None:
+    rows = _emit_meta(report, stream)
     if not rows:
         return
     header = _header(rows)
@@ -474,9 +481,7 @@ def emit_csv(report: dict, stream: TextIO) -> None:
 
 def emit_table(report: dict, stream: TextIO) -> None:
     """Aligned plain-text rendering for terminals."""
-    for key, value in _flatten_meta(report.get("meta", {})):
-        stream.write(f"# {key}={value}\n")
-    rows = report.get("rows", [])
+    rows = _emit_meta(report, stream)
     if not rows:
         return
     header = _header(rows)

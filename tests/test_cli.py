@@ -424,19 +424,23 @@ class TestAuditCommand:
 
 
 class TestImportPath:
-    def _loaded_after_cli_import(self, *prefixes):
-        """Modules under ``prefixes`` that ``import brokenrecords.cli`` loads."""
+    @staticmethod
+    def _python(*args, **kwargs):
+        """Run ``python args`` in a fresh interpreter that imports this tree."""
         src = os.path.dirname(os.path.dirname(brokenrecords.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, **kwargs
+        )
+
+    def _loaded_after_cli_import(self, *prefixes):
+        """Modules under ``prefixes`` that ``import brokenrecords.cli`` loads."""
         probe = (
             "import sys, brokenrecords.cli; "
             f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        ).stdout
-        return out.strip()
+        return self._python("-c", probe, check=True).stdout.strip()
 
     def test_cli_import_leaves_scipy_out(self):
         assert self._loaded_after_cli_import("scipy") == "[]"
@@ -447,6 +451,17 @@ class TestImportPath:
             self._loaded_after_cli_import("multiprocessing", "concurrent.futures.process")
             == "[]"
         )
+
+    def test_module_entry_prints_what_main_prints(self, capsys):
+        argv = ["exact", "--n", "3", "--format", "json"]
+        assert main(argv) == 0
+        out = self._python("-m", "brokenrecords", *argv, timeout=60)
+        assert (out.returncode, out.stdout) == (0, capsys.readouterr().out)
+
+    def test_module_entry_exits_with_main_code(self):
+        out = self._python("-m", "brokenrecords", "exact", "--n", "0", timeout=60)
+        assert out.returncode == 2
+        assert out.stderr.startswith("usage: ")
 
     def test_public_surface(self):
         # The paper's literal sums are test references (tests/paper_sums.py),
@@ -513,6 +528,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("invariant: final records are not a staircase: ")
         assert err.rstrip().endswith("(seed=1 trial=0)")
+
+    def test_tie_past_the_screen_is_an_invariant_exit(self, monkeypatch, capsys):
+        real = mc._break_counts
+
+        def tied(seed, n, t0, t1, ts):
+            vals, counts, redraws = real(seed, n, t0, t1, ts)
+            vals = vals.copy()
+            vals[2, 3] = vals[2, 0]
+            return vals, counts, redraws
+
+        monkeypatch.setattr(mc, "_break_counts", tied)
+        assert main(["audit", "--n", "5", "--trials", "3", "--seed", "1"]) == 5
+        assert capsys.readouterr().err == (
+            "invariant: tie survived redraw in trial 2 (seed=1 trial=2)\n"
+        )
 
     def test_type_error_is_a_fault_not_a_usage_error(self, monkeypatch, capsys):
         # argparse types every argument, so a TypeError after parsing is

@@ -4,8 +4,11 @@ Statistical assertions run at frozen seeds whose margins were confirmed
 to sit far inside the stated tolerances, so no test here is flaky.
 """
 
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -28,6 +31,7 @@ from brokenrecords import (
     RecordEntry,
     RecordStack,
     SimConfig,
+    TieError,
     TrajectoryStats,
     UsageError,
     check_trajectory,
@@ -1322,6 +1326,24 @@ class TestAuditCatchesPlantedFaults:
         assert exc.step == faulted[0] >= 1
         assert len(calls) == self.planted + 1
 
+    def test_tie_past_the_screen(self, monkeypatch):
+        # A tied pair in the rows the chunk hands back, as if the screen
+        # and its redraw had both missed it.
+        real = mc._break_counts
+
+        def tied(seed, n, t0, t1, ts):
+            vals, counts, redraws = real(seed, n, t0, t1, ts)
+            if t0 <= self.planted < t1:
+                vals = vals.copy()
+                vals[self.planted - t0, 1] = vals[self.planted - t0, 0]
+            return vals, counts, redraws
+
+        monkeypatch.setattr(mc, "_break_counts", tied)
+        exc = self._assert_caught("tie")
+        assert str(exc) == f"tie survived redraw in trial {self.planted}"
+        assert exc.step is None
+        assert type(exc.__cause__) is TieError
+
     def test_replay_builds_no_record_entry(self, monkeypatch):
         built = []
 
@@ -1542,6 +1564,50 @@ class TestAuditInWorkerProcesses:
         report = self._audit(2)
         assert report == self._audit(1)
         assert report.run["workers"] == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the audit forks no workers here")
+class TestAuditUnderTheBenchmarkTracer:
+    """The traced benchmark hands the scheduler a closure, and only the fork
+    carries a closure to the audit's worker processes.
+
+    In a fresh interpreter, an audit on two forked workers is run plain and
+    then again with ``perfbench/spans.py``'s wrappers installed; both must
+    give the same report.  A smoke run of the traced benchmark audits one
+    range in-process, so it cannot see this path fail.
+    """
+
+    probe = """
+import json, sys
+from unittest import mock
+sys.path.insert(0, sys.argv[1])
+import spans
+import brokenrecords.montecarlo as mc
+from brokenrecords import SimConfig, simulate_trajectory_audit
+
+def facts(report):
+    return [report.steps_checked, report.tie_redraws, report.run["workers"],
+            report.run["chunks"]]
+
+cfg = SimConfig(n=100, trials=2000, seed=34, workers=2)
+with mock.patch.object(mc, "usable_cpus", lambda: 2):
+    plain = simulate_trajectory_audit(cfg)
+    spans.install(spans.Recorder())
+    traced = simulate_trajectory_audit(cfg)
+print(json.dumps([plain == traced, facts(plain), facts(traced)]))
+"""
+
+    def test_traced_and_plain_audits_agree(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.dirname(os.path.dirname(brokenrecords.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", self.probe, os.path.join(root, "perfbench")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == [True, [200_000, 0, 2, 4], [200_000, 0, 2, 4]]
 
 
 class TestAuditChunkAcrossTiles:

@@ -327,6 +327,10 @@ class TestChi2Survival:
             assert chi2_sf(0.0, dof) == 1.0
             assert chi2_sf(-3.5, dof) == 1.0
 
+    def test_infinite_statistic_is_impossible(self):
+        for dof in (1, 2, 3, 7, 40):
+            assert chi2_sf(math.inf, dof) == 0.0
+
     def test_domain(self):
         with pytest.raises(ValueError):
             chi2_sf(1.0, 0)
@@ -420,9 +424,10 @@ class TestEmitters:
         )
 
     def test_empty_rows_render_meta_only(self):
-        ts = io.StringIO()
-        emit_table({"meta": {"command": "x"}, "rows": []}, ts)
-        assert ts.getvalue() == "# command=x\n"
+        for emit in (emit_table, emit_csv):
+            out = io.StringIO()
+            emit({"meta": {"command": "x"}, "rows": []}, out)
+            assert out.getvalue() == "# command=x\n"
 
 
 class TestReportRowSanity:
