@@ -628,9 +628,11 @@ def _simulate_breaks(config: SimConfig, ts: tuple[int, ...]) -> dict[int, Empiri
     Break counts above ``config.kmax`` land in the overflow bucket; the
     retained support is reported in full, zeros included, so equal
     configurations produce identical objects outside ``meta["run"]``.
+    Since B_t <= t <= n, the histograms stop at min(kmax, n) with the
+    overflow in one more bin, however large kmax is.
     """
     start = time.perf_counter()
-    width = config.kmax + 2
+    width = min(config.kmax, config.n) + 2
 
     def chunk(t0: int, t1: int) -> tuple[np.ndarray, int]:
         _, counts, rd = _break_counts(config.seed, config.n, t0, t1, ts)
@@ -648,7 +650,7 @@ def _simulate_breaks(config: SimConfig, ts: tuple[int, ...]) -> dict[int, Empiri
             n=t,
             trials=config.trials,
             counts={k: int(arr[row, k]) for k in range(min(config.kmax, t) + 1)},
-            overflow=int(arr[row, config.kmax + 1]),
+            overflow=int(arr[row, -1]),
             kmax=config.kmax,
             meta=dict(meta),
         )

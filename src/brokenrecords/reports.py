@@ -26,6 +26,7 @@ from .exact import (
     remainder_bound,
 )
 from .montecarlo import (
+    EmpiricalPmf,
     SimConfig,
     check_seed_and_workers,
     simulate_b,
@@ -38,6 +39,10 @@ from .oracle import oracle_joint, oracle_pmf_r
 # converge and gof add the enumerated law up to n = 8 (about 15 ms).
 ENUMERATION_MAX_N = 8
 MIN_EXPECTED_PER_BIN = 5.0
+# 2**-(k+1) is a nonzero float64 up to k = 1073, the smallest subnormal
+# being 2**-1074; gof refuses a kmax past it, whose limit bins print as 0.
+_GOF_MAX_KMAX = sys.float_info.mant_dig - sys.float_info.min_exp - 1
+_FIT_COLUMNS = ("reference", "statistic", "value", "dof", "p_value", "bins")
 
 
 @contextmanager
@@ -102,20 +107,40 @@ def build_row(
     }
 
 
-def _exact_columns(n: int, top: int) -> list[tuple[Fraction | None, Fraction | None]]:
-    """(exact_full, exact_tail) for k = 0..top.
+def _law_rows(
+    n: int,
+    top: int,
+    *,
+    exact: bool = False,
+    oracle: bool = False,
+    emp: EmpiricalPmf | None = None,
+) -> list[dict]:
+    """``build_row`` at (n, k) for k = 0..top, with the columns asked for.
 
-    One ``exact_pmf_b`` pass gives the full mass at every k and the
-    survivor tail at k >= 1.  Where the pass is over its ceiling, which it
-    knows from the sizes alone, only the k <= 1 closed forms remain and the
-    tails stay empty.
+    ``exact`` takes the full mass at every k and the survivor tail at
+    k >= 1 from one ``exact_pmf_b`` pass.  Where the pass is over its
+    ceiling, which it knows from the sizes alone, only the k <= 1 closed
+    forms remain and the tails stay empty.  ``oracle`` adds the enumerated
+    law and ``emp`` a simulation's frequencies.
     """
-    try:
-        law = exact_pmf_b(n, top)
-    except CapacityError:
-        closed = (prob_b0(n), prob_b1(n))
-        return [(closed[k] if k <= 1 else None, None) for k in range(top + 1)]
-    return [(law.prob(k), law.tail_mass(k) if k else None) for k in range(top + 1)]
+    columns: dict[str, Callable[[int], Fraction | float | None]] = {}
+    if exact:
+        try:
+            law = exact_pmf_b(n, top)
+        except CapacityError:
+            closed = (prob_b0(n), prob_b1(n))
+            columns["exact_full"] = lambda k: closed[k] if k <= 1 else None
+        else:
+            columns["exact_full"] = law.prob
+            columns["exact_tail"] = lambda k: law.tail_mass(k) if k else None
+    if oracle:
+        columns["oracle_exact"] = oracle_joint(n).marginal_b().prob
+    if emp is not None:
+        columns["empirical"] = emp.frequency
+    return [
+        build_row(n, k, **{name: col(k) for name, col in columns.items()})
+        for k in range(top + 1)
+    ]
 
 
 def exact_table(n: int, kmax: int | None = None) -> dict:
@@ -125,12 +150,8 @@ def exact_table(n: int, kmax: int | None = None) -> dict:
     k <= 1 closed forms stay and the other cells are empty.
     """
     top = min(kmax, n) if kmax is not None else min(n, 8)
-    rows = [
-        build_row(n, k, exact_full=full, exact_tail=tail)
-        for k, (full, tail) in enumerate(_exact_columns(n, top))
-    ]
     meta = {"command": "exact", "n": n, "kmax": top}
-    return {"meta": meta, "rows": rows}
+    return {"meta": meta, "rows": _law_rows(n, top, exact=True)}
 
 
 def oracle_table(n: int, *, view: str = "b") -> dict:
@@ -146,16 +167,11 @@ def oracle_table(n: int, *, view: str = "b") -> dict:
         ]
         meta["mean"] = pmf.mean()
         return {"meta": meta, "rows": rows}
-    joint = oracle_joint(n)
-    if view == "joint":
-        rows = [
-            {"n": n, "k": b, "r_prev": r, "mass": p, "mass_float": float(p)}
-            for (b, r), p in sorted(joint.mass.items())
-        ]
-        return {"meta": meta, "rows": rows}
-    pmf = joint.marginal_b()
+    if view == "b":
+        return {"meta": meta, "rows": _law_rows(n, n, oracle=True)}
     rows = [
-        build_row(n, k, oracle_exact=pmf.prob(k)) for k in pmf.support()
+        {"n": n, "k": b, "r_prev": r, "mass": p, "mass_float": float(p)}
+        for (b, r), p in sorted(oracle_joint(n).mass.items())
     ]
     return {"meta": meta, "rows": rows}
 
@@ -197,10 +213,7 @@ def simulate_table(config: SimConfig, *, stat: str = "b") -> dict:
         )
         return {"meta": meta, "rows": rows}
     emp = simulate_b(config)
-    rows = [
-        build_row(config.n, k, empirical=emp.frequency(k))
-        for k in sorted(emp.counts)
-    ]
+    rows = _law_rows(config.n, min(config.kmax, config.n), emp=emp)
     meta = dict(emp.meta)
     meta["command"] = "simulate"
     meta["stat"] = "b"
@@ -217,10 +230,11 @@ def checkpoint_table(
     the same law as a final-step count at that horizon.
     """
     table = simulate_b_checkpoints(config, checkpoints)
-    rows = []
-    for t, emp in sorted(table.items()):
-        for k in sorted(emp.counts):
-            rows.append(build_row(t, k, empirical=emp.frequency(k)))
+    rows = [
+        row
+        for t, emp in sorted(table.items())
+        for row in _law_rows(t, min(config.kmax, t), emp=emp)
+    ]
     final = table[max(table)]
     meta = dict(final.meta)
     meta.pop("checkpoint", None)
@@ -244,7 +258,8 @@ def converge_table(
     Each n gets enumeration up to ``ENUMERATION_MAX_N``, otherwise a
     simulation of ``trials`` trajectories (sharing one seed across the
     sweep).  Full masses and survivor tails come from one exact pass per n,
-    and only the k <= 1 closed forms past the pass's ceiling.  Every
+    and only the k <= 1 closed forms past the pass's ceiling.  A repeated
+    n is computed once and its rows repeated in list order.  Every
     argument is checked before any enumeration or draw: each n, the kmax
     and the trials as integers in their domains, the seed and worker count
     by the sampler's rules, even when no n is sampled, and each sampled n's
@@ -264,40 +279,26 @@ def converge_table(
         for n in n_list
         if trials > 0 and n > ENUMERATION_MAX_N
     }
-    rows = []
-    oracle_ns: list[int] = []
-    simulated_ns: list[int] = []
-    for n in n_list:
-        columns = _exact_columns(n, min(kmax, n))
-        opmf = None
-        if n <= ENUMERATION_MAX_N:
-            opmf = oracle_joint(n).marginal_b()
-            oracle_ns.append(n)
-        emp = None
-        if n in configs:
-            emp = simulate_b(configs[n])
-            simulated_ns.append(n)
-        for k, (full, tail) in enumerate(columns):
-            rows.append(
-                build_row(
-                    n,
-                    k,
-                    exact_full=full,
-                    exact_tail=tail,
-                    oracle_exact=opmf.prob(k) if opmf is not None else None,
-                    empirical=emp.frequency(k) if emp is not None else None,
-                )
-            )
+    laws = {
+        n: _law_rows(
+            n,
+            min(kmax, n),
+            exact=True,
+            oracle=n <= ENUMERATION_MAX_N,
+            emp=simulate_b(configs[n]) if n in configs else None,
+        )
+        for n in dict.fromkeys(n_list)
+    }
     meta = {
         "command": "converge",
         "n_list": list(n_list),
         "kmax": kmax,
         "trials": trials,
         "seed": seed,
-        "oracle_n": oracle_ns,
-        "simulated_n": simulated_ns,
+        "oracle_n": [n for n in n_list if n <= ENUMERATION_MAX_N],
+        "simulated_n": [n for n in n_list if n in configs],
     }
-    return {"meta": meta, "rows": rows}
+    return {"meta": meta, "rows": [dict(row) for n in n_list for row in laws[n]]}
 
 
 def tv_distance(p: Iterable[float | Fraction], q: Iterable[float | Fraction]) -> float:
@@ -373,7 +374,14 @@ def gof_report(config: SimConfig) -> dict:
 
     Bins are the pooled support 0..kmax plus one overflow bin.  Each
     reference yields a total variation row and a Pearson chi-square row.
+    A kmax over ``_GOF_MAX_KMAX`` is refused with CapacityError before any
+    draw: its exact bins cost about kmax**2 and print nothing new.
     """
+    if config.kmax > _GOF_MAX_KMAX:
+        raise CapacityError(
+            f"gof kmax={config.kmax} is over {_GOF_MAX_KMAX}: past it the limit "
+            "mass 2**-(k+1) of a bin is 0.0 as a float64"
+        )
     emp = simulate_b(config)
     kmax = config.kmax
     observed = _bins(lambda k: emp.counts.get(k, 0), kmax, emp.trials)
@@ -385,26 +393,11 @@ def gof_report(config: SimConfig) -> dict:
     for reference, probs in refs:
         tv = tv_distance([o / config.trials for o in observed], probs)
         stat, dof, pval, bins = chi_square_fit(observed, probs, config.trials)
-        rows.append(
-            {
-                "reference": reference,
-                "statistic": "tv",
-                "value": tv,
-                "dof": None,
-                "p_value": None,
-                "bins": len(observed),
-            }
-        )
-        rows.append(
-            {
-                "reference": reference,
-                "statistic": "chi2",
-                "value": stat,
-                "dof": dof,
-                "p_value": pval,
-                "bins": bins,
-            }
-        )
+        for cells in (
+            (reference, "tv", tv, None, None, len(observed)),
+            (reference, "chi2", stat, dof, pval, bins),
+        ):
+            rows.append(dict(zip(_FIT_COLUMNS, cells)))
     meta = dict(emp.meta)
     meta["command"] = "gof"
     meta["overflow"] = emp.overflow

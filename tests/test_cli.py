@@ -82,13 +82,15 @@ class TestExactCommand:
         # arithmetic, so the k <= 1 closed forms fill the table.
         n = 10**9
         closed = ["1/2", str(F(1, 4) + F(1, 2 * n * (n + 1)))]
-        code, rep = run_json(capsys, "exact", "--n", str(n))
-        assert code == 0
-        assert [r["exact_full"] for r in rep["rows"]] == closed + [None] * 7
-        assert all(r["exact_tail"] is None for r in rep["rows"])
-        code, rep = run_json(capsys, "converge", "--n-list", str(n), "--kmax", "2")
-        assert code == 0
-        assert [r["exact_full"] for r in rep["rows"]] == closed + [None]
+        for argv, cells in (
+            (["exact", "--n", str(n)], closed + [None] * 7),
+            (["exact", "--n", str(n), "--kmax", "1"], closed),
+            (["converge", "--n-list", str(n), "--kmax", "2"], closed + [None]),
+        ):
+            code, rep = run_json(capsys, *argv)
+            assert code == 0
+            assert [r["exact_full"] for r in rep["rows"]] == cells
+            assert all(r["exact_tail"] is None for r in rep["rows"])
 
 
 class TestOracleCommand:
@@ -386,6 +388,24 @@ class TestGofCommand:
             if r["reference"] == "geometric-limit" and r["statistic"] == "tv"
         )
         assert row["value"] < 0.002
+
+
+    def test_kmax_past_the_float_limit_is_refused_before_any_draw(self, monkeypatch, capsys):
+        # 2**-1075 is 0.0 as a float64, so kmax 1074 adds only bins that
+        # print as zero; kmax 1073, whose last limit mass is 2**-1074, runs.
+        argv = ["gof", "--n", "5", "--trials", "1000", "--seed", "1", "--workers", "1"]
+        calls = []
+        simulate = cli.reports.simulate_b
+        monkeypatch.setattr(
+            cli.reports, "simulate_b", lambda cfg: calls.append(cfg) or simulate(cfg)
+        )
+        assert main([*argv, "--kmax", "1074"]) == 3
+        assert capsys.readouterr().err.startswith("capacity: gof kmax=1074 is over 1073")
+        assert calls == []
+        code, rep = run_json(capsys, *argv, "--kmax", "1073")
+        assert code == 0
+        assert rep["meta"]["kmax"] == 1073
+        assert len(calls) == 1
 
 
 class TestAuditCommand:

@@ -1111,6 +1111,16 @@ class TestSimulateB:
         assert set(pmf.counts) == {0, 1, 2, 3}
         assert pmf.overflow == 0
 
+    def test_histograms_are_no_wider_than_the_row(self):
+        # B_n <= n, so a kmax far past n costs no memory: the run peaks
+        # below one (kmax + 2)-wide int64 row, and counts as at kmax = n.
+        kmax = 10**6
+        cfg = SimConfig(n=5, trials=1000, seed=3, kmax=kmax, workers=1)
+        pmf, peak = _traced_peak(lambda: simulate_b(cfg))
+        assert peak < (kmax + 2) * np.dtype(np.int64).itemsize
+        assert pmf.counts == simulate_b(SimConfig(n=5, trials=1000, seed=3, kmax=5)).counts
+        assert pmf.overflow == 0
+
     def test_overflow_pooling(self):
         pmf = simulate_b(SimConfig(n=40, trials=2000, seed=55, kmax=3))
         assert set(pmf.counts) == {0, 1, 2, 3}

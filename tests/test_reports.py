@@ -258,6 +258,25 @@ class TestConvergeTable:
         ]
         assert all(by[(51, k)]["exact_tail"] is None for k in range(4))
 
+    def test_a_repeated_n_is_computed_once(self, monkeypatch):
+        calls = []
+        for name in ("simulate_b", "exact_pmf_b", "oracle_joint"):
+            fn = getattr(reports, name)
+            monkeypatch.setattr(
+                reports, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)
+            )
+        rep = converge_table([20, 20, 3, 3], kmax=2, trials=1000, seed=1, workers=1)
+        assert sorted(calls) == ["exact_pmf_b", "exact_pmf_b", "oracle_joint", "simulate_b"]
+        assert rep["meta"]["simulated_n"] == [20, 20]
+        assert rep["meta"]["oracle_n"] == [3, 3]
+        rows = rep["rows"]
+        assert [(r["n"], r["k"]) for r in rows] == [
+            (n, k) for n in (20, 20, 3, 3) for k in range(3)
+        ]
+        assert rows[:3] == rows[3:6] and rows[6:9] == rows[9:]
+        single = converge_table([20, 3], kmax=2, trials=1000, seed=1, workers=1)
+        assert single["rows"] == rows[3:9]
+
     def test_no_trials_leaves_empirical_empty(self):
         rep = converge_table([20], kmax=2, trials=0, seed=0)
         assert rep["meta"]["simulated_n"] == []

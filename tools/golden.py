@@ -63,6 +63,11 @@ INVOCATIONS: dict[str, list[str]] = {
         "simulate", "--stat", "r", "--n", "100001", "--trials", "20", "--seed", "3",
         "--workers", "1",
     ],
+    # A kmax past n: the histogram stops at k = n, and kmax stays in meta.
+    "simulate-n5-kmax40": [
+        "simulate", "--n", "5", "--kmax", "40", "--trials", "5000", "--seed", "17",
+        "--workers", "1",
+    ],
     "simulate-n40-checkpoints": [
         "simulate", "--n", "40", "--trials", "5000", "--seed", "3",
         "--checkpoints", "auto",
