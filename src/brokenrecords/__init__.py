@@ -30,6 +30,7 @@ from .montecarlo import (
     record_counts,
     simulate_b,
     simulate_b_checkpoints,
+    simulate_b_suffix,
     simulate_r,
     simulate_trajectory_audit,
     trial_values,
@@ -81,6 +82,7 @@ __all__ = [
     "run_trajectory",
     "simulate_b",
     "simulate_b_checkpoints",
+    "simulate_b_suffix",
     "simulate_r",
     "simulate_trajectory_audit",
     "trial_values",

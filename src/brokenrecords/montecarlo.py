@@ -32,6 +32,27 @@ by step.  The replay is pure Python, so threads cannot share it: it runs
 in ranges of one tile of rows, in trial order, on forked worker
 processes, one per usable CPU, and in-process on one CPU, on one range
 or where the platform cannot fork.
+
+``simulate_b_suffix``, the sampler of ``gof``, draws no window.  B_n
+counts the right-to-left maxima of the suffix after the last value above
+X_n, and given its length L = l these fall as the records of l
+exchangeable values, whose indices jump as j -> floor(j / U) + 1 from
+j = 1 (Nevzorov, *Records*, 2001).  So a trial takes one draw for L and
+one per jump, under two on average at any n.  A raw word w gives
+k = (w >> 11) + 1, uniform on 1..2**53, and U = k * 2**-53 on (0, 1].
+L = min(n, 2**53 // k - 1) is exact in uint64, with P[L >= l] =
+floor(2**53 / (l + 1)) / 2**53.  The jumps run in float64, where U and
+every index up to L < 2**53 are exact, so float64 rounding enters at one
+place: the quotient j / U, rounded to nearest.  Integers below 2**53 are
+floats, so its floor is never too low, and it is one too high only where
+j * 2**53 / k lies less than half a unit in the last place below an
+integer; the next index is then one too far, which can lose the record
+at index L.  Trials fall into fixed blocks of ``_SUFFIX_BLOCK``, and
+block b draws from its own Philox4x64 key (seed, 2**63 + b), whose high
+word no window key reaches.  A block draws L for all its trials, then
+one jump for each trial still open, round by round, so its counts depend
+on neither the workers nor the chunking; but a trial's draws depend on
+its block's trial count, and no trial can be replayed alone.
 """
 from __future__ import annotations
 
@@ -55,6 +76,14 @@ from .errors import (
 from .records import TrajectoryStats, run_trajectory, scan_distinct
 
 GENERATOR = "philox4x64-counter-window"
+SUFFIX_GENERATOR = "philox4x64-suffix-length"
+# Trials per block of the suffix sampler, a constant of its streams: a
+# block's counts depend on its size, so changing it changes every count.
+# One block draws 2**16 words for L and fewer for its jumps, under 1 MiB.
+_SUFFIX_BLOCK = 2**16
+# High key word of suffix block 0; the window keys use 0.._MAX_REDRAWS.
+_SUFFIX_KEY = 2**63
+_GRID = 2**53
 # A chunk draws about 2**19 values (4 MiB): small enough that the allocator
 # reuses its memory, where a 64 MiB chunk is mapped and faulted in afresh
 # each time.  Only the chunks that a thread is working on hold rows, so
@@ -114,9 +143,10 @@ class SimConfig:
     and is clamped to ``usable_cpus()``, each worker with at most two chunks
     in flight.  The sampler's workers are threads; the audit's are forked
     processes, since its replay holds the GIL.  A field that is not an
-    integer is refused with UsageError (a numpy integer is kept as an int),
-    and an ``n`` whose trial row is over the sampler's cap with
-    CapacityError, here, before any work.
+    integer is refused with UsageError (a numpy integer is kept as an int).
+    The window sampler's entry points refuse an ``n`` whose trial row is
+    over its cap with CapacityError, before any thread or draw; the suffix
+    sampler has no row and takes any ``n``.
     """
 
     n: int
@@ -132,7 +162,6 @@ class SimConfig:
         checked = dict(n=n, trials=trials, seed=seed, kmax=kmax, workers=workers)
         for name, value in checked.items():
             object.__setattr__(self, name, value)
-        _words_per_trial(self.n)
 
 
 def check_seed_and_workers(seed: int, workers: int) -> tuple[int, int]:
@@ -223,6 +252,12 @@ def _words_per_trial(n: int) -> int:
             f"{_MAX_ROW_BYTES}-byte cap of the window sampler"
         )
     return w
+
+
+def check_window_row(n: int) -> None:
+    """Refuse with CapacityError an ``n`` whose trial row is over the
+    window sampler's cap, for callers to check before any draw."""
+    _words_per_trial(n)
 
 
 def _raw_rows(seed: int, n: int, t0: int, t1: int, attempt: int) -> np.ndarray:
@@ -600,21 +635,24 @@ def _run_block(
     }
 
 
-def _base_meta(cfg: SimConfig, redraws: int, wall: float, mode: str) -> dict:
+def _base_meta(cfg: SimConfig, wall: float, mode: str, rows: int, **sampler) -> dict:
+    """The reproducible facts of a run, its sampler's among them, and its run block."""
     return {
         "mode": mode,
         "n": cfg.n,
         "trials": cfg.trials,
         "seed": cfg.seed,
         "kmax": cfg.kmax,
-        "generator": GENERATOR,
-        "words_per_trial": _words_per_trial(cfg.n),
-        "tie_redraws": redraws,
-        "run": _run_block(
-            cfg, _rows_per_chunk(cfg.n), wall, "trials_per_s", cfg.trials,
-            workers=_threads(cfg),
-        ),
+        **sampler,
+        "run": _run_block(cfg, rows, wall, "trials_per_s", cfg.trials, workers=_threads(cfg)),
     }
+
+
+def _window_meta(cfg: SimConfig, redraws: int, wall: float, mode: str) -> dict:
+    return _base_meta(
+        cfg, wall, mode, _rows_per_chunk(cfg.n),
+        generator=GENERATOR, words_per_trial=_words_per_trial(cfg.n), tie_redraws=redraws,
+    )
 
 
 def default_checkpoints(n: int) -> tuple[int, ...]:
@@ -632,6 +670,7 @@ def _simulate_breaks(config: SimConfig, ts: tuple[int, ...]) -> dict[int, Empiri
     overflow in one more bin, however large kmax is.
     """
     start = time.perf_counter()
+    rows = _rows_per_chunk(config.n)  # refuses a row over the cap before any draw
     width = min(config.kmax, config.n) + 2
 
     def chunk(t0: int, t1: int) -> tuple[np.ndarray, int]:
@@ -643,8 +682,8 @@ def _simulate_breaks(config: SimConfig, ts: tuple[int, ...]) -> dict[int, Empiri
             out[row, -1] = tally[width - 1 :].sum()
         return out, rd
 
-    arr, redraws = _merge_chunks(config, chunk, _rows_per_chunk(config.n), _threads(config))
-    meta = _base_meta(config, redraws, time.perf_counter() - start, "break-count")
+    arr, redraws = _merge_chunks(config, chunk, rows, _threads(config))
+    meta = _window_meta(config, redraws, time.perf_counter() - start, "break-count")
     return {
         t: EmpiricalPmf(
             n=t,
@@ -661,6 +700,83 @@ def _simulate_breaks(config: SimConfig, ts: tuple[int, ...]) -> dict[int, Empiri
 def simulate_b(config: SimConfig) -> EmpiricalPmf:
     """Empirical law of the number of records broken at the final step."""
     return _simulate_breaks(config, (config.n,))[config.n]
+
+
+def _suffix_length(k: np.ndarray, n: int) -> np.ndarray:
+    """L = min(n, 2**53 // k - 1) of grid draws k in 1..2**53, exactly in
+    uint64, computed in place of k."""
+    np.floor_divide(np.uint64(_GRID), k, out=k)
+    k -= np.uint64(1)
+    return np.minimum(k, np.uint64(min(n, _GRID)), out=k)
+
+
+def _grid_draws(bg: np.random.Philox, size: int) -> np.ndarray:
+    """``size`` draws of k, uniform on 1..2**53: the top 53 bits of a word, plus 1."""
+    k = bg.random_raw(size)
+    k >>= np.uint64(64 - 53)
+    k += np.uint64(1)
+    return k
+
+
+def _suffix_tally(seed: int, n: int, t0: int, t1: int) -> list[int]:
+    """Tallies of B_n = 0, 1, 2, ... over trials [t0, t1), which lie in one block.
+
+    Draws L for every trial, then, round by round, one record jump for
+    each trial whose last record index j is still below its L (see the
+    module docstring).  L = 0 breaks no record and L = 1 one; a trial open
+    in round r holds r records, and ends there with r + 1 if its jump
+    lands on L, or with r if it lands past L.
+    """
+    bg = np.random.Philox(key=seed + ((_SUFFIX_KEY + t0 // _SUFFIX_BLOCK) << 64))
+    length = _suffix_length(_grid_draws(bg, t1 - t0), n)
+    # compress, not a boolean index: 0.09 against 0.55 ms on 2**16 words
+    # (numpy 2.4.6, 2-CPU Xeon).
+    last = length.compress(length > 1).astype(np.float64)
+    zero = int(np.count_nonzero(length == 0))
+    tally = [zero, t1 - t0 - zero - last.size]
+    j = np.ones(last.size)
+    while last.size:
+        np.divide(j, _grid_draws(bg, last.size) * 2.0**-53, out=j)
+        np.floor(j, out=j)
+        j += 1
+        keep = j < last
+        at = int(np.count_nonzero(j == last))
+        tally[-1] += last.size - int(np.count_nonzero(keep)) - at
+        tally.append(at)
+        j, last = j.compress(keep), last.compress(keep)
+    return tally
+
+
+def simulate_b_suffix(config: SimConfig) -> EmpiricalPmf:
+    """Empirical law of B_n from suffix lengths and record jumps.
+
+    It has the law of ``simulate_b`` but not its counts: each trial takes
+    under two draws on average at any n, not a window of n + 1 values,
+    so no row cap applies.  Blocks of ``_SUFFIX_BLOCK`` trials go to the
+    chunk scheduler's threads, each block holding under 1 MiB of draws.
+    """
+    start = time.perf_counter()
+    width = min(config.kmax, config.n) + 2
+
+    def block(t0: int, t1: int) -> tuple[np.ndarray, int]:
+        tally = np.zeros(width, dtype=np.int64)
+        for b, count in enumerate(_suffix_tally(config.seed, config.n, t0, t1)):
+            tally[min(b, width - 1)] += count
+        return tally, 0
+
+    arr, _ = _merge_chunks(config, block, _SUFFIX_BLOCK, _threads(config))
+    meta = _base_meta(
+        config, time.perf_counter() - start, "break-count", _SUFFIX_BLOCK,
+        generator=SUFFIX_GENERATOR, trials_per_block=_SUFFIX_BLOCK,
+    )
+    return EmpiricalPmf(
+        n=config.n,
+        trials=config.trials,
+        counts={k: int(arr[k]) for k in range(width - 1)},
+        overflow=int(arr[-1]),
+        kmax=config.kmax,
+        meta=meta,
+    )
 
 
 def simulate_b_checkpoints(
@@ -695,14 +811,15 @@ def simulate_r(config: SimConfig) -> EmpiricalPmf:
     available.
     """
     start = time.perf_counter()
+    rows = _rows_per_chunk(config.n)  # refuses a row over the cap before any draw
 
     def chunk(t0: int, t1: int) -> tuple[np.ndarray, int]:
         vals, rd = trial_values(config.seed, config.n, t0, t1)
         return np.bincount(record_counts(vals), minlength=config.n + 2), rd
 
-    arr, redraws = _merge_chunks(config, chunk, _rows_per_chunk(config.n), _threads(config))
+    arr, redraws = _merge_chunks(config, chunk, rows, _threads(config))
     counts = {r: int(arr[r]) for r in range(1, config.n + 2)}
-    meta = _base_meta(config, redraws, time.perf_counter() - start, "record-count")
+    meta = _window_meta(config, redraws, time.perf_counter() - start, "record-count")
     return EmpiricalPmf(
         n=config.n,
         trials=config.trials,
@@ -788,7 +905,7 @@ def simulate_trajectory_audit(config: SimConfig) -> AuditReport:
     returned report means everything held.
     """
     start = time.perf_counter()
-    rows = max(1, _TILE_VALUES // _words_per_trial(config.n))
+    rows = max(1, _TILE_VALUES // _words_per_trial(config.n))  # refuses an oversized row
     workers = 1
     if hasattr(os, "fork"):
         workers = min(_threads(config), -(-config.trials // rows))

@@ -29,8 +29,10 @@ from .montecarlo import (
     EmpiricalPmf,
     SimConfig,
     check_seed_and_workers,
+    check_window_row,
     simulate_b,
     simulate_b_checkpoints,
+    simulate_b_suffix,
     simulate_r,
     usable_cpus,
 )
@@ -263,7 +265,7 @@ def converge_table(
     argument is checked before any enumeration or draw: each n, the kmax
     and the trials as integers in their domains, the seed and worker count
     by the sampler's rules, even when no n is sampled, and each sampled n's
-    row size by its ``SimConfig``, all built before the loop.  ``workers``
+    row against the window sampler's cap, all before the loop.  ``workers``
     defaults to ``usable_cpus()`` at call time.
     """
     if not n_list:
@@ -279,6 +281,8 @@ def converge_table(
         for n in n_list
         if trials > 0 and n > ENUMERATION_MAX_N
     }
+    for n in configs:
+        check_window_row(n)
     laws = {
         n: _law_rows(
             n,
@@ -372,6 +376,7 @@ def gof_report(config: SimConfig) -> dict:
     """Fit of simulated break counts against the limit law and, when the
     enumeration cap allows, against the exact finite-n law.
 
+    The sample comes from ``simulate_b_suffix``, which has no row cap.
     Bins are the pooled support 0..kmax plus one overflow bin.  Each
     reference yields a total variation row and a Pearson chi-square row.
     A kmax over ``_GOF_MAX_KMAX`` is refused with CapacityError before any
@@ -382,7 +387,7 @@ def gof_report(config: SimConfig) -> dict:
             f"gof kmax={config.kmax} is over {_GOF_MAX_KMAX}: past it the limit "
             "mass 2**-(k+1) of a bin is 0.0 as a float64"
         )
-    emp = simulate_b(config)
+    emp = simulate_b_suffix(config)
     kmax = config.kmax
     observed = _bins(lambda k: emp.counts.get(k, 0), kmax, emp.trials)
     refs = [("geometric-limit", _bins(geometric_limit, kmax))]

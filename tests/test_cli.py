@@ -376,10 +376,9 @@ class TestGofCommand:
         assert 0.001 < row["p_value"] < 0.999
 
     def test_large_n_tv_near_limit(self, capsys):
-        # Stated at 10^6 trials; 5x10^5 at seed 60 gives TV 0.0007, well
-        # under the 0.002 band.
+        # At seed 60 the TV is 0.0016.
         code, rep = run_json(
-            capsys, "gof", "--n", "2000", "--trials", "500000", "--seed", "60"
+            capsys, "gof", "--n", "2000", "--trials", "1000000", "--seed", "60"
         )
         assert code == 0
         row = next(
@@ -395,9 +394,9 @@ class TestGofCommand:
         # print as zero; kmax 1073, whose last limit mass is 2**-1074, runs.
         argv = ["gof", "--n", "5", "--trials", "1000", "--seed", "1", "--workers", "1"]
         calls = []
-        simulate = cli.reports.simulate_b
+        simulate = cli.reports.simulate_b_suffix
         monkeypatch.setattr(
-            cli.reports, "simulate_b", lambda cfg: calls.append(cfg) or simulate(cfg)
+            cli.reports, "simulate_b_suffix", lambda cfg: calls.append(cfg) or simulate(cfg)
         )
         assert main([*argv, "--kmax", "1074"]) == 3
         assert capsys.readouterr().err.startswith("capacity: gof kmax=1074 is over 1073")
@@ -636,6 +635,19 @@ class TestRowCapacity:
         ids=["simulate", "checkpoints", "records", "gof", "audit"],
     )
     def test_oversized_row_exits_3_before_any_work(self, argv, monkeypatch, capsys):
+        if argv[0] == "gof":
+            # gof samples by suffix length and owns no window, so it has no
+            # row cap: n = 10**9 runs, and its sample fits the limit, within
+            # about 1/n**2 of the law there (p = 0.77 at seed 1).
+            code, rep = run_json(
+                capsys, *argv, "--n", "1000000000", "--trials", "200000", "--seed", "1"
+            )
+            assert code == 0
+            (fit,) = [r for r in rep["rows"] if r["statistic"] == "chi2"]
+            assert fit["reference"] == "geometric-limit"
+            assert fit["p_value"] > 0.01
+            return
+
         def refuse(*args, **kwargs):
             raise AssertionError("work started for an oversized row")
 

@@ -34,7 +34,7 @@ def _json(capsys, argv):
 
 
 def test_every_scheduler_caller_has_a_twin():
-    assert len(TWINS) == 5
+    assert len(TWINS) == 6
 
 
 def test_every_subcommand_is_invoked():

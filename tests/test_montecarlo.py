@@ -4,6 +4,7 @@ Statistical assertions run at frozen seeds whose margins were confirmed
 to sit far inside the stated tolerances, so no test here is flaky.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -36,18 +38,22 @@ from brokenrecords import (
     UsageError,
     check_trajectory,
     default_checkpoints,
+    exact_pmf_b,
     expected_record_count,
     final_break_counts,
+    geometric_limit,
     oracle_pmf_b,
     oracle_pmf_r,
     record_counts,
     run_trajectory,
     simulate_b,
     simulate_b_checkpoints,
+    simulate_b_suffix,
     simulate_r,
     simulate_trajectory_audit,
     trial_values,
 )
+from brokenrecords.reports import chi2_sf, chi_square_fit
 
 
 def _traced_peak(fn):
@@ -992,6 +998,14 @@ class TestPinnedCounts:
         ]
         assert pmf.meta["tie_redraws"] == 0
 
+    def test_suffix_break_counts_n500(self):
+        # Two blocks, the second of one trial, on two threads.
+        pmf = simulate_b_suffix(SimConfig(n=500, trials=2**16 + 1, seed=2024, workers=2))
+        assert [pmf.counts[k] for k in range(13)] == [
+            33068, 16086, 8167, 4137, 2020, 1059, 515, 248, 123, 64, 31, 11, 3
+        ]
+        assert pmf.overflow == 5
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_auto_checkpoints_n11(self, workers):
         by_t = simulate_b_checkpoints(
@@ -1137,6 +1151,118 @@ class TestSimulateB:
         assert meta["words_per_trial"] >= 7
         assert meta["mode"] == "break-count"
         assert meta["seed"] == 1
+
+
+def _reference_suffix_tally(seed, n, trials):
+    """Tallies of B_n over one block, trial by trial in exact integers.
+
+    Draws the block's words in the sampler's order: L for every trial,
+    then one jump per open trial, round by round, in trial order.  The
+    jump floor(j * 2**53 / k) + 1 takes no float64 rounding.
+    """
+    bg = np.random.Philox(key=seed + (mc._SUFFIX_KEY << 64))
+    length = [min(n, 2**53 // (int(w >> 11) + 1) - 1) for w in bg.random_raw(trials)]
+    counts = [min(l, 1) for l in length]
+    open_ = {t: 1 for t, l in enumerate(length) if l > 1}
+    while open_:
+        for (t, j), w in zip(list(open_.items()), bg.random_raw(len(open_))):
+            j = j * 2**53 // (int(w >> 11) + 1) + 1
+            counts[t] += j <= length[t]
+            if j < length[t]:
+                open_[t] = j
+            else:
+                del open_[t]
+    tally = Counter(counts)
+    return [tally[b] for b in range(max(tally) + 1)]
+
+
+def _fit_p_value(emp, mass):
+    """Chi-square p-value of a sample's bins 0..min(kmax, n) and overflow."""
+    top = min(emp.kmax, emp.n)
+    body = [mass(k) for k in range(top + 1)]
+    observed = [emp.counts[k] for k in range(top + 1)] + [emp.overflow]
+    return chi_square_fit(observed, body + [1 - sum(body)], emp.trials)[2]
+
+
+class TestSuffixSampler:
+    """``simulate_b_suffix`` draws B_n from its suffix length and record jumps."""
+
+    @pytest.mark.parametrize(
+        "n, law",
+        [
+            (1, "exact"),
+            (2, "exact"),
+            (12, "exact"),
+            (500, "exact"),
+            (8, "enumeration"),
+            (10**9, "limit"),
+        ],
+    )
+    def test_fits_the_law_of_b_n(self, n, law):
+        # At seed 1 the six p-values run from 0.22 to 0.79.
+        mass = {
+            "exact": lambda: exact_pmf_b(n, 12).prob,
+            "enumeration": lambda: oracle_pmf_b(n).prob,
+            "limit": lambda: geometric_limit,
+        }[law]()
+        emp = simulate_b_suffix(SimConfig(n=n, trials=10**6, seed=1))
+        assert _fit_p_value(emp, mass) > 0.01
+
+    @pytest.mark.parametrize(
+        "plant",
+        [
+            lambda k, n: np.minimum(np.uint64(2**53) // k, np.uint64(n)),
+            lambda k, n, length=mc._suffix_length: length(k, n - 1),
+        ],
+        ids=["no-minus-one", "cap-at-n-minus-1"],
+    )
+    def test_an_off_by_one_in_l_fails_the_exact_fit(self, plant, monkeypatch):
+        monkeypatch.setattr(mc, "_suffix_length", plant)
+        emp = simulate_b_suffix(SimConfig(n=12, trials=10**6, seed=1))
+        assert _fit_p_value(emp, exact_pmf_b(12, 12).prob) < 1e-20
+
+    @pytest.mark.parametrize("n, trials", [(20, 200_000), (500, 100_000)])
+    def test_agrees_with_the_window_sampler(self, n, trials):
+        # Two-sample chi-square on equal totals, tail bins pooled to 10
+        # trials; p = 0.69 at n = 20 and 0.27 at n = 500.
+        cfg = SimConfig(n=n, trials=trials, seed=1)
+        a, b = simulate_b_suffix(cfg), simulate_b(cfg)
+        bins = [(a.counts[k], b.counts[k]) for k in sorted(a.counts)]
+        bins.append((a.overflow, b.overflow))
+        while sum(bins[-1]) < 10:
+            x, y = bins.pop()
+            bins[-1] = (bins[-1][0] + x, bins[-1][1] + y)
+        stat = sum((x - y) ** 2 / (x + y) for x, y in bins)
+        assert chi2_sf(stat, len(bins) - 1) > 0.01
+
+    @pytest.mark.parametrize("n", [20, 10**9])
+    def test_block_matches_the_exact_integer_loop(self, n):
+        tally = mc._suffix_tally(7, n, 0, mc._SUFFIX_BLOCK)
+        while not tally[-1]:
+            tally.pop()
+        assert tally == _reference_suffix_tally(7, n, mc._SUFFIX_BLOCK)
+
+    @pytest.mark.parametrize("trials", [2**16 - 1, 2**16, 2**16 + 1])
+    def test_counts_do_not_depend_on_the_workers(self, trials):
+        cfg = SimConfig(n=50, trials=trials, seed=3, workers=1)
+        one = simulate_b_suffix(cfg)
+        two = simulate_b_suffix(dataclasses.replace(cfg, workers=2))
+        assert (one.counts, one.overflow) == (two.counts, two.overflow)
+        assert one.meta["run"]["chunks"] == -(-trials // mc._SUFFIX_BLOCK)
+
+    def test_a_full_block_draws_the_same_in_a_longer_run(self):
+        full = simulate_b_suffix(SimConfig(n=50, trials=2**16, seed=3))
+        more = simulate_b_suffix(SimConfig(n=50, trials=2**16 + 1, seed=3))
+        diff = [more.counts[k] - full.counts[k] for k in full.counts]
+        diff.append(more.overflow - full.overflow)
+        assert sorted(diff) == [0] * (len(diff) - 1) + [1]
+
+    def test_meta_names_the_sampler(self):
+        meta = simulate_b_suffix(SimConfig(n=6, trials=100, seed=1)).meta
+        assert meta["generator"] == mc.SUFFIX_GENERATOR
+        assert meta["trials_per_block"] == mc._SUFFIX_BLOCK == 2**16
+        assert "words_per_trial" not in meta
+        assert meta["mode"] == "break-count"
 
 
 class TestSimulateR:

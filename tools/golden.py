@@ -79,6 +79,10 @@ INVOCATIONS: dict[str, list[str]] = {
     ],
     "gof-n8": ["gof", "--n", "8", "--trials", "50000", "--seed", "404"],
     "gof-n1": ["gof", "--n", "1", "--trials", "10000", "--seed", "31"],
+    # Three blocks of the suffix sampler, the last one partial.
+    "gof-n500": ["gof", "--n", "500", "--trials", "150000", "--seed", "500"],
+    # Past the window sampler's row cap, which the suffix sampler has not.
+    "gof-n1000000000": ["gof", "--n", "1000000000", "--trials", "20000", "--seed", "9"],
     "audit-n30": ["audit", "--n", "30", "--trials", "200", "--seed", "55"],
     # Short rows: the replay checks the column-major tile walk against the
     # stack, and the checkpoints send prefix views of one chunk through it.
@@ -101,6 +105,7 @@ for name in (
     "simulate-n40-checkpoints",
     "converge-sampled",
     "gof-n8",
+    "gof-n500",
 ):
     INVOCATIONS[f"{name}-workers2"] = [*INVOCATIONS[name], "--workers", "2"]
     INVOCATIONS[name] += ["--workers", "1"]
