@@ -16,9 +16,7 @@ trials for ``trial_values``, the sampler and the audit, a tile of about
 The break count of the last step reads each row backward from X_n and
 stops at the first value above it, about H_n columns per trial (the
 suffix after the last value above X_n has length L with P[L >= l] =
-1 / (l + 1)); the record count of a full row is a right-to-left running
-maximum, which on wide rows reads only the maximum of a block that stays
-below it.  ``_column_tiles`` copies tiles into column-major order, so
+1 / (l + 1)).  ``_column_tiles`` copies tiles into column-major order, so
 each kernel reads whole contiguous columns.  Short rows (at most
 ``_SHORT_COLUMNS`` values, n <= 11) are read once, as tiles of each
 value's top 16 bits (its key): one pass flags the rows that hold two
@@ -33,26 +31,28 @@ in ranges of one tile of rows, in trial order, on forked worker
 processes, one per usable CPU, and in-process on one CPU, on one range
 or where the platform cannot fork.
 
-``simulate_b_suffix``, the sampler of ``gof``, draws no window.  B_n
-counts the right-to-left maxima of the suffix after the last value above
-X_n, and given its length L = l these fall as the records of l
-exchangeable values, whose indices jump as j -> floor(j / U) + 1 from
-j = 1 (Nevzorov, *Records*, 2001).  So a trial takes one draw for L and
-one per jump, under two on average at any n.  A raw word w gives
-k = (w >> 11) + 1, uniform on 1..2**53, and U = k * 2**-53 on (0, 1].
-L = min(n, 2**53 // k - 1) is exact in uint64, with P[L >= l] =
-floor(2**53 / (l + 1)) / 2**53.  The jumps run in float64, where U and
-every index up to L < 2**53 are exact, so float64 rounding enters at one
-place: the quotient j / U, rounded to nearest.  Integers below 2**53 are
-floats, so its floor is never too low, and it is one too high only where
-j * 2**53 / k lies less than half a unit in the last place below an
-integer; the next index is then one too far, which can lose the record
-at index L.  Trials fall into fixed blocks of ``_SUFFIX_BLOCK``, and
-block b draws from its own Philox4x64 key (seed, 2**63 + b), whose high
-word no window key reaches.  A block draws L for all its trials, then
-one jump for each trial still open, round by round, so its counts depend
-on neither the workers nor the chunking; but a trial's draws depend on
-its block's trial count, and no trial can be replayed alone.
+``simulate_b_suffix`` (``gof``, ``converge``) and ``simulate_r`` draw no
+window.  The records of m exchangeable values, read from one end, sit at
+indices that jump as j -> floor(j / U) + 1 from j = 1 (Nevzorov,
+*Records*, 2001), about H_m draws.  R_n counts those of the n + 1 values;
+B_n those of the suffix after the last value above X_n, whose length L
+takes one more draw, so a trial of B_n takes under two at any n.  A raw
+word w gives k = (w >> 11) + 1, uniform on 1..2**53, and U = k * 2**-53
+on (0, 1].  L = min(n, 2**53 // k - 1) is exact in uint64, with
+P[L >= l] = floor(2**53 / (l + 1)) / 2**53.  The jumps run in float64,
+where U and every index below 2**53 are exact (``simulate_r`` refuses
+n + 1 >= 2**53), so float64 rounding enters at one place: the quotient
+j / U, rounded to nearest.  Integers below 2**53 are floats, so its floor
+is never too low, and it is one too high only where j * 2**53 / k lies
+less than half a unit in the last place below an integer; the next index
+is then one too far, which can lose the record at the last index.
+Trials fall into fixed blocks of ``_SUFFIX_BLOCK``, and block b draws
+from its own Philox4x64 key, (seed, 2**63 + b) for B_n and (seed, 2**63 +
+2**62 + b) for R_n, whose high words no window key reaches.  A block
+draws any L for all its trials, then one jump for each trial still open,
+round by round, so its counts depend on neither the workers nor the
+chunking; but a trial's draws depend on its block's trial count, and no
+trial can be replayed alone.
 """
 from __future__ import annotations
 
@@ -77,13 +77,19 @@ from .records import TrajectoryStats, run_trajectory, scan_distinct
 
 GENERATOR = "philox4x64-counter-window"
 SUFFIX_GENERATOR = "philox4x64-suffix-length"
+RECORD_GENERATOR = "philox4x64-record-jumps"
 # Trials per block of the suffix sampler, a constant of its streams: a
 # block's counts depend on its size, so changing it changes every count.
 # One block draws 2**16 words for L and fewer for its jumps, under 1 MiB.
 _SUFFIX_BLOCK = 2**16
-# High key word of suffix block 0; the window keys use 0.._MAX_REDRAWS.
+# High key words of block 0 of B_n and of R_n; window keys use 0.._MAX_REDRAWS.
 _SUFFIX_KEY = 2**63
+_RECORD_KEY = 2**63 + 2**62
 _GRID = 2**53
+# simulate_r's histogram stops at _MAX_RECORDS, so its width does not grow
+# with n.  R_n sums independent Bernoulli(1 / i), i <= n + 1, so P[R_n >= m]
+# <= H^m / m! with H = H_{n+1} < 38: under 10**-1000 at m = 1024.
+_MAX_RECORDS = 1023
 # A chunk draws about 2**19 values (4 MiB): small enough that the allocator
 # reuses its memory, where a 64 MiB chunk is mapped and faulted in afresh
 # each time.  Only the chunks that a thread is working on hold rows, so
@@ -107,21 +113,13 @@ _MAX_ROW_BYTES = 2**30
 _SHORT_COLUMNS = 12
 # Every kernel works on tiles of about _TILE_VALUES values (whole rows, at
 # least one).  Per 2**19-value chunk at n = 8 to 500 (2-CPU Xeon, medians
-# of 101 runs), 2**14 was slower on almost every kernel, up to 2.1x, and
-# 2**18 on the wide record count, up to 1.4x.  2**16 was within 12% of the
-# fastest budget on every kernel but the narrow record count near 64
-# columns (3.3 against 2.7 ms at n = 63) and the key walk of short rows
-# (medians of 61 runs: 1.47 against 1.30 ms at 2**17 at n = 8, 2.38
-# against 1.78 ms at 2**18 at n = 11).  At n = 1 the key walk is slower
-# on larger tiles (0.73 ms at 2**17 against 0.46), and at n <= 2 a tile of
-# 2**17 keys and its temporaries outgrow one 64-bit tile of 2**16 values.
+# of 101 runs), 2**14 was slower on almost every kernel, up to 2.1x.
+# 2**16 was within 12% of the fastest budget on every kernel but the key
+# walk of short rows (medians of 61 runs: 1.47 against 1.30 ms at 2**17 at
+# n = 8, 2.38 against 1.78 ms at 2**18 at n = 11).  At n = 1 the key walk
+# is slower on larger tiles (0.73 ms at 2**17 against 0.46); at n <= 2 a
+# tile of 2**17 keys and its temporaries outgrow a 64-bit tile of 2**16.
 _TILE_VALUES = 2**16
-# Rows of at most _NARROW_COLUMNS values get their record count a column
-# at a time; wider rows a block of columns at a time, skipping blocks with
-# no record.  Per 2**19-value chunk (2-CPU Xeon, medians of 61 runs),
-# blocks alone took 3.90 against 1.44 ms at n = 8 and 2.97 against 1.81
-# ms at n = 32, and were about even at n = 63 (3.04 against 2.85 ms).
-_NARROW_COLUMNS = 64
 # The uint16 lane of a uint64 that holds its top 16 bits, the key of _key_walk.
 _KEY_LANE = 3 if sys.byteorder == "little" else 0
 
@@ -145,8 +143,8 @@ class SimConfig:
     processes, since its replay holds the GIL.  A field that is not an
     integer is refused with UsageError (a numpy integer is kept as an int).
     The window sampler's entry points refuse an ``n`` whose trial row is
-    over its cap with CapacityError, before any thread or draw; the suffix
-    sampler has no row and takes any ``n``.
+    over its cap with CapacityError, before any thread or draw; the jump
+    samplers have no row, and only ``simulate_r`` refuses an ``n``.
     """
 
     n: int
@@ -252,12 +250,6 @@ def _words_per_trial(n: int) -> int:
             f"{_MAX_ROW_BYTES}-byte cap of the window sampler"
         )
     return w
-
-
-def check_window_row(n: int) -> None:
-    """Refuse with CapacityError an ``n`` whose trial row is over the
-    window sampler's cap, for callers to check before any draw."""
-    _words_per_trial(n)
 
 
 def _raw_rows(seed: int, n: int, t0: int, t1: int, attempt: int) -> np.ndarray:
@@ -473,52 +465,15 @@ def final_break_counts(vals: np.ndarray) -> np.ndarray:
 def record_counts(vals: np.ndarray) -> np.ndarray:
     """Number of current records of each full row.
 
-    A column is a record iff it equals the maximum of itself and the
-    columns after it, so every row is read right to left with a running
-    maximum, and the last column always counts.  Narrow rows are read a
-    column at a time across the tiles of ``_column_tiles``.  Wide rows are
-    read a block at a time: a block whose maximum stays below the running
-    maximum holds no record, so only its maximum is taken.  A block
-    holds a record iff it holds the maximum of the columns from its start
-    to the end, which for distinct values has probability width / (that
-    many columns), so a row of m columns is read in full on about
-    H(m / width) blocks.  Wide tiles are ``_TILE_VALUES // _NARROW_COLUMNS``
-    rows (or fewer) by ``_TILE_VALUES // (tile rows)`` columns, so no
-    temporary spans more than ``_TILE_VALUES`` values.
+    A column is a record iff it equals the running maximum of the row
+    read backward.  The pass holds two (rows x m) temporaries, that
+    maximum and a bool mask; the audit hands it one tile of rows.
     """
-    rows, m = vals.shape
+    m = vals.shape[1]
     if m < 1:
         raise UsageError(f"a record count needs rows of at least 1 value, got {m}")
-    counts = np.ones(rows, dtype=np.int64)
-    if m <= _NARROW_COLUMNS:
-        for r0, cols in _column_tiles(vals):
-            cnt = counts[r0 : r0 + cols.shape[1]]
-            top = cols[-1].copy()
-            for col in cols[-2::-1]:
-                cnt += col >= top
-                np.maximum(top, col, out=top)
-        return counts
-    size = max(1, min(rows, _TILE_VALUES // _NARROW_COLUMNS))
-    width = _TILE_VALUES // size
-    for r0 in range(0, rows, size):
-        tile = vals[r0 : r0 + size]
-        cnt = counts[r0 : r0 + size]
-        # The last block holds the last column, so every row is read there.
-        lo = max(m - width, 0)
-        part = tile[:, lo:][:, ::-1]
-        run = np.maximum.accumulate(part, axis=1)
-        cnt[:] = (part == run).sum(axis=1)
-        top = run[:, -1].copy()
-        for hi in range(lo, 0, -width):
-            block = tile[:, max(hi - width, 0) : hi]
-            peak = block.max(axis=1)
-            live = np.flatnonzero(peak >= top)
-            part = block[live, ::-1]
-            run = np.maximum.accumulate(part, axis=1)
-            np.maximum(run, top[live, None], out=run)
-            cnt[live] += (part == run).sum(axis=1)
-            np.maximum(top, peak, out=top)
-    return counts
+    backward = vals[:, ::-1]
+    return (backward == np.maximum.accumulate(backward, axis=1)).sum(axis=1)
 
 
 def _chunk_ranges(trials: int, rows: int) -> Iterator[tuple[int, int]]:
@@ -648,13 +603,6 @@ def _base_meta(cfg: SimConfig, wall: float, mode: str, rows: int, **sampler) -> 
     }
 
 
-def _window_meta(cfg: SimConfig, redraws: int, wall: float, mode: str) -> dict:
-    return _base_meta(
-        cfg, wall, mode, _rows_per_chunk(cfg.n),
-        generator=GENERATOR, words_per_trial=_words_per_trial(cfg.n), tie_redraws=redraws,
-    )
-
-
 def default_checkpoints(n: int) -> tuple[int, ...]:
     """Quarter, half, and full horizon, deduplicated and floored at 1."""
     return tuple(sorted({max(1, n // 4), max(1, n // 2), n}))
@@ -683,7 +631,10 @@ def _simulate_breaks(config: SimConfig, ts: tuple[int, ...]) -> dict[int, Empiri
         return out, rd
 
     arr, redraws = _merge_chunks(config, chunk, rows, _threads(config))
-    meta = _window_meta(config, redraws, time.perf_counter() - start, "break-count")
+    meta = _base_meta(
+        config, time.perf_counter() - start, "break-count", rows,
+        generator=GENERATOR, words_per_trial=_words_per_trial(config.n), tie_redraws=redraws,
+    )
     return {
         t: EmpiricalPmf(
             n=t,
@@ -718,22 +669,14 @@ def _grid_draws(bg: np.random.Philox, size: int) -> np.ndarray:
     return k
 
 
-def _suffix_tally(seed: int, n: int, t0: int, t1: int) -> list[int]:
-    """Tallies of B_n = 0, 1, 2, ... over trials [t0, t1), which lie in one block.
+def _record_jumps(bg: np.random.Philox, last: np.ndarray, tally: list[int]) -> list[int]:
+    """Add the record counts of sequences of ``last`` values to ``tally``.
 
-    Draws L for every trial, then, round by round, one record jump for
-    each trial whose last record index j is still below its L (see the
-    module docstring).  L = 0 breaks no record and L = 1 one; a trial open
-    in round r holds r records, and ends there with r + 1 if its jump
-    lands on L, or with r if it lands past L.
+    ``last`` holds float64 lengths of at least 2, and ``tally[r]`` counts
+    the sequences with r records; it comes in with the bins r = 0 and 1.
+    Index 1 is a record.  In round r each open sequence holds r records and
+    jumps once: it ends with r + 1 if it lands on its length, r past it.
     """
-    bg = np.random.Philox(key=seed + ((_SUFFIX_KEY + t0 // _SUFFIX_BLOCK) << 64))
-    length = _suffix_length(_grid_draws(bg, t1 - t0), n)
-    # compress, not a boolean index: 0.09 against 0.55 ms on 2**16 words
-    # (numpy 2.4.6, 2-CPU Xeon).
-    last = length.compress(length > 1).astype(np.float64)
-    zero = int(np.count_nonzero(length == 0))
-    tally = [zero, t1 - t0 - zero - last.size]
     j = np.ones(last.size)
     while last.size:
         np.divide(j, _grid_draws(bg, last.size) * 2.0**-53, out=j)
@@ -743,32 +686,57 @@ def _suffix_tally(seed: int, n: int, t0: int, t1: int) -> list[int]:
         at = int(np.count_nonzero(j == last))
         tally[-1] += last.size - int(np.count_nonzero(keep)) - at
         tally.append(at)
+        # compress, not a boolean index: 0.09 against 0.55 ms on 2**16
+        # words (numpy 2.4.6, 2-CPU Xeon).
         j, last = j.compress(keep), last.compress(keep)
     return tally
 
 
-def simulate_b_suffix(config: SimConfig) -> EmpiricalPmf:
-    """Empirical law of B_n from suffix lengths and record jumps.
+def _suffix_tally(seed: int, n: int, t0: int, t1: int) -> list[int]:
+    """Tallies of B_n = 0, 1, 2, ... over trials [t0, t1), which lie in one
+    block: L for every trial, then the record jumps of every L > 1."""
+    bg = np.random.Philox(key=seed + ((_SUFFIX_KEY + t0 // _SUFFIX_BLOCK) << 64))
+    length = _suffix_length(_grid_draws(bg, t1 - t0), n)
+    last = length.compress(length > 1).astype(np.float64)
+    zero = int(np.count_nonzero(length == 0))
+    return _record_jumps(bg, last, [zero, t1 - t0 - zero - last.size])
 
-    It has the law of ``simulate_b`` but not its counts: each trial takes
-    under two draws on average at any n, not a window of n + 1 values,
-    so no row cap applies.  Blocks of ``_SUFFIX_BLOCK`` trials go to the
-    chunk scheduler's threads, each block holding under 1 MiB of draws.
-    """
+
+def _record_tally(seed: int, n: int, t0: int, t1: int) -> list[int]:
+    """Tallies of R_n = 0, 1, 2, ... over trials [t0, t1), which lie in one
+    block; raises past ``_MAX_RECORDS`` records."""
+    bg = np.random.Philox(key=seed + ((_RECORD_KEY + t0 // _SUFFIX_BLOCK) << 64))
+    tally = _record_jumps(bg, np.full(t1 - t0, n + 1.0), [0, 0])
+    if any(tally[_MAX_RECORDS + 1 :]):
+        raise RuntimeError(f"a trial holds over {_MAX_RECORDS} records")
+    return tally
+
+
+def _jump_run(
+    config: SimConfig, tally: Callable, width: int, mode: str, generator: str
+) -> tuple[np.ndarray, dict]:
+    """The ``width``-bin histogram of ``tally``'s blocks (the top bin pools
+    the rest) on the chunk scheduler's threads, and the run's meta."""
     start = time.perf_counter()
-    width = min(config.kmax, config.n) + 2
 
     def block(t0: int, t1: int) -> tuple[np.ndarray, int]:
-        tally = np.zeros(width, dtype=np.int64)
-        for b, count in enumerate(_suffix_tally(config.seed, config.n, t0, t1)):
-            tally[min(b, width - 1)] += count
-        return tally, 0
+        out = np.zeros(width, dtype=np.int64)
+        for b, count in enumerate(tally(config.seed, config.n, t0, t1)):
+            out[min(b, width - 1)] += count
+        return out, 0
 
     arr, _ = _merge_chunks(config, block, _SUFFIX_BLOCK, _threads(config))
-    meta = _base_meta(
-        config, time.perf_counter() - start, "break-count", _SUFFIX_BLOCK,
-        generator=SUFFIX_GENERATOR, trials_per_block=_SUFFIX_BLOCK,
+    return arr, _base_meta(
+        config, time.perf_counter() - start, mode, _SUFFIX_BLOCK,
+        generator=generator, trials_per_block=_SUFFIX_BLOCK,
     )
+
+
+def simulate_b_suffix(config: SimConfig) -> EmpiricalPmf:
+    """Empirical law of B_n from suffix lengths and record jumps: the law
+    of ``simulate_b`` but not its counts, at any n."""
+    width = min(config.kmax, config.n) + 2
+    arr, meta = _jump_run(config, _suffix_tally, width, "break-count", SUFFIX_GENERATOR)
     return EmpiricalPmf(
         n=config.n,
         trials=config.trials,
@@ -806,24 +774,19 @@ def simulate_b_checkpoints(
 def simulate_r(config: SimConfig) -> EmpiricalPmf:
     """Empirical law of the record count after the full trajectory.
 
-    Record counts are never pooled (the support is 1..n + 1 regardless of
-    ``kmax``), so the sample mean and its standard error are always
-    available.
+    Each trial takes the record jumps of n + 1 values; n + 1 >= 2**53 is
+    refused with CapacityError before any thread or draw.  Counts are never
+    pooled (``counts`` lists r = 1..min(n + 1, ``_MAX_RECORDS``)), so the
+    sample mean and its standard error are always available.
     """
-    start = time.perf_counter()
-    rows = _rows_per_chunk(config.n)  # refuses a row over the cap before any draw
-
-    def chunk(t0: int, t1: int) -> tuple[np.ndarray, int]:
-        vals, rd = trial_values(config.seed, config.n, t0, t1)
-        return np.bincount(record_counts(vals), minlength=config.n + 2), rd
-
-    arr, redraws = _merge_chunks(config, chunk, rows, _threads(config))
-    counts = {r: int(arr[r]) for r in range(1, config.n + 2)}
-    meta = _window_meta(config, redraws, time.perf_counter() - start, "record-count")
+    if config.n + 1 >= _GRID:
+        raise CapacityError(f"record counts need n + 1 < 2**53, got n={config.n}")
+    width = min(config.n + 1, _MAX_RECORDS) + 1
+    arr, meta = _jump_run(config, _record_tally, width, "record-count", RECORD_GENERATOR)
     return EmpiricalPmf(
         n=config.n,
         trials=config.trials,
-        counts=counts,
+        counts={r: int(arr[r]) for r in range(1, width)},
         overflow=0,
         kmax=config.n + 1,
         meta=meta,

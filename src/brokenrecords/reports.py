@@ -29,7 +29,6 @@ from .montecarlo import (
     EmpiricalPmf,
     SimConfig,
     check_seed_and_workers,
-    check_window_row,
     simulate_b,
     simulate_b_checkpoints,
     simulate_b_suffix,
@@ -264,8 +263,8 @@ def converge_table(
     n is computed once and its rows repeated in list order.  Every
     argument is checked before any enumeration or draw: each n, the kmax
     and the trials as integers in their domains, the seed and worker count
-    by the sampler's rules, even when no n is sampled, and each sampled n's
-    row against the window sampler's cap, all before the loop.  ``workers``
+    by the sampler's rules, even when no n is sampled.  The sampled cells
+    come from ``simulate_b_suffix``, which takes any n.  ``workers``
     defaults to ``usable_cpus()`` at call time.
     """
     if not n_list:
@@ -281,15 +280,13 @@ def converge_table(
         for n in n_list
         if trials > 0 and n > ENUMERATION_MAX_N
     }
-    for n in configs:
-        check_window_row(n)
     laws = {
         n: _law_rows(
             n,
             min(kmax, n),
             exact=True,
             oracle=n <= ENUMERATION_MAX_N,
-            emp=simulate_b(configs[n]) if n in configs else None,
+            emp=simulate_b_suffix(configs[n]) if n in configs else None,
         )
         for n in dict.fromkeys(n_list)
     }

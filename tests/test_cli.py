@@ -8,6 +8,7 @@ confirmed well inside the tolerances.
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -23,7 +24,7 @@ import brokenrecords.montecarlo as mc
 import brokenrecords.records as records
 from brokenrecords.cli import main
 from brokenrecords.errors import InvariantError, PartialResultError
-from brokenrecords.reports import _unlimited_int_digits
+from brokenrecords.reports import _unlimited_int_digits, chi_square_fit
 
 F = Fraction
 
@@ -32,6 +33,38 @@ def run_json(capsys, *argv):
     code = main([*argv, "--format", "json"])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def _assert_near_the_law(rows, trials):
+    """Every sampled cell lies within 5 sigma of its exact mass, or of the
+    limit where the exact cell is empty and the limit is within 1e-12."""
+    for row in rows:
+        if row["exact_full"] is None:
+            assert row["remainder_bound"] < 1e-12, row
+            p = row["limit"]
+        else:
+            with _unlimited_int_digits():
+                p = float(F(row["exact_full"]))
+        assert abs(row["empirical"] - p) < 5 * (p * (1 - p) / trials) ** 0.5, row
+
+
+def _record_law(n, top):
+    """P[R_n = r] for r = 1..top in float64 at large n: e_{r-1}(1, 1/2, ...,
+    1/n) / (n + 1), the e's by Newton's identities from the power sums
+    sum_{i <= n} i**-k, whose tails past 999 and past n are summed by
+    Euler-Maclaurin."""
+    m = n + 1
+
+    def tail(start, k):  # sum_{i >= start} i**-k
+        return start ** (1 - k) / (k - 1) + start**-k / 2 + k * start ** (-k - 1) / 12
+
+    power = [0.0, math.log(n) + 0.5772156649015329 + 1 / (2 * n) - 1 / (12 * n * n)]
+    for k in range(2, top):
+        power.append(math.fsum(i**-k for i in range(1, 1000)) + tail(1000, k) - tail(m, k))
+    e = [1.0]
+    for k in range(1, top):
+        e.append(math.fsum((-1) ** (i - 1) * e[k - i] * power[i] for i in range(1, k + 1)) / k)
+    return [x / m for x in e]
 
 
 class TestExactCommand:
@@ -279,17 +312,15 @@ class TestConvergeCommand:
                 assert row["abs_dev"] == float(F(1, 2 * n * (n + 1)))
 
     def test_empirical_tail_deviation_large_n(self, capsys):
-        # Stated at 10^6 trials; 4x10^4 keeps the margin at seed 71 while
-        # staying inside a test-suite time budget.
+        # abs_dev is read off exact_full wherever it is present, so the
+        # sample is held to the exact law directly.
         code, rep = run_json(
             capsys,
             "converge", "--n-list", "10000", "--kmax", "2",
-            "--trials", "40000", "--seed", "71",
+            "--trials", "1000000", "--seed", "71",
         )
         assert code == 0
-        row = next(r for r in rep["rows"] if r["k"] == 2)
-        assert row["empirical"] is not None
-        assert row["abs_dev"] < 0.005
+        _assert_near_the_law(rep["rows"], 10**6)
 
     def test_bad_n_list_is_usage_exit(self, capsys):
         assert main(["converge", "--n-list", "2,x"]) == 2
@@ -304,7 +335,7 @@ class TestConvergeCommand:
 
     def test_bad_n_refused_before_any_sampling(self, monkeypatch, capsys):
         calls = []
-        monkeypatch.setattr(cli.reports, "simulate_b", calls.append)
+        monkeypatch.setattr(cli.reports, "simulate_b_suffix", calls.append)
         argv = ["converge", "--n-list", "3000,0", "--trials", "100000", "--seed", "1"]
         assert main(argv) == 2
         assert "every n must be at least 1" in capsys.readouterr().err
@@ -325,7 +356,7 @@ class TestConvergeCommand:
         calls = []
         monkeypatch.setattr(cli.reports, "exact_pmf_b", calls.append)
         monkeypatch.setattr(cli.reports, "oracle_joint", calls.append)
-        monkeypatch.setattr(cli.reports, "simulate_b", calls.append)
+        monkeypatch.setattr(cli.reports, "simulate_b_suffix", calls.append)
         assert main(["converge", "--n-list", "4,100", *flags]) == 2
         assert capsys.readouterr().err.startswith("usage: ")
         assert calls == []
@@ -635,44 +666,57 @@ class TestRowCapacity:
         ids=["simulate", "checkpoints", "records", "gof", "audit"],
     )
     def test_oversized_row_exits_3_before_any_work(self, argv, monkeypatch, capsys):
+        n, cap = "1000000000", "cap of the window sampler"
         if argv[0] == "gof":
             # gof samples by suffix length and owns no window, so it has no
             # row cap: n = 10**9 runs, and its sample fits the limit, within
             # about 1/n**2 of the law there (p = 0.77 at seed 1).
             code, rep = run_json(
-                capsys, *argv, "--n", "1000000000", "--trials", "200000", "--seed", "1"
+                capsys, *argv, "--n", n, "--trials", "200000", "--seed", "1"
             )
             assert code == 0
             (fit,) = [r for r in rep["rows"] if r["statistic"] == "chi2"]
             assert fit["reference"] == "geometric-limit"
             assert fit["p_value"] > 0.01
             return
+        if argv[-1] == "r":
+            # Record counts take the record jumps and own no window either:
+            # n = 10**9 runs and fits the law of R_n (p = 0.41 at seed 1).
+            # Their cap is n + 1 < 2**53, where the float64 indices are exact.
+            trials = 10**6
+            code, rep = run_json(
+                capsys, *argv, "--n", n, "--trials", str(trials), "--seed", "1"
+            )
+            assert code == 0
+            observed = {row["r"]: row["count"] for row in rep["rows"]}
+            probs = _record_law(10**9, 50)[:-1]
+            counts = [observed.get(r, 0) for r in range(1, 50)]
+            fit = chi_square_fit(
+                [*counts, trials - sum(counts)], [*probs, 1 - sum(probs)], trials
+            )
+            assert fit[2] > 0.01
+            n, cap = str(2**53 - 1), "n + 1 < 2**53"
 
         def refuse(*args, **kwargs):
             raise AssertionError("work started for an oversized row")
 
         monkeypatch.setattr(mc, "_raw_rows", refuse)
         monkeypatch.setattr(mc, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(mc.np.random, "Philox", refuse)
         threads = threading.active_count()
-        code = main([*argv, "--n", "1000000000", "--trials", "1", "--seed", "1"])
+        code = main([*argv, "--n", n, "--trials", "1", "--seed", "1"])
         assert code == 3
-        assert "cap of the window sampler" in capsys.readouterr().err
+        assert cap in capsys.readouterr().err
         assert threading.active_count() == threads
 
-    def test_converge_refuses_a_later_oversized_row_before_any_draw(
-        self, monkeypatch, capsys
-    ):
-        # n = 20,000 fits and comes first; the sweep must still refuse
-        # n = 10**9 before it samples anything.
-        def refuse(*args, **kwargs):
-            raise AssertionError("sampled before the oversized row was refused")
-
-        monkeypatch.setattr(mc, "_raw_rows", refuse)
+    def test_converge_samples_a_later_n_past_the_window_cap(self, capsys):
+        # The sampled cells take the suffix sampler, which has no row cap:
+        # n = 10**9 runs after n = 20,000, and both fit their laws.
         argv = ["converge", "--n-list", "20000,1000000000", "--kmax", "2"]
-        assert main([*argv, "--trials", "20000", "--seed", "1"]) == 3
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "cap of the window sampler" in err
+        code, rep = run_json(capsys, *argv, "--trials", "20000", "--seed", "1")
+        assert code == 0
+        assert rep["meta"]["simulated_n"] == [20000, 10**9]
+        _assert_near_the_law(rep["rows"], 20000)
 
 
 class TestGoldenBytes:

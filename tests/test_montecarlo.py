@@ -6,6 +6,7 @@ to sit far inside the stated tolerances, so no test here is flaky.
 
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -15,6 +16,7 @@ import time
 import tracemalloc
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ from brokenrecords import (
     oracle_pmf_b,
     oracle_pmf_r,
     record_counts,
+    records_by_scan,
     run_trajectory,
     simulate_b,
     simulate_b_checkpoints,
@@ -772,101 +775,84 @@ class TestBreakCountWalk:
         )
 
 
-def _reference_record_counts(vals):
-    """Definitional form: a column is a current record iff it equals the
-    suffix maximum of its row."""
-    smax = np.maximum.accumulate(vals[:, ::-1], axis=1)[:, ::-1]
-    return (vals == smax).sum(axis=1)
+def _scanned_record_counts(vals):
+    """The record count of each row by the definitional scan of ``records``."""
+    return np.array([len(records_by_scan(row)) for row in vals.tolist()], dtype=np.int64)
 
 
 class TestRecordCountScan:
-    """Both paths of ``record_counts`` against the suffix-max definition."""
+    """``record_counts`` against the scan, and on hand-built rows."""
 
     @pytest.mark.parametrize("n", [1, 2, 8, 63, 64, 100, 500, 5000])
     def test_seeded_chunks(self, n):
         vals, _ = trial_values(2718, n, 0, mc._rows_per_chunk(n))
-        assert np.array_equal(record_counts(vals), _reference_record_counts(vals))
+        assert np.array_equal(record_counts(vals), _scanned_record_counts(vals))
 
-    def test_narrow_tiles_with_remainder(self):
-        # Two full tiles and a short one, as a whole chunk and as the
-        # prefix view of a wider one.
-        for m in (2, 3, mc._NARROW_COLUMNS // 2 + 1, mc._NARROW_COLUMNS):
-            rows = 2 * (mc._TILE_VALUES // m) + 123
-            vals, _ = trial_values(99, m - 1, 0, rows)
-            assert np.array_equal(record_counts(vals), _reference_record_counts(vals))
-            view = trial_values(99, m, 0, rows)[0][:, :m]
-            assert np.array_equal(record_counts(view), _reference_record_counts(view))
-
-    def test_wide_tiles_and_blocks_with_remainders(self):
-        # Rows past two tiles and columns past two blocks, neither a multiple.
-        tile = mc._TILE_VALUES // mc._NARROW_COLUMNS
-        width = mc._TILE_VALUES // tile
-        vals, _ = trial_values(99, 2 * width + 7, 0, 2 * tile + 123)
-        assert np.array_equal(record_counts(vals), _reference_record_counts(vals))
-        for t in (width, 2 * width - 1, 2 * width):
-            view = vals[:, : t + 1]
-            assert np.array_equal(record_counts(view), _reference_record_counts(view))
-
-    @pytest.mark.parametrize(
-        "n, rows, tiles",
-        [(8, 16 * (mc._TILE_VALUES // 9), 2), (200, 4 * (mc._TILE_VALUES // 64) + 5, 3)],
-        ids=["narrow", "wide"],
-    )
-    def test_memory_stays_near_one_tile(self, n, rows, tiles):
-        # Past the counts, the narrow path holds one column-major tile and
-        # its running maximum; the wide path a tile's block and its
-        # running maximum.
+    @pytest.mark.parametrize("n", [8, 200], ids=["narrow", "wide"])
+    def test_memory_stays_near_one_tile(self, n):
+        # One audit range, as the audit hands it over: a tile of rows, cut
+        # from their counter windows.  Past the counts the pass holds a
+        # running maximum and a bool mask of the range's shape, and the
+        # sum casts the mask through numpy's buffer of int64 words.
+        rows = mc._TILE_VALUES // mc._words_per_trial(n)
         vals, _ = trial_values(11, n, 0, rows)
         counts, peak = _traced_peak(lambda: record_counts(vals))
-        assert peak - counts.nbytes < tiles * TILE_BYTES < vals.nbytes // 4
+        held = vals.size * (vals.itemsize + 1) + 8 * np.getbufsize()
+        assert peak - counts.nbytes <= held < 2 * TILE_BYTES
 
     def test_few_long_rows(self):
-        # Three rows: blocks of _TILE_VALUES // 3 columns, three to a row.
         vals, _ = trial_values(5, 100_000, 0, 3)
-        assert np.array_equal(record_counts(vals), _reference_record_counts(vals))
+        assert np.array_equal(record_counts(vals), _scanned_record_counts(vals))
         view = vals[:1]
-        assert np.array_equal(record_counts(view), _reference_record_counts(view))
+        assert np.array_equal(record_counts(view), _scanned_record_counts(view))
 
-    @pytest.mark.parametrize("small", [False, True])
-    def test_adversarial_rows(self, small, monkeypatch):
-        if small:  # blocks of 16 columns, so the skip is taken within a row
-            monkeypatch.setattr(mc, "_TILE_VALUES", 80)
-            monkeypatch.setattr(mc, "_NARROW_COLUMNS", 16)
+    @staticmethod
+    def _laid_out(rows, view):
+        """``rows`` as a uint64 array, or with ``view`` as the column prefix
+        of a wider array, as the audit's rows are cut from their windows."""
+        vals = _rows(*rows)
+        if not view:
+            return vals
+        wide = np.zeros((vals.shape[0], vals.shape[1] + 3), dtype=np.uint64)
+        wide[:, : vals.shape[1]] = vals
+        return wide[:, : vals.shape[1]]
+
+    @pytest.mark.parametrize("view", [False, True])
+    def test_adversarial_rows(self, view):
         n = 150
         top = 2**64 - 1
         body = np.random.default_rng(4).choice(2**40, size=n, replace=False)
         body = body.astype(np.uint64) + 1
         descending = np.sort(body)[::-1]
         ascending = np.sort(body)
-        vals = _rows(
-            [*body, 0],  # X_n lies below everything
-            [*body, top],  # X_n beats everything: one record
-            [*descending, 0],  # every value is a record
-            [*ascending, 0],  # the head's last value and X_n
-            [top, *ascending],  # the first value stands above the rest
+        vals = self._laid_out(
+            [
+                [*body, 0],  # X_n lies below everything
+                [*body, top],  # X_n beats everything: one record
+                [*descending, 0],  # every value is a record
+                [*ascending, 0],  # the head's last value and X_n
+                [top, *ascending],  # the first value stands above the rest
+            ],
+            view,
         )
         got = record_counts(vals)
-        assert np.array_equal(got, _reference_record_counts(vals))
+        assert np.array_equal(got, _scanned_record_counts(vals))
         assert got.tolist()[1:] == [1, n + 1, 2, 2]
         assert got.dtype == np.int64
 
-    @pytest.mark.parametrize("small", [False, True])
-    def test_ties_count_as_the_definition_does(self, small, monkeypatch):
-        # Trial rows never tie; a tie with a later maximum counts as in the
-        # suffix-max definition, on both paths and across blocks.
-        if small:  # wide tiles of two rows by one narrow width
-            monkeypatch.setattr(mc, "_TILE_VALUES", 2 * mc._NARROW_COLUMNS)
-        for width in (9, 3 * mc._NARROW_COLUMNS):
+    @pytest.mark.parametrize("view", [False, True])
+    def test_ties_count_as_the_definition_does(self, view):
+        # Trial rows never tie; a value tied with a later maximum counts,
+        # since it equals the maximum of itself and the columns after it.
+        for width in (9, 192):
             row = list(range(width))
             row[0] = row[width // 2] = row[-1] = width
-            vals = _rows(row, [width, *range(width - 2), width])
-            got = record_counts(vals)
-            assert np.array_equal(got, _reference_record_counts(vals))
-            assert got.tolist() == [3, 2]
+            vals = self._laid_out([row, [width, *range(width - 2), width]], view)
+            assert record_counts(vals).tolist() == [3, 2]
 
     def test_single_column_and_empty_chunks(self):
         assert record_counts(_rows([5], [0])).tolist() == [1, 1]
-        for width in (9, 2 * mc._NARROW_COLUMNS):
+        for width in (9, 128):
             empty = np.empty((0, width), dtype=np.uint64)
             assert record_counts(empty).shape == (0,)
 
@@ -886,12 +872,7 @@ class TestRecordCountScan:
             for _ in range(count)
         ]
         vals = _rows(*rows)
-        expected = _reference_record_counts(vals)
-        assert np.array_equal(record_counts(vals), expected)
-        # Small tiles and blocks: several of each, and skipped blocks.
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mc, "_TILE_VALUES", 2 * mc._NARROW_COLUMNS)
-            assert np.array_equal(record_counts(vals), expected)
+        assert np.array_equal(record_counts(vals), _scanned_record_counts(vals))
 
 
 class TestVectorizedStatistics:
@@ -982,21 +963,22 @@ class TestPinnedCounts:
             assert by_t[t].meta["tie_redraws"] == 0
 
     def test_record_counts_n50(self):
+        # Record jumps since they left the window sampler.
         pmf = simulate_r(SimConfig(n=50, trials=20000, seed=5050))
         counts = [pmf.counts[r] for r in range(1, 52)]
         assert counts[:13] == [
-            403, 1764, 3601, 4691, 4237, 2832, 1470, 682, 226, 61, 25, 7, 1
+            384, 1720, 3671, 4668, 4158, 2892, 1499, 656, 257, 74, 16, 4, 1
         ]
         assert not any(counts[13:])
-        assert pmf.meta["tie_redraws"] == 0
+        assert pmf.meta["generator"] == mc.RECORD_GENERATOR
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_record_counts_n8(self, workers):
         pmf = simulate_r(SimConfig(n=8, trials=20000, seed=808, workers=workers))
         assert [pmf.counts[r] for r in range(1, 10)] == [
-            2154, 6064, 6529, 3755, 1231, 239, 27, 1, 0
+            2271, 6041, 6551, 3666, 1207, 228, 34, 1, 1
         ]
-        assert pmf.meta["tie_redraws"] == 0
+        assert pmf.meta["generator"] == mc.RECORD_GENERATOR
 
     def test_suffix_break_counts_n500(self):
         # Two blocks, the second of one trial, on two threads.
@@ -1065,14 +1047,6 @@ class TestChunkBudget:
             assert new[t].overflow == old[t].overflow
             assert new[t].meta["tie_redraws"] == old[t].meta["tie_redraws"]
 
-    def test_record_counts_match_the_old_budget(self, monkeypatch):
-        cfg = SimConfig(n=64, trials=250000, seed=64)
-        new, old = self._at_old_budget(monkeypatch, lambda: simulate_r(cfg))
-        assert new.meta["run"]["chunks"] == 33
-        assert old.meta["run"]["chunks"] == 3
-        assert new.counts == old.counts
-        assert new.meta["tie_redraws"] == old.meta["tie_redraws"]
-
 
 class TestRunMeta:
     def test_chunks_and_throughput(self, monkeypatch):
@@ -1082,7 +1056,6 @@ class TestRunMeta:
         assert chunks > 1
         runs = [
             simulate_b(cfg).meta["run"],
-            simulate_r(cfg).meta["run"],
             *(p.meta["run"] for p in simulate_b_checkpoints(cfg).values()),
         ]
         for run in runs:
@@ -1244,11 +1217,13 @@ class TestSuffixSampler:
 
     @pytest.mark.parametrize("trials", [2**16 - 1, 2**16, 2**16 + 1])
     def test_counts_do_not_depend_on_the_workers(self, trials):
+        # Both samplers of the record jumps.
         cfg = SimConfig(n=50, trials=trials, seed=3, workers=1)
-        one = simulate_b_suffix(cfg)
-        two = simulate_b_suffix(dataclasses.replace(cfg, workers=2))
-        assert (one.counts, one.overflow) == (two.counts, two.overflow)
-        assert one.meta["run"]["chunks"] == -(-trials // mc._SUFFIX_BLOCK)
+        for sample in (simulate_b_suffix, simulate_r):
+            one = sample(cfg)
+            two = sample(dataclasses.replace(cfg, workers=2))
+            assert (one.counts, one.overflow) == (two.counts, two.overflow)
+            assert one.meta["run"]["chunks"] == -(-trials // mc._SUFFIX_BLOCK)
 
     def test_a_full_block_draws_the_same_in_a_longer_run(self):
         full = simulate_b_suffix(SimConfig(n=50, trials=2**16, seed=3))
@@ -1281,6 +1256,75 @@ class TestSimulateR:
     def test_support_range(self):
         pmf = simulate_r(SimConfig(n=4, trials=1000, seed=8))
         assert set(pmf.counts) == {1, 2, 3, 4, 5}
+
+    @staticmethod
+    def _exact_p_value(emp, top):
+        """Chi-square p-value against P[R_n = r] = c(n + 1, r) / (n + 1)!,
+        read off ``exact_pmf_b(n + 1, top)``, at r = 1..top plus a tail bin."""
+        law = exact_pmf_b(emp.n + 1, top)
+        scale = math.factorial(emp.n + 1)
+        top = min(top, emp.n + 1)
+        body = [Fraction(law.lone[r], scale) for r in range(1, top + 1)]
+        observed = [emp.counts[r] for r in range(1, top + 1)]
+        observed.append(emp.trials - sum(observed))
+        return chi_square_fit(observed, body + [1 - sum(body)], emp.trials)[2]
+
+    def test_the_reference_law_is_the_enumerated_one(self):
+        law = exact_pmf_b(9, 9)
+        assert [Fraction(c, math.factorial(9)) for c in law.lone] == [
+            oracle_pmf_r(8).prob(r) for r in range(10)
+        ]
+
+    @pytest.mark.parametrize("n", [1, 8, 500, 5000])
+    def test_fits_the_exact_law(self, n):
+        # At seed 1: p = 0.67, 0.99, 0.38 and 0.77.
+        emp = simulate_r(SimConfig(n=n, trials=10**6, seed=1))
+        assert self._exact_p_value(emp, 25) > 0.01
+
+    def test_a_planted_last_of_n_fails_the_exact_fit(self, monkeypatch):
+        # Counting the records of n values, not n + 1, draws R_{n-1}.
+        real = mc._record_jumps
+        monkeypatch.setattr(
+            mc, "_record_jumps", lambda bg, last, tally: real(bg, last - 1, tally)
+        )
+        emp = simulate_r(SimConfig(n=12, trials=10**6, seed=1))
+        assert self._exact_p_value(emp, 25) < 1e-20
+
+    def test_mean_at_n_1e9_is_harmonic(self):
+        n = 10**9
+        emp = simulate_r(SimConfig(n=n, trials=10**6, seed=1))
+        m = n + 1
+        harmonic = math.log(m) + 0.5772156649015329 + 1 / (2 * m) - 1 / (12 * m * m)
+        assert abs(emp.mean() - harmonic) < 5 * emp.mean_stderr()
+
+    def test_histogram_width_does_not_grow_with_n(self):
+        # n + 2 int64 bins at n = 10**9 would take 8 GB; the run peaks
+        # near 80 KB, or 1 MB when it is the first in its process.
+        cfg = SimConfig(n=10**9, trials=1000, seed=1, workers=1)
+        emp, peak = _traced_peak(lambda: simulate_r(cfg))
+        assert sorted(emp.counts) == list(range(1, mc._MAX_RECORDS + 1))
+        assert peak < 2**24
+
+    def test_a_trial_past_the_histogram_raises(self, monkeypatch):
+        # With the cap at 3 records, a trial with 4 or more stops the run
+        # instead of leaving the histogram.
+        monkeypatch.setattr(mc, "_MAX_RECORDS", 3)
+        with pytest.raises(PartialResultError) as exc:
+            simulate_r(SimConfig(n=50, trials=1000, seed=1, workers=1))
+        assert exc.value.completed == 0
+        assert str(exc.value.__cause__) == "a trial holds over 3 records"
+
+    def test_n_past_the_float_grid_is_refused_before_any_draw(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started past the float64 grid")
+
+        n = 2**53 - 1  # n + 1 = 2**53, where 2**53 + 1 rounds to 2**53
+        assert simulate_r(SimConfig(n=n - 1, trials=3, seed=1, workers=1)).trials == 3
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(mc.np.random, "Philox", refuse)
+        for big in (n, 2**64):
+            with pytest.raises(CapacityError, match="n \\+ 1 < 2\\*\\*53"):
+                simulate_r(SimConfig(n=big, trials=1, seed=1))
 
 
 class TestCheckpoints:
@@ -1751,10 +1795,11 @@ class TestAuditChunkAcrossTiles:
 
     With 60-value tiles, rows of 12 values (n = 11) go five to a tile in
     every kernel, the key walk of their break counts included.  Rows of 101
-    values (n = 100) go one to a tile in the tie screen and in the record
-    count, which reads each in two column blocks, and five to a tile in the
-    break count, which reads the last 12 columns in tiles.  Trials [3, 23)
-    are therefore 4 to 20 tiles of each kernel.
+    values (n = 100) go one to a tile in the tie screen and five to a tile
+    in the break count, which reads the last 12 columns in tiles.  Trials
+    [3, 23) are therefore 4 to 20 tiles of each kernel.  The record count
+    reads the whole range in one pass; its faults are planted at the same
+    rows.
     """
 
     seed, t0, t1 = 17, 3, 23

@@ -207,16 +207,20 @@ class TestConvergeTable:
 
     def test_sampled_n_runs_on_every_usable_cpu_by_default(self, monkeypatch):
         seen = []
-        simulate = reports.simulate_b
-        monkeypatch.setattr(reports, "simulate_b", lambda cfg: seen.append(cfg) or simulate(cfg))
+        simulate = reports.simulate_b_suffix
+        monkeypatch.setattr(
+            reports, "simulate_b_suffix", lambda cfg: seen.append(cfg) or simulate(cfg)
+        )
         converge_table([20], kmax=1, trials=100, seed=11)
         assert [cfg.workers for cfg in seen] == [usable_cpus()]
 
     def test_default_workers_follow_the_cpus_at_call_time(self, monkeypatch):
         # The CPU count changes after import, as under a later taskset.
         seen = []
-        simulate = reports.simulate_b
-        monkeypatch.setattr(reports, "simulate_b", lambda cfg: seen.append(cfg) or simulate(cfg))
+        simulate = reports.simulate_b_suffix
+        monkeypatch.setattr(
+            reports, "simulate_b_suffix", lambda cfg: seen.append(cfg) or simulate(cfg)
+        )
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
         converge_table([20], kmax=1, trials=100, seed=11)
@@ -260,13 +264,15 @@ class TestConvergeTable:
 
     def test_a_repeated_n_is_computed_once(self, monkeypatch):
         calls = []
-        for name in ("simulate_b", "exact_pmf_b", "oracle_joint"):
+        for name in ("simulate_b_suffix", "exact_pmf_b", "oracle_joint"):
             fn = getattr(reports, name)
             monkeypatch.setattr(
                 reports, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)
             )
         rep = converge_table([20, 20, 3, 3], kmax=2, trials=1000, seed=1, workers=1)
-        assert sorted(calls) == ["exact_pmf_b", "exact_pmf_b", "oracle_joint", "simulate_b"]
+        assert sorted(calls) == [
+            "exact_pmf_b", "exact_pmf_b", "oracle_joint", "simulate_b_suffix"
+        ]
         assert rep["meta"]["simulated_n"] == [20, 20]
         assert rep["meta"]["oracle_n"] == [3, 3]
         rows = rep["rows"]

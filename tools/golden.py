@@ -43,7 +43,7 @@ INVOCATIONS: dict[str, list[str]] = {
     "simulate-n12-workers2": [
         "simulate", "--n", "12", "--trials", "30000", "--seed", "8", "--workers", "2",
     ],
-    # Rows of at most 12 values: the short-row draw of the record count.
+    # Record counts take the record jumps of n + 1 values per trial.
     "simulate-n8-r": [
         "simulate", "--n", "8", "--trials", "20000", "--seed", "808", "--stat", "r",
         "--workers", "1",
@@ -51,9 +51,7 @@ INVOCATIONS: dict[str, list[str]] = {
     "simulate-n30-r": [
         "simulate", "--n", "30", "--trials", "5000", "--seed", "3", "--stat", "r",
     ],
-    # Rows wider than the narrow record count: 301 columns are four full
-    # column blocks and a remainder on full row tiles, and the chunks end
-    # in a short tile.
+    # Longer jump runs: about H_301 = 6.3 draws per trial.
     "simulate-n300-r": [
         "simulate", "--n", "300", "--trials", "5000", "--seed", "3", "--stat", "r",
         "--workers", "1",
@@ -61,6 +59,11 @@ INVOCATIONS: dict[str, list[str]] = {
     # Past the exact mean's ceiling (n = 10**5): its cells are empty.
     "simulate-n100001-r": [
         "simulate", "--stat", "r", "--n", "100001", "--trials", "20", "--seed", "3",
+        "--workers", "1",
+    ],
+    # Past the window sampler's row cap, which the record jumps have not.
+    "simulate-n1000000000-r": [
+        "simulate", "--stat", "r", "--n", "1000000000", "--trials", "20000", "--seed", "3",
         "--workers", "1",
     ],
     # A kmax past n: the histogram stops at k = n, and kmax stays in meta.
@@ -77,6 +80,11 @@ INVOCATIONS: dict[str, list[str]] = {
         "converge", "--n-list", "3,100,3000", "--kmax", "3",
         "--trials", "20000", "--seed", "5",
     ],
+    # The suffix sampler past the window sampler's row cap.
+    "converge-sampled-n1000000000": [
+        "converge", "--n-list", "20000,1000000000", "--kmax", "2",
+        "--trials", "20000", "--seed", "1",
+    ],
     "gof-n8": ["gof", "--n", "8", "--trials", "50000", "--seed", "404"],
     "gof-n1": ["gof", "--n", "1", "--trials", "10000", "--seed", "31"],
     # Three blocks of the suffix sampler, the last one partial.
@@ -87,9 +95,9 @@ INVOCATIONS: dict[str, list[str]] = {
     # Short rows: the replay checks the column-major tile walk against the
     # stack, and the checkpoints send prefix views of one chunk through it.
     "audit-n8": ["audit", "--n", "8", "--trials", "2000", "--seed", "21"],
-    # The replay checks the wide record count against the stack, in four
-    # ranges of at most 630 rows (each less than one row tile), which go
-    # to forked worker processes on more than one CPU.
+    # The replay checks the record count of each range against the stack,
+    # in four ranges of at most 630 rows (each less than one row tile),
+    # which go to forked worker processes on more than one CPU.
     "audit-n100": ["audit", "--n", "100", "--trials", "2000", "--seed", "34"],
     "simulate-n11-checkpoints": [
         "simulate", "--n", "11", "--trials", "20000", "--seed", "13",
