@@ -13,17 +13,12 @@ to that trial; redraw totals land in the result metadata.
 One function, ``_break_counts``, draws, screens and counts every chunk of
 trials for ``trial_values``, the sampler and the audit, a tile of about
 ``_TILE_VALUES`` values at a time rather than in per-trial Python loops.
-The break count of the last step reads each row backward from X_n and
-stops at the first value above it, about H_n columns per trial (the
-suffix after the last value above X_n has length L with P[L >= l] =
-1 / (l + 1)).  ``_column_tiles`` copies tiles into column-major order, so
-each kernel reads whole contiguous columns.  Short rows (at most
-``_SHORT_COLUMNS`` values, n <= 11) are read once, as tiles of each
-value's top 16 bits (its key): one pass flags the rows that hold two
-equal keys and walks the break count at every requested horizon.
-Distinct keys are ordered as their values are, so only the few flagged
-rows are finished on 64 bits, where a true tie is redrawn; wider rows are
-screened by a half-word sort.
+The tie screen sorts one 32-bit half of each value, and only the rows
+it flags are checked on 64 bits.  The break count of the last step reads
+each row backward from X_n and stops at the first value above it, about
+H_n columns per trial (the suffix after the last value above X_n has
+length L with P[L >= l] = 1 / (l + 1)).  ``_column_tiles`` copies tiles
+into column-major order, so the walk reads whole contiguous columns.
 ``simulate_trajectory_audit`` is the slow counterpart that replays each
 trajectory through the incremental stack and checks conservation step
 by step.  The replay is pure Python, so threads cannot share it: it runs
@@ -59,7 +54,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import sys
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -80,7 +74,8 @@ SUFFIX_GENERATOR = "philox4x64-suffix-length"
 RECORD_GENERATOR = "philox4x64-record-jumps"
 # Trials per block of the suffix sampler, a constant of its streams: a
 # block's counts depend on its size, so changing it changes every count.
-# One block draws 2**16 words for L and fewer for its jumps, under 1 MiB.
+# A block's 0.5 MiB of words and its float64 lengths, indices and quotients
+# peaked at 1.24 MiB (B_n) and 2.58 MiB (R_n) traced at n = 10**9: under 3 MiB.
 _SUFFIX_BLOCK = 2**16
 # High key words of block 0 of B_n and of R_n; window keys use 0.._MAX_REDRAWS.
 _SUFFIX_KEY = 2**63
@@ -101,27 +96,19 @@ _MAX_REDRAWS = 64
 # One trial row is never split across chunks, so its size is the floor of
 # a chunk's memory; 2**30 bytes holds rows up to n = 2**27 - 1.
 _MAX_ROW_BYTES = 2**30
-# Rows of at most _SHORT_COLUMNS values are read once as tiles of 16-bit
-# keys (_key_walk); wider rows are screened by a sort of their 32-bit half
-# words and counted by the 64-bit walk, whose dense phase reads the last
-# _SHORT_COLUMNS columns of every row.  Per 2**19-value chunk past the draw
-# (2-CPU Xeon, medians of 61 interleaved runs), the key pass with its
-# finish took 2.4-3.3 ms against 4.1-4.8 ms for the sort and the walk at
-# every width from 12 to 16 columns (3.30 against 4.60 ms at 16).  The
-# value stays at 12 all the same: a 16-column dense phase slows the walk of
-# wider rows by 0.1-0.4 ms at n = 16 to 30 (2.57 against 2.20 ms at 16).
+# final_break_counts reads the last _SHORT_COLUMNS columns of every row in
+# place, all of a row of at most that many values, before it gathers the
+# rows still live.  A 16-column dense phase slowed the walk of rows of 16 to
+# 30 values by 0.1-0.4 ms per 2**19-value chunk (2.57 against 2.20 ms at 16;
+# 2-CPU Xeon, medians of 61 interleaved runs).
 _SHORT_COLUMNS = 12
 # Every kernel works on tiles of about _TILE_VALUES values (whole rows, at
 # least one).  Per 2**19-value chunk at n = 8 to 500 (2-CPU Xeon, medians
-# of 101 runs), 2**14 was slower on almost every kernel, up to 2.1x.
-# 2**16 was within 12% of the fastest budget on every kernel but the key
-# walk of short rows (medians of 61 runs: 1.47 against 1.30 ms at 2**17 at
-# n = 8, 2.38 against 1.78 ms at 2**18 at n = 11).  At n = 1 the key walk
-# is slower on larger tiles (0.73 ms at 2**17 against 0.46); at n <= 2 a
-# tile of 2**17 keys and its temporaries outgrow a 64-bit tile of 2**16.
+# of 101 runs), 2**14 was slower on almost every kernel, up to 2.1x, and
+# 2**16 was within 12% of the fastest budget on every kernel of rows over
+# 12 values.  At n = 1 to 11 (medians of 31 runs) it was within 15% of the
+# fastest of 2**14 to 2**18 on the tie screen and on the break-count walk.
 _TILE_VALUES = 2**16
-# The uint16 lane of a uint64 that holds its top 16 bits, the key of _key_walk.
-_KEY_LANE = 3 if sys.byteorder == "little" else 0
 
 
 def usable_cpus() -> int:
@@ -280,64 +267,11 @@ def _column_tiles(vals: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         yield r0, cols
 
 
-def _key_tiles(vals: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """``_column_tiles`` of the keys of ``vals``: the top 16 bits of each value.
-
-    The keys are read from the uint16 lane that holds them on this
-    platform's byte order, so no 64-bit temporary is made.
-    """
-    return _column_tiles(vals.view(np.uint16)[:, _KEY_LANE::4])
-
-
-def _key_walk(vals: np.ndarray, ts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Tie flags and break counts of short rows, read off the top 16 bits.
-
-    Each column-major tile of ``_key_tiles`` is read once for both jobs:
-    every pair of its columns is compared, which flags each row holding two
-    equal keys, and ``_walk``, the backward walk of ``final_break_counts``,
-    runs on the keys at every horizon t of ``ts``, counting in int8 (a count
-    is at most t < ``_SHORT_COLUMNS``).  Distinct keys are ordered as their
-    values are, so every unflagged row's count is exact.  A flagged row holds
-    a tie or two values that differ only below their keys, about
-    C(m, 2) / 2**16 of the rows; its counts are left for the caller to
-    finish.  Returns (flags, counts), with counts[i] the counts at horizon
-    ts[i].
-    """
-    rows, m = vals.shape
-    flagged = np.zeros(rows, dtype=bool)
-    counts = np.zeros((len(ts), rows), dtype=np.int8)
-    top = np.empty(rows, dtype=np.uint16)
-    for r0, keys in _key_tiles(vals):
-        tile = slice(r0, r0 + keys.shape[1])
-        flag = flagged[tile]
-        for j in range(1, m):
-            flag |= (keys[:j] == keys[j]).any(axis=0)
-        for cnt, t in zip(counts[:, tile], ts):
-            _walk(keys[: t + 1], top[tile], cnt)
-    return flagged, counts
-
-
-def _walk(cols: np.ndarray, top: np.ndarray, cnt: np.ndarray) -> None:
-    """Add to ``cnt`` the records broken by the last of the columns ``cols``.
-
-    Reads each row backward with its running maximum in ``top``: a value
-    counts when it beats that maximum and stays below the last one.  ``top``
-    ends as the maximum of every column but the last."""
-    below = cols[-1]
-    top[:] = cols[-2]
-    cnt += top < below
-    for v in cols[-3::-1]:
-        hit = v > top
-        hit &= v < below
-        cnt += hit
-        np.maximum(top, v, out=top)
-
-
 def _redraw(vals: np.ndarray, rows: np.ndarray, seed: int, n: int, t0: int) -> int:
     """Redraw each of ``rows`` that holds a true tie; return the redraw count.
 
     Each row is checked on its own with the exact 64-bit test that the
-    redraws use, so a row flagged only by a screen's false alarm is kept.
+    redraws use, so a row flagged only by the screen's false alarm is kept.
     A tied row is replaced by the first tie-free attempt of its trial.
     """
     redraws = 0
@@ -401,22 +335,12 @@ def _break_counts(
     Every chunk is drawn, screened and counted here, for the sampler, the
     audit and ``trial_values`` (at no horizon); ``counts[i, r]`` counts the
     records broken at step ``ts[i]`` of row r.  ``_redraw`` redraws the
-    truly tied rows among those that ``_key_walk`` (short rows, which it
-    also counts) or ``_half_word_screen`` (wider rows) flags.
-    ``final_break_counts`` counts the wider rows and recounts the flagged
-    short rows on 64 bits, gathered once.
+    truly tied rows among those that ``_half_word_screen`` flags, and
+    ``final_break_counts`` counts the prefix of the rows at each horizon.
     """
     vals = _raw_rows(seed, n, t0, t1, 0)
-    if n + 1 > _SHORT_COLUMNS:
-        redraws = _redraw(vals, _half_word_screen(vals), seed, n, t0)
-        return vals, np.array([final_break_counts(vals[:, : t + 1]) for t in ts]), redraws
-    flagged, counts = _key_walk(vals, ts)
-    rows = np.flatnonzero(flagged)
-    redraws = _redraw(vals, rows, seed, n, t0)
-    exact = vals[rows]
-    for cnt, t in zip(counts, ts):
-        cnt[rows] = final_break_counts(exact[:, : t + 1])
-    return vals, counts, redraws
+    redraws = _redraw(vals, _half_word_screen(vals), seed, n, t0)
+    return vals, np.array([final_break_counts(vals[:, : t + 1]) for t in ts]), redraws
 
 
 def final_break_counts(vals: np.ndarray) -> np.ndarray:
@@ -440,7 +364,14 @@ def final_break_counts(vals: np.ndarray) -> np.ndarray:
     stop = max(m - _SHORT_COLUMNS, 0)
     for r0, cols in _column_tiles(vals[:, stop:]):
         tile = slice(r0, r0 + cols.shape[1])
-        _walk(cols, top[tile], counts[tile])
+        mx, cnt, below = top[tile], counts[tile], cols[-1]
+        mx[:] = cols[-2]
+        cnt += mx < below
+        for v in cols[-3::-1]:
+            hit = v > mx
+            hit &= v < below
+            cnt += hit
+            np.maximum(mx, v, out=mx)
     if stop == 0:
         return counts
     last = vals[:, -1]

@@ -369,7 +369,8 @@ ONE_TILE_AT_ANY_WIDTH = mc._TILE_VALUES // 2 + 123
 
 
 class TestShortRowTieScreen:
-    """The key screen of rows of at most ``_SHORT_COLUMNS`` values."""
+    """The half-word screen of rows of at most ``_SHORT_COLUMNS`` values,
+    thousands to a tile."""
 
     _first_clean_attempt = staticmethod(TestTrialValues._first_clean_attempt)
 
@@ -407,18 +408,19 @@ class TestShortRowTieScreen:
         assert redraws == total
         assert np.array_equal(drawn, clean)
 
-    @pytest.mark.parametrize("shift", [0, 32], ids=["low-half", "high-half"])
+    @pytest.mark.parametrize("shift", [32], ids=["high-half"])
     @pytest.mark.parametrize("m", [2, 9, mc._SHORT_COLUMNS])
     def test_half_collision_is_checked_and_kept(self, m, shift, monkeypatch):
-        # Either half collision leaves the top 16 bits equal, so the key
-        # screen flags the row; the exact check sees no tie and keeps it.
+        # Equal high halves flag the row, since the screen sorts the high
+        # half on little-endian platforms; the exact check sees no tie and
+        # keeps it.
         seed, n, t0 = 11, m - 1, 30
         vals, _ = trial_values(seed, n, t0, t0 + 3)
         half = np.uint64(0xFFFFFFFF << shift)
         other = np.uint64(1 << (32 - shift))
         vals[1][0] = (vals[1][n] & half) | ((vals[1][n] ^ other) & ~half)
         assert vals[1][0] != vals[1][n]
-        assert vals[1][0] >> np.uint64(48) == vals[1][n] >> np.uint64(48)
+        assert vals[1][0] >> np.uint64(32) == vals[1][n] >> np.uint64(32)
         checked = []
         exact = mc._row_has_tie
         monkeypatch.setattr(
@@ -431,11 +433,11 @@ class TestShortRowTieScreen:
         assert np.array_equal(drawn, vals)
 
     def test_screen_memory_stays_near_one_tile(self):
-        # The key screen holds one column-major tile of keys and its flags,
+        # The screen holds the half words of one tile and a flag per row,
         # however many tiles the rows span.
         n = 8
         vals, _ = trial_values(11, n, 0, 16 * (mc._TILE_VALUES // (n + 1)))
-        _, peak = _traced_peak(lambda: mc._key_walk(vals, ()))
+        _, peak = _traced_peak(lambda: mc._half_word_screen(vals))
         assert peak < 2 * TILE_BYTES < vals.nbytes // 4
 
 
@@ -492,10 +494,11 @@ def planted_ties(monkeypatch):
 
 
 class TestShortRowPathsMatchTheWidePaths:
-    """With ``_SHORT_COLUMNS`` at 2, the least the break-count walk reads,
-    every row of more than two values takes the wide-row code; rows of two
-    stay on the key walk, which ``TestShortRowTieScreen`` and
-    ``TestKeyWalk`` cover."""
+    """``final_break_counts`` reads a row of at most ``_SHORT_COLUMNS``
+    values in its dense phase alone.  With ``_SHORT_COLUMNS`` at 2, the
+    least the walk reads, a row of more than two values that is still live
+    after its last two columns is finished in the gathered blocks of wide
+    rows instead.  Rows, redraws and counts must not move."""
 
     @staticmethod
     def _both(monkeypatch, fn):
@@ -546,9 +549,9 @@ def _python_break_count(row, t):
 ONE = np.uint64(1)
 
 
-def _plant_key_collision(row, r):
-    """Make two values of ``row`` differ only in bit 0, so that they share
-    their key, where the key walk compares them; ``r`` picks where.
+def _plant_bit_0_neighbours(row, r):
+    """Make two values of ``row`` differ only in bit 0, where the break-count
+    walk compares them; ``r`` picks where.
 
     Even ``r``: X_{n-1} = X_n - 1, the first comparison of every walk.
     Odd ``r`` (rows of three values or more): column j = r mod (n - 1) is
@@ -567,24 +570,12 @@ def _plant_key_collision(row, r):
     row[n] = ~np.uint64(0)
 
 
-class TestKeyWalk:
-    """The one pass of ``_key_walk`` over 16-bit keys, and the exact finish
-    of the rows it flags, through ``_break_counts`` as the sampler and the
-    audit call it."""
+class TestTileEdgeRows:
+    """Rows planted at the tile edges of ``_break_counts``, as the sampler
+    and the audit call it: every count is exact and every tie is redrawn."""
 
     _first_clean_attempt = staticmethod(TestTrialValues._first_clean_attempt)
     seed = 11
-
-    @pytest.mark.parametrize("m", SHORT_WIDTHS)
-    def test_key_tiles_are_the_top_16_bits(self, m):
-        vals, _ = trial_values(self.seed, m - 1, 0, ONE_TILE_AT_ANY_WIDTH)
-        end = 0
-        for r0, keys in mc._key_tiles(vals):
-            rows = vals[r0 : r0 + keys.shape[1]]
-            assert keys.dtype == np.uint16
-            assert np.array_equal(keys, (rows >> np.uint64(48)).astype(np.uint16).T)
-            end = r0 + keys.shape[1]
-        assert end == vals.shape[0] > mc._TILE_VALUES // m
 
     @staticmethod
     def _tile_edges(m, rows):
@@ -617,16 +608,12 @@ class TestKeyWalk:
         return vals, counts, redraws, edges, planted
 
     @pytest.mark.parametrize("m", SHORT_WIDTHS)
-    def test_key_collisions_are_counted_exactly(self, m, monkeypatch):
-        vals, counts, redraws, edges, planted = self._planted_run(
-            monkeypatch, m, _plant_key_collision
+    def test_bit_0_neighbours_are_counted_exactly(self, m, monkeypatch):
+        vals, _, redraws, _, planted = self._planted_run(
+            monkeypatch, m, _plant_bit_0_neighbours
         )
         assert redraws == 0
         assert np.array_equal(vals, planted(self.seed, m - 1, 0, vals.shape[0], 0))
-        # The planted rows are flagged, and the keys alone miscount them.
-        flags, keyed = mc._key_walk(vals, (m - 1,))
-        assert np.flatnonzero(flags).tolist() == edges
-        assert (keyed[0, edges] != counts[-1, edges]).all()
 
     @pytest.mark.parametrize("m", [2, 9, mc._SHORT_COLUMNS])
     def test_true_ties_are_redrawn_with_the_same_attempts(self, m, monkeypatch):
@@ -640,15 +627,6 @@ class TestKeyWalk:
             assert np.array_equal(vals[r], row), r
             total += attempts
         assert redraws == total
-
-    @pytest.mark.parametrize("n", [1, 8, mc._SHORT_COLUMNS - 1])
-    def test_short_path_memory_stays_under_one_tile(self, n):
-        # Past its per-row flags and counts, the key walk of a whole chunk
-        # at every horizon holds one tile of keys and a few columns.
-        vals = mc._raw_rows(self.seed, n, 0, mc._rows_per_chunk(n), 0)
-        ts = tuple(range(1, n + 1))
-        (flags, counts), peak = _traced_peak(lambda: mc._key_walk(vals, ts))
-        assert peak - flags.nbytes - counts.nbytes < TILE_BYTES
 
 
 def _reference_final_break_counts(vals):
@@ -1225,6 +1203,17 @@ class TestSuffixSampler:
             assert (one.counts, one.overflow) == (two.counts, two.overflow)
             assert one.meta["run"]["chunks"] == -(-trials // mc._SUFFIX_BLOCK)
 
+    @pytest.mark.parametrize("sample", [simulate_b_suffix, simulate_r])
+    def test_a_full_block_stays_under_3_mib(self, sample):
+        # One block on one thread at n = 10**9 peaks at 1.24 MiB traced for
+        # B_n and 2.58 MiB for R_n.  The one-trial run first takes the
+        # allocations of a first run in the process, about 0.7 MiB.
+        cfg = SimConfig(n=10**9, trials=mc._SUFFIX_BLOCK, seed=1, workers=1)
+        sample(dataclasses.replace(cfg, trials=1))
+        emp, peak = _traced_peak(lambda: sample(cfg))
+        assert emp.meta["run"]["chunks"] == 1
+        assert peak < 3 * 2**20
+
     def test_a_full_block_draws_the_same_in_a_longer_run(self):
         full = simulate_b_suffix(SimConfig(n=50, trials=2**16, seed=3))
         more = simulate_b_suffix(SimConfig(n=50, trials=2**16 + 1, seed=3))
@@ -1597,58 +1586,61 @@ class TestAuditCatchesPlantedFaults:
         assert a.run["chunks"] == 8  # 30 trials, 4 per chunk
 
 
-class TestAuditChecksTheKeyWalk:
-    """At n = 8 the audit replays the rows that ``_key_walk`` counted, so a
-    fault in the walk or a missing exact finish stops it at that trial."""
+@pytest.mark.parametrize("n", [8, 11])
+class TestAuditChecksShortRowCounts:
+    """The audit replays the short rows that ``final_break_counts`` counted,
+    so a fault planted in the count stops it at the planted trial."""
 
-    cfg = SimConfig(n=8, trials=40, seed=88)
-    planted = 13
+    trials, seed, planted = 40, 88, 13
 
     @pytest.fixture
-    def key_collision(self, monkeypatch):
-        """X_{n-1} one below X_n in the first draw of the planted trial: the
-        keys alone miss the record that X_n breaks."""
+    def bit_0_neighbours(self, monkeypatch):
+        """X_{n-1} one below X_n in the first draw of the planted trial: a
+        count that reads fewer bits than the values hold misses the record
+        that X_n breaks."""
         raw = mc._raw_rows
 
         def planted(seed, n, t0, t1, attempt):
             out = raw(seed, n, t0, t1, attempt)
             if attempt == 0 and t0 <= self.planted < t1:
-                _plant_key_collision(out[self.planted - t0], 0)
+                _plant_bit_0_neighbours(out[self.planted - t0], 0)
             return out
 
         monkeypatch.setattr(mc, "_raw_rows", planted)
 
-    def _assert_caught(self):
+    def _cfg(self, n):
+        return SimConfig(n=n, trials=self.trials, seed=self.seed)
+
+    def _assert_caught(self, n):
         with pytest.raises(InvariantError) as exc:
-            simulate_trajectory_audit(self.cfg)
+            simulate_trajectory_audit(self._cfg(n))
         assert str(exc.value) == "vectorized break count disagrees with the stack"
         assert (exc.value.seed, exc.value.trial, exc.value.step) == (
-            self.cfg.seed, self.planted, self.cfg.n
+            self.seed, self.planted, n
         )
 
-    def test_a_key_collision_passes_with_the_exact_finish(self, key_collision):
-        report = simulate_trajectory_audit(self.cfg)
-        assert report.steps_checked == self.cfg.n * self.cfg.trials
+    def test_bit_0_neighbours_pass(self, n, bit_0_neighbours):
+        report = simulate_trajectory_audit(self._cfg(n))
+        assert report.steps_checked == n * self.trials
         assert report.tie_redraws == 0
 
-    def test_without_the_exact_finish(self, key_collision, monkeypatch):
-        # The flagged rows' recount reads their keys, as the walk did.
-        def keyed(vals):
-            return mc._key_walk(vals, (vals.shape[1] - 1,))[1][0]
+    def test_a_count_on_the_top_16_bits_is_caught(self, n, bit_0_neighbours, monkeypatch):
+        real = mc.final_break_counts
+        monkeypatch.setattr(
+            mc, "final_break_counts", lambda vals: real(vals >> np.uint64(48))
+        )
+        self._assert_caught(n)
 
-        monkeypatch.setattr(mc, "final_break_counts", keyed)
-        self._assert_caught()
+    def test_one_shifted_count_is_caught(self, n, monkeypatch):
+        real = mc.final_break_counts
 
-    def test_one_shifted_key_walk_count(self, monkeypatch):
-        real = mc._key_walk
+        def shifted(vals):
+            counts = real(vals)
+            counts[self.planted] += 1
+            return counts
 
-        def shifted(vals, ts):
-            flags, counts = real(vals, ts)
-            counts[0, self.planted] += 1
-            return flags, counts
-
-        monkeypatch.setattr(mc, "_key_walk", shifted)
-        self._assert_caught()
+        monkeypatch.setattr(mc, "final_break_counts", shifted)
+        self._assert_caught(n)
 
 
 def _within(seconds, fn):
@@ -1794,9 +1786,9 @@ class TestAuditChunkAcrossTiles:
     """One audit range spans several tiles of every kernel.
 
     With 60-value tiles, rows of 12 values (n = 11) go five to a tile in
-    every kernel, the key walk of their break counts included.  Rows of 101
-    values (n = 100) go one to a tile in the tie screen and five to a tile
-    in the break count, which reads the last 12 columns in tiles.  Trials
+    the tie screen and in the break count.  Rows of 101 values (n = 100)
+    go one to a tile in the tie screen and five to a tile in the break
+    count, which reads the last 12 columns in tiles.  Trials
     [3, 23) are therefore 4 to 20 tiles of each kernel.  The record count
     reads the whole range in one pass; its faults are planted at the same
     rows.
@@ -1819,7 +1811,7 @@ class TestAuditChunkAcrossTiles:
     @pytest.mark.parametrize(
         "n, kernel, tile_rows",
         [
-            (11, "_key_walk", 5),
+            (11, "final_break_counts", 5),
             (100, "final_break_counts", 5),
             (11, "record_counts", 5),
             (100, "record_counts", 1),
@@ -1833,8 +1825,7 @@ class TestAuditChunkAcrossTiles:
 
         def planted(*args):
             out = real(*args)
-            # The key walk returns (flags, counts at each horizon).
-            (out[1][0] if kernel == "_key_walk" else out)[row] += 1
+            out[row] += 1
             return out
 
         monkeypatch.setattr(mc, kernel, planted)

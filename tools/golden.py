@@ -37,6 +37,8 @@ INVOCATIONS: dict[str, list[str]] = {
     "oracle-n6-r": ["oracle", "--n", "6", "--view", "r"],
     "oracle-n8-joint": ["oracle", "--n", "8", "--view", "joint"],
     "simulate-n50": ["simulate", "--n", "50", "--trials", "20000", "--seed", "7"],
+    # Two values per row, the narrowest window.
+    "simulate-n1": ["simulate", "--n", "1", "--trials", "50000", "--seed", "1"],
     # Several chunks at any chunk budget from 2**19 to 2**23 values, so a
     # diff also covers the merge of chunk counts.
     "simulate-n500": ["simulate", "--n", "500", "--trials", "40000", "--seed", "9"],
@@ -92,13 +94,14 @@ INVOCATIONS: dict[str, list[str]] = {
     # Past the window sampler's row cap, which the suffix sampler has not.
     "gof-n1000000000": ["gof", "--n", "1000000000", "--trials", "20000", "--seed", "9"],
     "audit-n30": ["audit", "--n", "30", "--trials", "200", "--seed", "55"],
-    # Short rows: the replay checks the column-major tile walk against the
-    # stack, and the checkpoints send prefix views of one chunk through it.
+    # Short rows, whose break counts the dense phase of the walk reads
+    # alone: the replay checks them against the stack.
     "audit-n8": ["audit", "--n", "8", "--trials", "2000", "--seed", "21"],
     # The replay checks the record count of each range against the stack,
     # in four ranges of at most 630 rows (each less than one row tile),
     # which go to forked worker processes on more than one CPU.
     "audit-n100": ["audit", "--n", "100", "--trials", "2000", "--seed", "34"],
+    # Short rows at three horizons: prefix views of each chunk are counted.
     "simulate-n11-checkpoints": [
         "simulate", "--n", "11", "--trials", "20000", "--seed", "13",
         "--checkpoints", "auto",
