@@ -17,8 +17,8 @@ The tie screen sorts one 32-bit half of each value, and only the rows
 it flags are checked on 64 bits.  The break count of the last step reads
 each row backward from X_n and stops at the first value above it, about
 H_n columns per trial (the suffix after the last value above X_n has
-length L with P[L >= l] = 1 / (l + 1)).  ``_column_tiles`` copies tiles
-into column-major order, so the walk reads whole contiguous columns.
+length L with P[L >= l] = 1 / (l + 1)); it gathers only the rows still
+live, in column blocks that double in width.
 ``simulate_trajectory_audit`` is the slow counterpart that replays each
 trajectory through the incremental stack and checks conservation step
 by step.  The replay is pure Python, so threads cannot share it: it runs
@@ -96,18 +96,17 @@ _MAX_REDRAWS = 64
 # One trial row is never split across chunks, so its size is the floor of
 # a chunk's memory; 2**30 bytes holds rows up to n = 2**27 - 1.
 _MAX_ROW_BYTES = 2**30
-# final_break_counts reads the last _SHORT_COLUMNS columns of every row in
-# place, all of a row of at most that many values, before it gathers the
-# rows still live.  A 16-column dense phase slowed the walk of rows of 16 to
-# 30 values by 0.1-0.4 ms per 2**19-value chunk (2.57 against 2.20 ms at 16;
-# 2-CPU Xeon, medians of 61 interleaved runs).
-_SHORT_COLUMNS = 12
-# Every kernel works on tiles of about _TILE_VALUES values (whole rows, at
-# least one).  Per 2**19-value chunk at n = 8 to 500 (2-CPU Xeon, medians
-# of 101 runs), 2**14 was slower on almost every kernel, up to 2.1x, and
-# 2**16 was within 12% of the fastest budget on every kernel of rows over
-# 12 values.  At n = 1 to 11 (medians of 31 runs) it was within 15% of the
-# fastest of 2**14 to 2**18 on the tie screen and on the break-count walk.
+# final_break_counts reads the live rows in column blocks of _FIRST_BLOCK,
+# then twice and four times as many columns and so on, and takes
+# _TILE_VALUES // _FIRST_BLOCK rows at a time.  Per 2**19-value chunk at
+# n = 1 to 500 (2-CPU Xeon, medians of 31 interleaved runs), the walk was
+# at most 9% slower with 8 than with 4 or 16, and at most 11% slower with a
+# _TILE_VALUES of 2**16 than with the fastest of 2**14 to 2**18.
+_FIRST_BLOCK = 8
+# The tie screen works on tiles of about _TILE_VALUES values (whole rows, at
+# least one).  Per 2**19-value chunk (2-CPU Xeon), 2**16 was within 12% of
+# its fastest budget at n = 8 to 500 (medians of 101 runs) and within 15%
+# of the fastest of 2**14 to 2**18 at n = 1 to 11 (medians of 31 runs).
 _TILE_VALUES = 2**16
 
 
@@ -251,22 +250,6 @@ def _row_has_tie(row: np.ndarray) -> bool:
     return bool((s[1:] == s[:-1]).any())
 
 
-def _column_tiles(vals: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (r0, cols): rows [r0, r0 + cols.shape[1]) of ``vals``, column-major.
-
-    A tile holds ``_TILE_VALUES // m`` rows of m values, at least one.
-    ``cols[j]`` is column j of the tile, contiguous.  One buffer serves
-    every tile, so a tile is valid only until the next one is drawn.
-    """
-    rows, m = vals.shape
-    tile_rows = max(1, _TILE_VALUES // m)
-    buf = np.empty((m, min(rows, tile_rows)), dtype=vals.dtype)
-    for r0 in range(0, rows, tile_rows):
-        cols = buf[:, : min(tile_rows, rows - r0)]
-        cols[:] = vals[r0 : r0 + tile_rows].T
-        yield r0, cols
-
-
 def _redraw(vals: np.ndarray, rows: np.ndarray, seed: int, n: int, t0: int) -> int:
     """Redraw each of ``rows`` that holds a true tie; return the redraw count.
 
@@ -349,47 +332,37 @@ def final_break_counts(vals: np.ndarray) -> np.ndarray:
     Walks each row backward from its last value X_n with the running
     maximum of the columns already read: a column counts when it beats
     that maximum and stays below X_n.  The first value above X_n ends the
-    row, since every record before it lies above X_n too.  The last
-    ``_SHORT_COLUMNS`` columns, all of a short row, are copied column-major
-    a tile at a time and read with all rows in place.  The rows still live
-    after them (about a twelfth) are then gathered once and read in column
-    blocks that double in width, dropping rows as they end.  Expected work
-    is O(log n) values per row and no temporary spans (rows x n).
+    row, since every record before it lies above X_n too.  After X_{n-1},
+    the rows still live are gathered, column-major, in blocks of
+    ``_FIRST_BLOCK`` columns, then twice and four times as many and so on,
+    dropping rows as they end, a tile of ``_TILE_VALUES // _FIRST_BLOCK``
+    rows at a time.  Expected work is O(log n) values per row, and no
+    temporary holds more than a tile's rows.
     """
     rows, m = vals.shape
     if m < 2:
         raise UsageError(f"a break count needs rows of at least 2 values, got {m}")
     counts = np.zeros(rows, dtype=np.int64)
-    top = np.empty(rows, dtype=vals.dtype)
-    stop = max(m - _SHORT_COLUMNS, 0)
-    for r0, cols in _column_tiles(vals[:, stop:]):
-        tile = slice(r0, r0 + cols.shape[1])
-        mx, cnt, below = top[tile], counts[tile], cols[-1]
-        mx[:] = cols[-2]
-        cnt += mx < below
-        for v in cols[-3::-1]:
-            hit = v > mx
-            hit &= v < below
-            cnt += hit
-            np.maximum(mx, v, out=mx)
-    if stop == 0:
-        return counts
-    last = vals[:, -1]
-    live = np.flatnonzero(top < last)
-    mx, below = top[live], last[live]
-    hi, width = stop, m - 1 - stop
-    while hi > 0 and live.size:
-        lo = max(hi - width, 0)
-        block = vals[live, lo:hi]
-        smax = np.maximum.accumulate(block[:, ::-1], axis=1)[:, ::-1]
-        hit = block == smax
-        hit &= block > mx[:, None]
-        hit &= block < below[:, None]
-        counts[live] += hit.sum(axis=1)
-        np.maximum(mx, smax[:, 0], out=mx)
-        keep = mx < below
-        live, mx, below = live[keep], mx[keep], below[keep]
-        hi, width = lo, 2 * width
+    size = _TILE_VALUES // _FIRST_BLOCK
+    for r0 in range(0, rows, size):
+        # Column j of a tile holds X_{n-j}.
+        tile, cnt = vals[r0 : r0 + size, ::-1], counts[r0 : r0 + size]
+        mx, below = tile[:, 1], tile[:, 0]
+        live = np.flatnonzero(mx < below)
+        cnt[live] = 1
+        mx, below = mx[live], below[live]
+        lo, width = 2, _FIRST_BLOCK
+        while lo < m and live.size:
+            block = tile[live, lo : lo + width].T.copy()
+            smax = np.maximum.accumulate(block)
+            hit = block == smax
+            hit &= block > mx
+            hit &= block < below
+            cnt[live] += hit.sum(axis=0)
+            np.maximum(mx, smax[-1], out=mx)
+            keep = mx < below
+            live, mx, below = live[keep], mx[keep], below[keep]
+            lo, width = lo + width, 2 * width
     return counts
 
 

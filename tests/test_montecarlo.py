@@ -363,19 +363,14 @@ class TestWideRowTieScreen:
         assert peak < TILE_BYTES < vals.nbytes // 4
 
 
-SHORT_WIDTHS = range(2, mc._SHORT_COLUMNS + 1)
-# More rows than one column-major tile holds at any width of at least two.
-ONE_TILE_AT_ANY_WIDTH = mc._TILE_VALUES // 2 + 123
-
-
 class TestShortRowTieScreen:
-    """The half-word screen of rows of at most ``_SHORT_COLUMNS`` values,
-    thousands to a tile."""
+    """The half-word screen of rows of at most 12 values, thousands to a
+    tile."""
 
     _first_clean_attempt = staticmethod(TestTrialValues._first_clean_attempt)
 
-    @pytest.mark.parametrize("m", SHORT_WIDTHS)
-    def test_a_true_tie_at_every_column_pair_is_redrawn(self, m, monkeypatch):
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_a_true_tie_at_every_column_pair_is_redrawn(self, m, monkeypatch, planted_ties):
         seed, n, t0 = 11, m - 1, 30
         clean, _ = trial_values(seed, n, t0, t0 + 3)
         row, attempts = self._first_clean_attempt(seed, n, t0 + 1)
@@ -388,6 +383,12 @@ class TestShortRowTieScreen:
                 assert redraws == attempts, (i, j)
                 assert np.array_equal(vals[1], row), (i, j)
                 assert np.array_equal(vals[[0, 2]], clean[[0, 2]]), (i, j)
+        # A range that starts at a trial tied in its first draw: trial 970
+        # = 10 * 97 of the planted draws, as trial_values draws it.
+        vals, redraws = trial_values(3, n, 970, 971)
+        row, attempts = self._first_clean_attempt(3, n, 970)
+        assert redraws == attempts == 1
+        assert np.array_equal(vals[0], row)
 
     def test_ties_at_tile_edges_are_redrawn(self, monkeypatch):
         # Rows on both sides of a tile boundary and in the last, short tile.
@@ -409,7 +410,7 @@ class TestShortRowTieScreen:
         assert np.array_equal(drawn, clean)
 
     @pytest.mark.parametrize("shift", [32], ids=["high-half"])
-    @pytest.mark.parametrize("m", [2, 9, mc._SHORT_COLUMNS])
+    @pytest.mark.parametrize("m", [2, 9, 12])
     def test_half_collision_is_checked_and_kept(self, m, shift, monkeypatch):
         # Equal high halves flag the row, since the screen sorts the high
         # half on little-endian platforms; the exact check sees no tie and
@@ -441,42 +442,6 @@ class TestShortRowTieScreen:
         assert peak < 2 * TILE_BYTES < vals.nbytes // 4
 
 
-class TestColumnTiles:
-    """``_column_tiles`` yields every row once, in order, in tiles of
-    ``_TILE_VALUES // m`` rows (at least one)."""
-
-    @staticmethod
-    def _check(vals):
-        rows, m = vals.shape
-        size = max(1, mc._TILE_VALUES // m)
-        end = 0
-        for r0, cols in mc._column_tiles(vals):
-            assert r0 == end
-            assert cols.shape == (m, min(size, rows - r0))
-            assert cols.size <= max(mc._TILE_VALUES, m)
-            assert np.array_equal(cols.T, vals[r0 : r0 + cols.shape[1]])
-            end = r0 + cols.shape[1]
-        assert end == rows
-
-    @settings(max_examples=200, deadline=None)
-    @given(budget=st.integers(1, 40), rows=st.integers(0, 30), m=st.integers(1, 60))
-    def test_every_row_once_in_order(self, budget, rows, m):
-        vals = np.arange(rows * (m + 3), dtype=np.uint64).reshape(rows, m + 3)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mc, "_TILE_VALUES", budget)
-            self._check(vals[:, 3:])  # a column slice, as the walk passes
-
-    @pytest.mark.parametrize("m", [1, 12, mc._TILE_VALUES, mc._TILE_VALUES + 3])
-    @pytest.mark.parametrize("rows", [0, 1, 3])
-    def test_at_the_budget(self, m, rows):
-        self._check(np.arange(rows * m, dtype=np.uint64).reshape(rows, m))
-
-    def test_rows_past_one_tile(self):
-        m = 7
-        rows = 2 * (mc._TILE_VALUES // m) + 5
-        self._check(np.arange(rows * m, dtype=np.uint64).reshape(rows, m))
-
-
 @pytest.fixture
 def planted_ties(monkeypatch):
     """First draws with a true tie in every 97th trial, at a varying pair."""
@@ -491,48 +456,6 @@ def planted_ties(monkeypatch):
         return rows
 
     monkeypatch.setattr(mc, "_raw_rows", planted)
-
-
-class TestShortRowPathsMatchTheWidePaths:
-    """``final_break_counts`` reads a row of at most ``_SHORT_COLUMNS``
-    values in its dense phase alone.  With ``_SHORT_COLUMNS`` at 2, the
-    least the walk reads, a row of more than two values that is still live
-    after its last two columns is finished in the gathered blocks of wide
-    rows instead.  Rows, redraws and counts must not move."""
-
-    @staticmethod
-    def _both(monkeypatch, fn):
-        short = fn()
-        with monkeypatch.context() as mp:
-            mp.setattr(mc, "_SHORT_COLUMNS", 2)
-            wide = fn()
-        return short, wide
-
-    @pytest.mark.parametrize("n", range(1, mc._SHORT_COLUMNS + 2))
-    def test_values_and_redraws(self, n, planted_ties, monkeypatch):
-        for t0, t1 in [(0, ONE_TILE_AT_ANY_WIDTH), (5, 6), (970, 971)]:
-            (vs, rs), (vw, rw) = self._both(
-                monkeypatch, lambda: trial_values(3, n, t0, t1)
-            )
-            assert np.array_equal(vs, vw)
-            assert rs == rw
-        assert rs == 1  # trial 970 = 10 * 97 was tied at first
-
-    @pytest.mark.parametrize("n", range(1, mc._SHORT_COLUMNS + 2))
-    def test_break_counts(self, n, monkeypatch):
-        for t0, t1 in [(0, ONE_TILE_AT_ANY_WIDTH), (7, 8)]:
-            vals, _ = trial_values(3, n, t0, t1)
-            for t in range(1, n + 1):
-                view = vals[:, : t + 1]
-                short, wide = self._both(monkeypatch, lambda: final_break_counts(view))
-                assert np.array_equal(short, wide), (t0, t)
-
-    def test_simulations(self, planted_ties, monkeypatch):
-        cfg = SimConfig(n=mc._SHORT_COLUMNS - 1, trials=3000, seed=17)
-        short, wide = self._both(monkeypatch, lambda: simulate_b_checkpoints(cfg))
-        for t in short:
-            assert short[t].counts == wide[t].counts
-            assert short[t].meta["tie_redraws"] == wide[t].meta["tie_redraws"] > 0
 
 
 def _python_break_count(row, t):
@@ -607,7 +530,7 @@ class TestTileEdgeRows:
             assert counts[i].tolist() == python, t
         return vals, counts, redraws, edges, planted
 
-    @pytest.mark.parametrize("m", SHORT_WIDTHS)
+    @pytest.mark.parametrize("m", range(2, 13))
     def test_bit_0_neighbours_are_counted_exactly(self, m, monkeypatch):
         vals, _, redraws, _, planted = self._planted_run(
             monkeypatch, m, _plant_bit_0_neighbours
@@ -615,7 +538,7 @@ class TestTileEdgeRows:
         assert redraws == 0
         assert np.array_equal(vals, planted(self.seed, m - 1, 0, vals.shape[0], 0))
 
-    @pytest.mark.parametrize("m", [2, 9, mc._SHORT_COLUMNS])
+    @pytest.mark.parametrize("m", [2, 9, 12])
     def test_true_ties_are_redrawn_with_the_same_attempts(self, m, monkeypatch):
         def tie(row, r):
             row[r % (m - 1)] = row[m - 1]
@@ -642,6 +565,18 @@ def _rows(*rows):
     return np.array(rows, dtype=np.uint64)
 
 
+class _Unreadable(np.ndarray):
+    """An array that raises when indexed: a count that refuses it on its
+    shape alone, before it slices any values, passes."""
+
+    def __getitem__(self, key):
+        raise AssertionError("values read before the shape was checked")
+
+
+def _unreadable(rows, m):
+    return np.zeros((rows, m), dtype=np.uint64).view(_Unreadable)
+
+
 class TestBreakCountWalk:
     """The backward walk of ``final_break_counts`` against its definition."""
 
@@ -656,9 +591,9 @@ class TestBreakCountWalk:
             final_break_counts(vals), _reference_final_break_counts(vals)
         )
 
-    @pytest.mark.parametrize("m", SHORT_WIDTHS)
+    @pytest.mark.parametrize("m", range(2, 13))
     def test_short_row_tiles(self, m):
-        # Two full tiles and a short one of whole rows, and every prefix
+        # At least one full tile of rows and a short one, and every prefix
         # view of them.
         vals, _ = trial_values(2718, m - 1, 0, 2 * (mc._TILE_VALUES // m) + 77)
         for t in range(1, m):
@@ -668,12 +603,11 @@ class TestBreakCountWalk:
             )
 
     @pytest.mark.parametrize("m", [0, 1])
-    def test_rows_with_no_step_are_refused(self, m, monkeypatch):
+    def test_rows_with_no_step_are_refused(self, m):
         # A row of one value has no step: run_trajectory gives no b_path.
         assert run_trajectory([0.5]).b_path == []
-        monkeypatch.setattr(mc, "_column_tiles", None)  # refused before any work
         with pytest.raises(UsageError, match=f"at least 2 values, got {m}$"):
-            final_break_counts(np.zeros((3, m), dtype=np.uint64))
+            final_break_counts(_unreadable(3, m))
 
     def test_checkpoint_views(self):
         vals, _ = trial_values(31, 200, 0, 2000)
@@ -692,22 +626,46 @@ class TestBreakCountWalk:
             )
 
     def test_chunk_crossing_tiles_and_gather(self):
-        # More rows than one dense tile, and more columns than the dense
-        # phase reads, so every row passes both phases of the walk.
-        n = mc._SHORT_COLUMNS + 40
-        rows = 2 * (mc._TILE_VALUES // mc._SHORT_COLUMNS) + 123
+        # More rows than two tiles, and more columns than the first block
+        # reads, so rows reach the second block in every tile.
+        n = mc._FIRST_BLOCK + 40
+        rows = 2 * (mc._TILE_VALUES // mc._FIRST_BLOCK) + 123
         vals, _ = trial_values(99, n, 0, rows)
         assert np.array_equal(
             final_break_counts(vals), _reference_final_break_counts(vals)
         )
-        # Rows whose dense columns all lie below X_n are gathered.
-        dense = vals[:, n + 1 - mc._SHORT_COLUMNS : n]
-        assert (dense < vals[:, -1:]).all(axis=1).sum() > rows // 20
+        # Rows whose first block and X_{n-1} all lie below X_n read on.
+        first = vals[:, n - 1 - mc._FIRST_BLOCK : n]
+        assert (first < vals[:, -1:]).all(axis=1).sum() > rows // 20
 
-    def test_dense_phase_memory_stays_near_one_tile(self):
-        # Rows of _SHORT_COLUMNS values are read by the dense phase alone;
-        # past the per-row count and running maximum it holds one tile.
-        n = mc._SHORT_COLUMNS - 1
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("m", [7 * mc._FIRST_BLOCK + 2, 7 * mc._FIRST_BLOCK + 4])
+    def test_block_and_tile_edges(self, m, extra):
+        # Row r's first value above X_n sits d = ends[r % len(ends)]
+        # columns back from X_{n-1}: one column before, at and one after
+        # the last column of each of the first three blocks (w, 3w and 7w
+        # back), or nowhere, so the row runs to column 0.  The row counts
+        # put rows of every kind on both sides of the tile edge.
+        w = mc._FIRST_BLOCK
+        ends = [d for d in (w - 1, w, w + 1, 3 * w - 1, 3 * w, 3 * w + 1,
+                            7 * w - 1, 7 * w, 7 * w + 1) if d < m - 1] + [m - 1]
+        rng = np.random.default_rng(m)
+        vals = np.empty((mc._TILE_VALUES // w + extra, m), dtype=np.uint64)
+        for r, row in enumerate(vals):
+            # Ranks: X_n is d, the d columns after the first value above
+            # it hold 0..d-1, and the columns up to it hold d+1..m-1.
+            d = ends[r % len(ends)]
+            row[: m - 1 - d] = rng.permutation(np.arange(d + 1, m))
+            row[m - 1 - d : m - 1] = rng.permutation(d)
+            row[-1] = d
+        assert np.array_equal(
+            final_break_counts(vals), _reference_final_break_counts(vals)
+        )
+
+    def test_short_row_memory_stays_near_one_tile(self):
+        # Rows of 12 values over 16 tiles of the tie screen; past the
+        # per-row counts the walk holds the gathered blocks of one tile.
+        n = 11
         vals, _ = trial_values(11, n, 0, 16 * (mc._TILE_VALUES // (n + 1)))
         counts, peak = _traced_peak(lambda: final_break_counts(vals))
         assert peak - 2 * counts.nbytes < 2 * TILE_BYTES < vals.nbytes // 4
@@ -834,10 +792,9 @@ class TestRecordCountScan:
             empty = np.empty((0, width), dtype=np.uint64)
             assert record_counts(empty).shape == (0,)
 
-    def test_rows_of_no_value_are_refused(self, monkeypatch):
-        monkeypatch.setattr(mc, "_column_tiles", None)  # refused before any work
+    def test_rows_of_no_value_are_refused(self):
         with pytest.raises(UsageError, match="at least 1 value, got 0$"):
-            record_counts(np.zeros((3, 0), dtype=np.uint64))
+            record_counts(_unreadable(3, 0))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -854,7 +811,7 @@ class TestRecordCountScan:
 
 
 class TestVectorizedStatistics:
-    @pytest.mark.parametrize("n", [*range(1, mc._SHORT_COLUMNS + 2), 23])
+    @pytest.mark.parametrize("n", [*range(1, 14), 23])
     def test_matches_stack_replay(self, n):
         vals, _ = trial_values(321, n, 0, 300)
         vec_b = final_break_counts(vals)
@@ -1356,16 +1313,27 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             simulate_b_checkpoints(cfg, checkpoints=())
 
-    def test_worker_invariance(self):
-        a = simulate_b_checkpoints(
-            SimConfig(n=24, trials=3000, seed=7, workers=1)
-        )
-        b = simulate_b_checkpoints(
-            SimConfig(n=24, trials=3000, seed=7, workers=3)
-        )
-        assert sorted(a) == sorted(b)
-        for t in a:
-            assert a[t].counts == b[t].counts
+    def test_worker_invariance(self, planted_ties):
+        # Every 97th trial is tied in its first draw and redrawn, 31 of
+        # 3000; at n = 11 every checkpoint counts a prefix of short rows.
+        for n, seed in [(24, 7), (11, 17)]:
+            a = simulate_b_checkpoints(
+                SimConfig(n=n, trials=3000, seed=seed, workers=1)
+            )
+            b = simulate_b_checkpoints(
+                SimConfig(n=n, trials=3000, seed=seed, workers=3)
+            )
+            assert sorted(a) == sorted(b)
+            vals, _ = trial_values(seed, n, 0, 3000)
+            for t in a:
+                assert a[t].counts == b[t].counts
+                assert a[t].meta["tie_redraws"] == b[t].meta["tie_redraws"] == 31
+                ref = np.bincount(
+                    _reference_final_break_counts(vals[:, : t + 1]), minlength=t + 1
+                )
+                kept = len(a[t].counts)
+                assert list(a[t].counts.values()) == ref[:kept].tolist()
+                assert a[t].overflow == ref[kept:].sum()
 
 
 class TestAudit:

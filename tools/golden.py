@@ -94,8 +94,8 @@ INVOCATIONS: dict[str, list[str]] = {
     # Past the window sampler's row cap, which the suffix sampler has not.
     "gof-n1000000000": ["gof", "--n", "1000000000", "--trials", "20000", "--seed", "9"],
     "audit-n30": ["audit", "--n", "30", "--trials", "200", "--seed", "55"],
-    # Short rows, whose break counts the dense phase of the walk reads
-    # alone: the replay checks them against the stack.
+    # Short rows, whose break counts the walk reads in X_{n-1} and one
+    # gathered block at most: the replay checks them against the stack.
     "audit-n8": ["audit", "--n", "8", "--trials", "2000", "--seed", "21"],
     # The replay checks the record count of each range against the stack,
     # in four ranges of at most 630 rows (each less than one row tile),
@@ -105,6 +105,13 @@ INVOCATIONS: dict[str, list[str]] = {
     "simulate-n11-checkpoints": [
         "simulate", "--n", "11", "--trials", "20000", "--seed", "13",
         "--checkpoints", "auto",
+    ],
+    # Prefix views about the walk's first block edge: rows of 2 values
+    # hold X_{n-1} alone; of 3, one column of the first block; of 9, 10
+    # and 11, they end one column short of its edge, at it, and one past.
+    "simulate-n10-checkpoints": [
+        "simulate", "--n", "10", "--trials", "20000", "--seed", "10",
+        "--checkpoints", "1,2,8,9,10", "--workers", "1",
     ],
 }
 # Every caller of the chunk scheduler once more on two threads; each
