@@ -27,7 +27,6 @@ from .montecarlo import (
     check_trajectory,
     default_checkpoints,
     final_break_counts,
-    record_counts,
     simulate_b,
     simulate_b_checkpoints,
     simulate_b_suffix,
@@ -76,7 +75,6 @@ __all__ = [
     "oracle_pmf_r",
     "prob_b0",
     "prob_b1",
-    "record_counts",
     "records_by_scan",
     "remainder_bound",
     "run_trajectory",

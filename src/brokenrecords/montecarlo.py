@@ -96,6 +96,10 @@ _MAX_REDRAWS = 64
 # One trial row is never split across chunks, so its size is the floor of
 # a chunk's memory; 2**30 bytes holds rows up to n = 2**27 - 1.
 _MAX_ROW_BYTES = 2**30
+# The audit replays a trial as Python lists, about 125 bytes per value (peak
+# RSS of one trial: 66, 159 and 1,004 MiB at n = 2.5 * 10**5, 10**6 and
+# 2**23 - 1), so n + 1 <= 2**23 values keep it near the row cap's 2**30 bytes.
+_MAX_REPLAY_VALUES = 2**23
 # final_break_counts reads the live rows in column blocks of _FIRST_BLOCK,
 # then twice and four times as many columns and so on, and takes
 # _TILE_VALUES // _FIRST_BLOCK rows at a time.  Per 2**19-value chunk at
@@ -129,8 +133,9 @@ class SimConfig:
     processes, since its replay holds the GIL.  A field that is not an
     integer is refused with UsageError (a numpy integer is kept as an int).
     The window sampler's entry points refuse an ``n`` whose trial row is
-    over its cap with CapacityError, before any thread or draw; the jump
-    samplers have no row, and only ``simulate_r`` refuses an ``n``.
+    over its cap with CapacityError, before any thread or draw, and the
+    audit an ``n`` whose replay is over its own cap; the jump samplers
+    have no row, and only ``simulate_r`` refuses an ``n``.
     """
 
     n: int
@@ -364,20 +369,6 @@ def final_break_counts(vals: np.ndarray) -> np.ndarray:
             live, mx, below = live[keep], mx[keep], below[keep]
             lo, width = lo + width, 2 * width
     return counts
-
-
-def record_counts(vals: np.ndarray) -> np.ndarray:
-    """Number of current records of each full row.
-
-    A column is a record iff it equals the running maximum of the row
-    read backward.  The pass holds two (rows x m) temporaries, that
-    maximum and a bool mask; the audit hands it one tile of rows.
-    """
-    m = vals.shape[1]
-    if m < 1:
-        raise UsageError(f"a record count needs rows of at least 1 value, got {m}")
-    backward = vals[:, ::-1]
-    return (backward == np.maximum.accumulate(backward, axis=1)).sum(axis=1)
 
 
 def _chunk_ranges(trials: int, rows: int) -> Iterator[tuple[int, int]]:
@@ -736,14 +727,13 @@ def check_trajectory(
 def _audit_chunk(config: SimConfig, t0: int, t1: int) -> tuple[int, int]:
     """Replay trials [t0, t1) and check them; return (steps checked, redraws).
 
-    Each trajectory runs through the incremental stack, is checked with
-    ``check_trajectory``, and its final counts are compared against the
-    vectorized chunk statistics.  The first discrepancy raises
-    InvariantError with the trial coordinates.
+    Each trajectory runs through the incremental stack and is checked with
+    ``check_trajectory``, the definitional scan included, and its final
+    break count is compared against ``final_break_counts``.  The first
+    discrepancy raises InvariantError with the trial coordinates.
     """
     vals, counts, redraws = _break_counts(config.seed, config.n, t0, t1, (config.n,))
     vec_b = counts[0].tolist()
-    vec_r = record_counts(vals).tolist()
     for r in range(t1 - t0):
         trial = t0 + r
         fail = functools.partial(InvariantError, seed=config.seed, trial=trial)
@@ -755,8 +745,6 @@ def _audit_chunk(config: SimConfig, t0: int, t1: int) -> tuple[int, int]:
         check_trajectory(stats, row, seed=config.seed, trial=trial)
         if stats.b_path[-1] != vec_b[r]:
             raise fail("vectorized break count disagrees with the stack", step=config.n)
-        if stats.r_path[-1] != vec_r[r]:
-            raise fail("vectorized record count disagrees with the stack", step=config.n)
     return (t1 - t0) * config.n, redraws
 
 
@@ -773,6 +761,11 @@ def simulate_trajectory_audit(config: SimConfig) -> AuditReport:
     """
     start = time.perf_counter()
     rows = max(1, _TILE_VALUES // _words_per_trial(config.n))  # refuses an oversized row
+    if config.n + 1 > _MAX_REPLAY_VALUES:
+        raise CapacityError(
+            f"one trial's replay at n={config.n} holds {config.n + 1} values, "
+            f"over the {_MAX_REPLAY_VALUES}-value cap of the audit replay"
+        )
     workers = 1
     if hasattr(os, "fork"):
         workers = min(_threads(config), -(-config.trials // rows))

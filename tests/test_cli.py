@@ -516,7 +516,7 @@ class TestImportPath:
     def test_public_surface(self):
         # The paper's literal sums are test references (tests/paper_sums.py),
         # not package API.
-        from brokenrecords import exact, oracle
+        from brokenrecords import exact, montecarlo, oracle
 
         for name in brokenrecords.__all__:
             getattr(brokenrecords, name)
@@ -528,8 +528,9 @@ class TestImportPath:
             "telescoping_sum",
             "prob_b1_lastrecord",
             "oracle_single_break_profile",
+            "record_counts",
         )
-        for module in (brokenrecords, exact, oracle):
+        for module in (brokenrecords, exact, montecarlo, oracle):
             assert [name for name in removed if hasattr(module, name)] == []
 
 
@@ -655,18 +656,21 @@ class TestExitCodes:
 
 class TestRowCapacity:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, n",
         [
-            ["simulate", "--workers", "2"],
-            ["simulate", "--checkpoints", "auto"],
-            ["simulate", "--stat", "r"],
-            ["gof", "--workers", "2"],
-            ["audit"],
+            (["simulate", "--workers", "2"], 10**9),
+            (["simulate", "--checkpoints", "auto"], 10**9),
+            (["simulate", "--stat", "r"], 10**9),
+            (["gof", "--workers", "2"], 10**9),
+            (["audit"], 10**9),
+            # A row the window sampler takes, whose replay is over the audit's cap.
+            (["audit"], 2**23),
         ],
-        ids=["simulate", "checkpoints", "records", "gof", "audit"],
+        ids=["simulate", "checkpoints", "records", "gof", "audit", "audit-replay"],
     )
-    def test_oversized_row_exits_3_before_any_work(self, argv, monkeypatch, capsys):
-        n, cap = "1000000000", "cap of the window sampler"
+    def test_oversized_row_exits_3_before_any_work(self, argv, n, monkeypatch, capsys):
+        cap = "cap of the window sampler" if n > 2**27 else "cap of the audit replay"
+        n = str(n)
         if argv[0] == "gof":
             # gof samples by suffix length and owns no window, so it has no
             # row cap: n = 10**9 runs, and its sample fits the limit, within
@@ -703,6 +707,7 @@ class TestRowCapacity:
         monkeypatch.setattr(mc, "_raw_rows", refuse)
         monkeypatch.setattr(mc, "ThreadPoolExecutor", refuse)
         monkeypatch.setattr(mc.np.random, "Philox", refuse)
+        monkeypatch.setattr(mc, "_forked_pool", refuse)
         threads = threading.active_count()
         code = main([*argv, "--n", n, "--trials", "1", "--seed", "1"])
         assert code == 3

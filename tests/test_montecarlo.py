@@ -46,8 +46,6 @@ from brokenrecords import (
     geometric_limit,
     oracle_pmf_b,
     oracle_pmf_r,
-    record_counts,
-    records_by_scan,
     run_trajectory,
     simulate_b,
     simulate_b_checkpoints,
@@ -711,115 +709,14 @@ class TestBreakCountWalk:
         )
 
 
-def _scanned_record_counts(vals):
-    """The record count of each row by the definitional scan of ``records``."""
-    return np.array([len(records_by_scan(row)) for row in vals.tolist()], dtype=np.int64)
-
-
-class TestRecordCountScan:
-    """``record_counts`` against the scan, and on hand-built rows."""
-
-    @pytest.mark.parametrize("n", [1, 2, 8, 63, 64, 100, 500, 5000])
-    def test_seeded_chunks(self, n):
-        vals, _ = trial_values(2718, n, 0, mc._rows_per_chunk(n))
-        assert np.array_equal(record_counts(vals), _scanned_record_counts(vals))
-
-    @pytest.mark.parametrize("n", [8, 200], ids=["narrow", "wide"])
-    def test_memory_stays_near_one_tile(self, n):
-        # One audit range, as the audit hands it over: a tile of rows, cut
-        # from their counter windows.  Past the counts the pass holds a
-        # running maximum and a bool mask of the range's shape, and the
-        # sum casts the mask through numpy's buffer of int64 words.
-        rows = mc._TILE_VALUES // mc._words_per_trial(n)
-        vals, _ = trial_values(11, n, 0, rows)
-        counts, peak = _traced_peak(lambda: record_counts(vals))
-        held = vals.size * (vals.itemsize + 1) + 8 * np.getbufsize()
-        assert peak - counts.nbytes <= held < 2 * TILE_BYTES
-
-    def test_few_long_rows(self):
-        vals, _ = trial_values(5, 100_000, 0, 3)
-        assert np.array_equal(record_counts(vals), _scanned_record_counts(vals))
-        view = vals[:1]
-        assert np.array_equal(record_counts(view), _scanned_record_counts(view))
-
-    @staticmethod
-    def _laid_out(rows, view):
-        """``rows`` as a uint64 array, or with ``view`` as the column prefix
-        of a wider array, as the audit's rows are cut from their windows."""
-        vals = _rows(*rows)
-        if not view:
-            return vals
-        wide = np.zeros((vals.shape[0], vals.shape[1] + 3), dtype=np.uint64)
-        wide[:, : vals.shape[1]] = vals
-        return wide[:, : vals.shape[1]]
-
-    @pytest.mark.parametrize("view", [False, True])
-    def test_adversarial_rows(self, view):
-        n = 150
-        top = 2**64 - 1
-        body = np.random.default_rng(4).choice(2**40, size=n, replace=False)
-        body = body.astype(np.uint64) + 1
-        descending = np.sort(body)[::-1]
-        ascending = np.sort(body)
-        vals = self._laid_out(
-            [
-                [*body, 0],  # X_n lies below everything
-                [*body, top],  # X_n beats everything: one record
-                [*descending, 0],  # every value is a record
-                [*ascending, 0],  # the head's last value and X_n
-                [top, *ascending],  # the first value stands above the rest
-            ],
-            view,
-        )
-        got = record_counts(vals)
-        assert np.array_equal(got, _scanned_record_counts(vals))
-        assert got.tolist()[1:] == [1, n + 1, 2, 2]
-        assert got.dtype == np.int64
-
-    @pytest.mark.parametrize("view", [False, True])
-    def test_ties_count_as_the_definition_does(self, view):
-        # Trial rows never tie; a value tied with a later maximum counts,
-        # since it equals the maximum of itself and the columns after it.
-        for width in (9, 192):
-            row = list(range(width))
-            row[0] = row[width // 2] = row[-1] = width
-            vals = self._laid_out([row, [width, *range(width - 2), width]], view)
-            assert record_counts(vals).tolist() == [3, 2]
-
-    def test_single_column_and_empty_chunks(self):
-        assert record_counts(_rows([5], [0])).tolist() == [1, 1]
-        for width in (9, 128):
-            empty = np.empty((0, width), dtype=np.uint64)
-            assert record_counts(empty).shape == (0,)
-
-    def test_rows_of_no_value_are_refused(self):
-        with pytest.raises(UsageError, match="at least 1 value, got 0$"):
-            record_counts(_unreadable(3, 0))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_distinct_integer_rows(self, data):
-        width = data.draw(st.integers(1, 150))
-        count = data.draw(st.integers(1, 6))
-        elements = st.integers(0, 2**64 - 1)
-        rows = [
-            data.draw(st.lists(elements, min_size=width, max_size=width, unique=True))
-            for _ in range(count)
-        ]
-        vals = _rows(*rows)
-        assert np.array_equal(record_counts(vals), _scanned_record_counts(vals))
-
-
 class TestVectorizedStatistics:
     @pytest.mark.parametrize("n", [*range(1, 14), 23])
     def test_matches_stack_replay(self, n):
         vals, _ = trial_values(321, n, 0, 300)
         vec_b = final_break_counts(vals)
-        vec_r = record_counts(vals)
         for r in range(vals.shape[0]):
             stats = run_trajectory([int(v) for v in vals[r]])
             assert stats.b_path[-1] == vec_b[r]
-            assert stats.r_path[-1] == vec_r[r]
 
 
 class TestDeterminism:
@@ -1414,9 +1311,22 @@ class TestAuditCatchesPlantedFaults:
         )
         self._assert_caught("vectorized break count")
 
-    def test_record_count_off_by_one(self, monkeypatch):
-        monkeypatch.setattr(mc, "record_counts", self._off_by_one(mc.record_counts))
-        self._assert_caught("vectorized record count")
+    def test_final_record_count_off_by_one(self, monkeypatch):
+        # Trial 7's replay reports one record too many after its last step,
+        # which only the recursion can see.
+        real = mc.run_trajectory
+        calls = []
+
+        def fake(values):
+            stats = real(values)
+            calls.append(None)
+            if len(calls) - 1 == self.planted:
+                stats.r_path[-1] += 1
+            return stats
+
+        monkeypatch.setattr(mc, "run_trajectory", fake)
+        exc = self._assert_caught("record count recursion failed")
+        assert exc.step == self.cfg.n
 
     def test_scan_drops_a_record(self, monkeypatch):
         real = mc.scan_distinct
@@ -1753,13 +1663,12 @@ print(json.dumps([plain == traced, facts(plain), facts(traced)]))
 class TestAuditChunkAcrossTiles:
     """One audit range spans several tiles of every kernel.
 
-    With 60-value tiles, rows of 12 values (n = 11) go five to a tile in
-    the tie screen and in the break count.  Rows of 101 values (n = 100)
-    go one to a tile in the tie screen and five to a tile in the break
-    count, which reads the last 12 columns in tiles.  Trials
-    [3, 23) are therefore 4 to 20 tiles of each kernel.  The record count
-    reads the whole range in one pass; its faults are planted at the same
-    rows.
+    With 60-value tiles, the tie screen takes rows of 12 values (n = 11)
+    five to a tile and rows of 101 values (n = 100) one to a tile, and the
+    break-count walk takes ``_TILE_VALUES // _FIRST_BLOCK`` = 7 rows to a
+    tile at any n.  Trials [3, 23) are therefore 4 or 20 tiles of the
+    screen and 3 of the walk.  Faults are planted at the first or the
+    last row of the walk's second tile.
     """
 
     seed, t0, t1 = 17, 3, 23
@@ -1776,31 +1685,22 @@ class TestAuditChunkAcrossTiles:
     def test_the_range_passes(self, n):
         assert self._audit(n) == ((self.t1 - self.t0) * n, 0)
 
-    @pytest.mark.parametrize(
-        "n, kernel, tile_rows",
-        [
-            (11, "final_break_counts", 5),
-            (100, "final_break_counts", 5),
-            (11, "record_counts", 5),
-            (100, "record_counts", 1),
-        ],
-    )
-    def test_a_fault_in_the_second_tile_names_its_trial(
-        self, n, kernel, tile_rows, monkeypatch
-    ):
-        row = tile_rows + tile_rows // 2  # a row of the kernel's second tile
-        real = getattr(mc, kernel)
+    @pytest.mark.parametrize("n, edge", [(11, "first"), (100, "last")])
+    def test_a_fault_in_the_second_tile_names_its_trial(self, n, edge, monkeypatch):
+        tile_rows = mc._TILE_VALUES // mc._FIRST_BLOCK
+        assert 2 * tile_rows < self.t1 - self.t0  # a third tile follows
+        row = tile_rows if edge == "first" else 2 * tile_rows - 1
+        real = mc.final_break_counts
 
-        def planted(*args):
-            out = real(*args)
+        def planted(vals):
+            out = real(vals)
             out[row] += 1
             return out
 
-        monkeypatch.setattr(mc, kernel, planted)
+        monkeypatch.setattr(mc, "final_break_counts", planted)
         with pytest.raises(InvariantError) as exc:
             self._audit(n)
-        what = "record" if kernel == "record_counts" else "break"
-        assert str(exc.value) == f"vectorized {what} count disagrees with the stack"
+        assert str(exc.value) == "vectorized break count disagrees with the stack"
         assert (exc.value.seed, exc.value.trial, exc.value.step) == (
             self.seed, self.t0 + row, n
         )

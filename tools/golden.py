@@ -97,9 +97,9 @@ INVOCATIONS: dict[str, list[str]] = {
     # Short rows, whose break counts the walk reads in X_{n-1} and one
     # gathered block at most: the replay checks them against the stack.
     "audit-n8": ["audit", "--n", "8", "--trials", "2000", "--seed", "21"],
-    # The replay checks the record count of each range against the stack,
-    # in four ranges of at most 630 rows (each less than one row tile),
-    # which go to forked worker processes on more than one CPU.
+    # The replay checks each trial's stack against the definitional scan
+    # and its final break count against the walk, in four ranges of at
+    # most 630 rows, which go to forked worker processes on more than one CPU.
     "audit-n100": ["audit", "--n", "100", "--trials", "2000", "--seed", "34"],
     # Short rows at three horizons: prefix views of each chunk are counted.
     "simulate-n11-checkpoints": [
