@@ -5,10 +5,13 @@ exact law, ``oracle`` for exhaustive enumeration, ``simulate`` for
 seeded Monte Carlo, ``converge`` for the deviation sweep, ``gof`` for
 distribution fit, and ``audit`` for the step-by-step invariant replay.
 
-Argument domains are checked once, by the module that owns each
-argument, and the parser re-checks none of them.  Exit codes: 0 success,
-2 usage (a ``UsageError``), 3 capacity cap, 4 output I/O, 5 invariant or
-mid-run failure.  Any other exception is a fault of the program and
+``--format``, ``--view`` and ``--stat`` are argparse choices, which
+``--help`` lists; ``oracle_table`` and ``simulate_table`` check ``view``
+and ``stat`` again for callers that skip the parser.  Every other
+argument's domain is checked once, by the module that owns it, and the
+parser checks none of them.  Exit codes: 0 success, 2 usage (a
+``UsageError``), 3 capacity cap, 4 output I/O, 5 invariant or mid-run
+failure.  Any other exception is a fault of the program and
 surfaces as a traceback.
 """
 from __future__ import annotations

@@ -244,8 +244,16 @@ def _words_per_trial(n: int) -> int:
 
 
 def _raw_rows(seed: int, n: int, t0: int, t1: int, attempt: int) -> np.ndarray:
-    """Raw Philox words of trials [t0, t1) at the given redraw attempt."""
+    """Raw Philox words of trials [t0, t1) at the given redraw attempt.
+
+    A draw over the row cap's byte budget is refused before any word.
+    """
     w = _words_per_trial(n)
+    if 8 * w * (t1 - t0) > _MAX_ROW_BYTES:
+        raise CapacityError(
+            f"trials [{t0}, {t1}) at n={n} take {8 * w * (t1 - t0)} bytes, over "
+            f"the {_MAX_ROW_BYTES}-byte cap of the window sampler"
+        )
     bg = np.random.Philox(key=seed + (attempt << 64), counter=t0 * (w // 4))
     return bg.random_raw((t1 - t0, w))[:, : n + 1]
 

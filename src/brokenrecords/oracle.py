@@ -14,13 +14,16 @@ when its value tops every value after it -- read right to left with a
 running maximum.  Each step of that scan is a handful of ufunc calls over
 one contiguous row of 5,040 values, into preallocated buffers, so the
 only Python-level loop is over the n + 1 positions.  One pass over
-positions n - 1 .. 0 gives the prefix records and the break count; a
-second pass from position n gives the record count after the final
-step.  The row-major alternative, a
-``maximum.accumulate`` along rows of n + 1 values, runs numpy's inner
-loop once per ordering over only nine or so values, and that per-row
-overhead dominates: it is about five times slower at n = 8, and larger
-blocks only make it worse.  None of this shares code with the
+positions n - 1 .. 0 gives the prefix records and the break count, and
+their joint cell is the one tally.  The record set after the final step
+loses the broken records and gains (n, X_n), so R_n = R_{n-1} + 1 - B_n
+and the law of R_n is read off that tally.  A second pass from position
+n, ``_record_counts``, counts R_n from the definition all the same, and
+every ordering is checked against that identity.  The row-major
+alternative, a ``maximum.accumulate`` along rows of n + 1 values, runs
+numpy's inner loop once per ordering over only nine or so values, and
+that per-row overhead dominates: it is about five times slower at n = 8,
+and larger blocks only make it worse.  None of this shares code with the
 incremental stack or the vectorized sampler it is used to check.
 
 Costs grow factorially, so n is capped at ``MAX_N``: n = 10 enumerates
@@ -35,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,17 +60,19 @@ class JointPmf:
     def total(self) -> Fraction:
         return sum(self.mass.values(), Fraction(0))
 
-    def marginal_b(self) -> Pmf:
+    def _fold(self, key, n: int) -> Pmf:
+        """The law of ``key(b, r_prev)``, as a pmf at horizon n."""
         mass: dict[int, Fraction] = {}
-        for (b, _), p in self.mass.items():
-            mass[b] = mass.get(b, Fraction(0)) + p
-        return Pmf(n=self.n, mass=mass)
+        for cell, p in self.mass.items():
+            k = key(*cell)
+            mass[k] = mass.get(k, Fraction(0)) + p
+        return Pmf(n=n, mass=dict(sorted(mass.items())))
+
+    def marginal_b(self) -> Pmf:
+        return self._fold(lambda b, _: b, self.n)
 
     def marginal_r_prev(self) -> Pmf:
-        mass: dict[int, Fraction] = {}
-        for (_, r), p in self.mass.items():
-            mass[r] = mass.get(r, Fraction(0)) + p
-        return Pmf(n=self.n - 1, mass=mass)
+        return self._fold(lambda _, r: r, self.n - 1)
 
     def tail_mass(self, k: int) -> Fraction:
         """Mass of breaking exactly k records with at least one survivor."""
@@ -80,11 +84,6 @@ class JointPmf:
     def lone_mass(self, k: int) -> Fraction:
         """Mass of breaking exactly k records with none surviving."""
         return self.mass.get((k, k), Fraction(0))
-
-
-class _EnumCounts(NamedTuple):
-    joint: dict[tuple[int, int], int]
-    r_now: dict[int, int]
 
 
 _TEMPLATE_WIDTH = 7  # 7! = 5,040 orderings per block
@@ -125,12 +124,9 @@ def _record_counts(
         np.maximum(top, col, out=top)
 
 
-def _counts(hist: np.ndarray) -> dict[int, int]:
-    return {i: int(c) for i, c in enumerate(hist) if c}
-
-
 @lru_cache(maxsize=16)
-def _enumerate(n: int) -> _EnumCounts:
+def _enumerate(n: int) -> dict[tuple[int, int], int]:
+    """Orderings of n + 1 values per (break count, prior record count)."""
     size = n + 1
     t = min(size, _TEMPLATE_WIDTH)
     template = _arrangements(t)
@@ -143,7 +139,6 @@ def _enumerate(n: int) -> _EnumCounts:
     # (n + 1)**2 <= 256, well past MAX_N.
     r_prev, b, r, cell = np.empty((4, width), dtype=np.uint8)
     joint = np.zeros(size * size, dtype=np.int64)
-    r_now = np.zeros(size + 1, dtype=np.int64)
     last = block[n]
     for head in itertools.permutations(range(size), size - t):
         rest = np.array(sorted(set(range(size)) - set(head)), dtype=np.uint8)
@@ -172,32 +167,22 @@ def _enumerate(n: int) -> _EnumCounts:
         np.multiply(b, size, out=cell)
         cell += r_prev
         joint += np.bincount(cell, minlength=size * size)
-        r_now += np.bincount(r, minlength=size + 1)
-    return _EnumCounts(
-        joint={divmod(key, size): c for key, c in _counts(joint).items()},
-        r_now=_counts(r_now),
-    )
+    return {divmod(key, size): int(c) for key, c in enumerate(joint) if c}
 
 
-def _masses(n: int, tally: str) -> dict:
-    """One tally of the enumeration at n as exact masses.
+def oracle_joint(n: int) -> JointPmf:
+    """Exact joint law of (final break count, prior record count).
 
-    The one place where the oracle checks the cap, before any work; its
-    callers have checked n.
+    The one place where the oracle checks the cap, before any work.
     """
+    n = checked_int("n", n, 1)
     if n > MAX_N:
         raise CapacityError(
             f"enumeration for n={n} needs {factorial(n + 1)} permutations, "
             f"over the cap of n={MAX_N}"
         )
     denom = factorial(n + 1)
-    return {key: Fraction(c, denom) for key, c in getattr(_enumerate(n), tally).items()}
-
-
-def oracle_joint(n: int) -> JointPmf:
-    """Exact joint law of (final break count, prior record count)."""
-    n = checked_int("n", n, 1)
-    return JointPmf(n=n, mass=_masses(n, "joint"))
+    return JointPmf(n=n, mass={cell: Fraction(c, denom) for cell, c in _enumerate(n).items()})
 
 
 def oracle_pmf_b(n: int) -> Pmf:
@@ -210,5 +195,5 @@ def oracle_pmf_r(n: int) -> Pmf:
     n = checked_int("n", n)
     if n == 0:
         return Pmf(n=0, mass={1: Fraction(1)})
-    return Pmf(n=n, mass=_masses(n, "r_now"))
+    return oracle_joint(n)._fold(lambda b, r_prev: r_prev + 1 - b, n)
 

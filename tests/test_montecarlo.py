@@ -912,6 +912,20 @@ class TestRowCap:
         with pytest.raises(CapacityError):
             mc._words_per_trial(2**27)
 
+    def test_trial_range_over_the_cap_is_refused_before_any_draw(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(mc.np.random, "Philox", refuse)
+        with pytest.raises(CapacityError, match="over the 1073741824-byte cap"):
+            trial_values(1, 500, 0, 2**19)
+        # 504 words per row at n = 500: the cap holds 266,305 whole rows.
+        rows = mc._MAX_ROW_BYTES // (8 * 504)
+        with pytest.raises(CapacityError):
+            trial_values(1, 500, 10, 10 + rows + 1)
+        with pytest.raises(AssertionError, match="a generator was built"):
+            trial_values(1, 500, 10, 10 + rows)
+
 
 class TestSimulateB:
     def test_coin_flip_first_step(self):

@@ -194,22 +194,25 @@ def _stirling_first_row(m: int) -> list[int]:
 class TestBlockwiseEnumeration:
     """The column-major block scan against independent references.
 
-    Up to n = 7 a plain per-permutation loop; at n = 8, where the loop
-    is slow, Rényi's record theorem and the single-break terms, with the
-    joint law covered by ``TestExactPmfB`` against ``exact_pmf_b``.
+    Up to n = 7 a plain per-permutation loop; up to n = 9, where the loop
+    is slow, Rényi's record theorem, and at n = 8 the single-break terms,
+    with the joint law covered by ``TestExactPmfB`` against ``exact_pmf_b``.
     """
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_counts_match_reference_loop(self, n):
         joint, r_now, _ = _reference_counts(n)
-        counts = _enumerate(n)
-        assert counts.joint == joint
-        assert counts.r_now == r_now
+        assert _enumerate(n) == joint
+        total = math.factorial(n + 1)
+        assert oracle_pmf_r(n).mass == {r: F(c, total) for r, c in r_now.items()}
 
-    def test_record_counts_n8_are_stirling_numbers(self):
+    def test_record_counts_are_stirling_numbers(self):
         # R_n = r on exactly c(n + 1, r) of the (n + 1)! orderings.
-        row = _stirling_first_row(9)
-        assert _enumerate(8).r_now == {r: c for r, c in enumerate(row) if c}
+        for n in range(10):
+            row = _stirling_first_row(n + 1)
+            total = math.factorial(n + 1)
+            law = {r: F(c, total) for r, c in enumerate(row) if c}
+            assert oracle_pmf_r(n).mass == law
 
     def test_survivor_index_n8_matches_term_formula(self):
         # The lone break over a survivor at each index 0..6 sums to the
