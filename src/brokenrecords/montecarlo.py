@@ -33,27 +33,41 @@ indices that jump as j -> floor(j / U) + 1 from j = 1 (Nevzorov,
 B_n those of the suffix after the last value above X_n, whose length L
 takes one more draw, so a trial of B_n takes under two at any n.  A raw
 word w gives k = (w >> 11) + 1, uniform on 1..2**53, and U = k * 2**-53
-on (0, 1].  L = min(n, 2**53 // k - 1) is exact in uint64, with
-P[L >= l] = floor(2**53 / (l + 1)) / 2**53.  The jumps run in float64,
-where U and every index below 2**53 are exact (``simulate_r`` refuses
-n + 1 >= 2**53), so float64 rounding enters at one place: the quotient
-j / U, rounded to nearest.  Integers below 2**53 are floats, so its floor
-is never too low, and it is one too high only where j * 2**53 / k lies
-less than half a unit in the last place below an integer; the next index
-is then one too far, which can lose the record at the last index.
-Trials fall into fixed blocks of ``_SUFFIX_BLOCK``, and block b draws
-from its own Philox4x64 key, (seed, 2**63 + b) for B_n and (seed, 2**63 +
-2**62 + b) for R_n, whose high words no window key reaches.  A block
-draws any L for all its trials, then one jump for each trial still open,
-round by round, so its counts depend on neither the workers nor the
-chunking; but a trial's draws depend on its block's trial count, and no
-trial can be replayed alone.
+on (0, 1], which is numpy's float64 draw (w >> 11) * 2**-53 plus 2**-53,
+both exact.  L = min(n, 2**53 // k - 1), with P[L >= l] = floor(2**53 /
+(l + 1)) / 2**53, is split off U by exact thresholds: U > 1/2 gives L =
+0, U <= floor(2**53 / 3) * 2**-53 gives L >= 2 (at n >= 2), and only
+those trials, about a third, take L = min(n, floor(1 / U) - 1) in
+float64.  That floor is 2**53 // k for every k in 1..2**53.  If k divides
+2**53, the quotient 2**53 / k is a float.  Otherwise it lies at least 1/k
+below the next integer; with 2**e < 2**53 / k < 2**(e + 1), so that k <
+2**(53 - e), rounding to nearest moves it by at most half a unit in the
+last place, 2**(e - 53) < 1/k, so it stays below that integer, and it
+cannot fall below its floor, which is a float.
+
+The jumps run in float64, where U and every index below 2**53 are exact
+(``simulate_r`` refuses n + 1 >= 2**53), so float64 rounding enters at
+one place: the quotient j / U, rounded to nearest.  Integers below 2**53
+are floats, so its floor is never too low, and it is one too high only
+where j * 2**53 / k lies less than half a unit in the last place below
+an integer (never at j = 1, as above); the next index is then one too
+far, which can lose the record at the last index.  Trials fall into
+fixed blocks of ``_SUFFIX_BLOCK``, and block b draws from its own
+Philox4x64 key, (seed, 2**63 + b) for B_n and (seed, 2**63 + 2**62 + b)
+for R_n, whose high words no window key reaches.  A block draws any L
+for all its trials, then one jump for each trial still open, round by
+round, so its counts depend on neither the workers nor the chunking; but
+a trial's draws depend on its block's trial count, and no trial can be
+replayed alone.  Each round draws its uniforms in one call into the
+thread's scratch, its jumps land there too, and the open trials are
+compacted into it, so the blocks of a thread share one set of buffers.
 """
 from __future__ import annotations
 
 import functools
 import math
 import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -74,13 +88,16 @@ SUFFIX_GENERATOR = "philox4x64-suffix-length"
 RECORD_GENERATOR = "philox4x64-record-jumps"
 # Trials per block of the suffix sampler, a constant of its streams: a
 # block's counts depend on its size, so changing it changes every count.
-# A block's 0.5 MiB of words and its float64 lengths, indices and quotients
-# peaked at 1.24 MiB (B_n) and 2.58 MiB (R_n) traced at n = 10**9: under 3 MiB.
+# A thread's scratch holds one block's uniforms and open indices and, for
+# B_n, two buffers of lengths, 0.5 MiB each; a first block on a fresh thread
+# at n = 10**9 peaked at 2.27 MiB (B_n) and 2.08 MiB (R_n) traced: under 3 MiB.
 _SUFFIX_BLOCK = 2**16
 # High key words of block 0 of B_n and of R_n; window keys use 0.._MAX_REDRAWS.
 _SUFFIX_KEY = 2**63
 _RECORD_KEY = 2**63 + 2**62
 _GRID = 2**53
+# U <= _THIRD, and no larger U, gives L >= 2 at n >= 2.
+_THIRD = (_GRID // 3) * 2.0**-53
 # simulate_r's histogram stops at _MAX_RECORDS, so its width does not grow
 # with n.  R_n sums independent Bernoulli(1 / i), i <= n + 1, so P[R_n >= m]
 # <= H^m / m! with H = H_{n+1} < 38: under 10**-1000 at m = 1024.
@@ -556,60 +573,99 @@ def simulate_b(config: SimConfig) -> EmpiricalPmf:
     return _simulate_breaks(config, (config.n,))[config.n]
 
 
-def _suffix_length(k: np.ndarray, n: int) -> np.ndarray:
-    """L = min(n, 2**53 // k - 1) of grid draws k in 1..2**53, exactly in
-    uint64, computed in place of k."""
-    np.floor_divide(np.uint64(_GRID), k, out=k)
-    k -= np.uint64(1)
-    return np.minimum(k, np.uint64(min(n, _GRID)), out=k)
+# One thread's block-wide buffers of the jump samplers, kept from block to
+# block: a B_n block at n = 8 that allocated its temporaries faulted a median
+# of 266 pages back in, and with these buffers 0 after a thread's first
+# block.  The buffers live as long as the thread, one run's executor thread
+# for the samplers.  One draw per round into them beat a
+# batch that rounds slice, of 2**17 uniforms or refilled to twice the round:
+# 1.11 against 1.35 and 1.36 ms per B_n block at n = 8 (2-CPU Xeon, best of
+# 9), as a batch's unused tail is drawn for nothing.
+_scratch = threading.local()
 
 
-def _grid_draws(bg: np.random.Philox, size: int) -> np.ndarray:
-    """``size`` draws of k, uniform on 1..2**53: the top 53 bits of a word, plus 1."""
-    k = bg.random_raw(size)
-    k >>= np.uint64(64 - 53)
-    k += np.uint64(1)
-    return k
+def _buffer(name: str, size: int, dtype: type = np.float64) -> np.ndarray:
+    """The first ``size`` entries of this thread's buffer ``name``, which is
+    made on first use, ``_SUFFIX_BLOCK`` entries long."""
+    buf = getattr(_scratch, name, None)
+    if buf is None:
+        buf = np.empty(_SUFFIX_BLOCK, dtype)
+        setattr(_scratch, name, buf)
+    return buf[:size]
 
 
-def _record_jumps(bg: np.random.Philox, last: np.ndarray, tally: list[int]) -> list[int]:
-    """Add the record counts of sequences of ``last`` values to ``tally``.
+def _uniforms(gen: np.random.Generator, size: int) -> np.ndarray:
+    """The block's next ``size`` draws of U = k * 2**-53, in scratch: a
+    word w gives (w >> 11) * 2**-53 exactly, and adding 2**-53 is exact."""
+    u = gen.random(out=_buffer("u", size))
+    u += 2.0**-53
+    return u
 
-    ``last`` holds float64 lengths of at least 2, and ``tally[r]`` counts
-    the sequences with r records; it comes in with the bins r = 0 and 1.
-    Index 1 is a record.  In round r each open sequence holds r records and
-    jumps once: it ends with r + 1 if it lands on its length, r past it.
+
+def _suffix_lengths(u: np.ndarray, n: int) -> tuple[int, np.ndarray]:
+    """Of uniforms U, the count with L = 0 and, in trial order, the float64
+    lengths L >= 2 (in scratch): U > 1/2 gives L = 0 and, at n >= 2,
+    U <= _THIRD gives L >= 2, where L = min(n, floor(1 / U) - 1)."""
+    mask = _buffer("mask", u.size, bool)
+    zero = int(np.count_nonzero(np.greater(u, 0.5, out=mask)))
+    jump = np.flatnonzero(np.less_equal(u, _THIRD if n > 1 else 0.0, out=mask))
+    last = u.take(jump, out=_buffer("last0", jump.size), mode="clip")
+    np.divide(1.0, last, out=last)
+    np.floor(last, out=last)
+    last -= 1
+    return zero, np.minimum(last, min(n, _GRID), out=last)
+
+
+def _record_jumps(
+    gen: np.random.Generator, size: int, last: np.ndarray | float, tally: list[int]
+) -> list[int]:
+    """Add the record counts of ``size`` sequences of ``last`` values to ``tally``.
+
+    ``last`` holds float64 lengths of at least 2, or one length for all,
+    and ``tally[r]`` counts the sequences with r records; it comes in with
+    the bins r = 0 and 1.  Index 1 is a record.  In round r each open
+    sequence holds r records and jumps once: it ends with r + 1 if it
+    lands on its length, r past it.
     """
-    j = np.ones(last.size)
-    while last.size:
-        np.divide(j, _grid_draws(bg, last.size) * 2.0**-53, out=j)
-        np.floor(j, out=j)
-        j += 1
-        keep = j < last
-        at = int(np.count_nonzero(j == last))
-        tally[-1] += last.size - int(np.count_nonzero(keep)) - at
+    j, spare = 1.0, 1
+    while size:
+        nxt = _uniforms(gen, size)
+        np.divide(j, nxt, out=nxt)
+        np.floor(nxt, out=nxt)
+        nxt += 1
+        mask = _buffer("mask", size, bool)
+        at = int(np.count_nonzero(np.equal(nxt, last, out=mask)))
+        # Indices and take(mode="clip"), not compress, whose take copies its
+        # output first: 149 against 261 us for two 2**16-value arrays.
+        keep = np.flatnonzero(np.less(nxt, last, out=mask))
+        tally[-1] += size - keep.size - at
         tally.append(at)
-        # compress, not a boolean index: 0.09 against 0.55 ms on 2**16
-        # words (numpy 2.4.6, 2-CPU Xeon).
-        j, last = j.compress(keep), last.compress(keep)
+        j = nxt.take(keep, out=_buffer("j", keep.size), mode="clip")
+        if np.ndim(last):
+            last = last.take(keep, out=_buffer(f"last{spare}", keep.size), mode="clip")
+            spare ^= 1
+        size = keep.size
     return tally
+
+
+def _block_generator(seed: int, key: int, t0: int) -> np.random.Generator:
+    """The generator of the block of trial t0, keyed (seed, key + block)."""
+    return np.random.Generator(np.random.Philox(key=seed + ((key + t0 // _SUFFIX_BLOCK) << 64)))
 
 
 def _suffix_tally(seed: int, n: int, t0: int, t1: int) -> list[int]:
     """Tallies of B_n = 0, 1, 2, ... over trials [t0, t1), which lie in one
     block: L for every trial, then the record jumps of every L > 1."""
-    bg = np.random.Philox(key=seed + ((_SUFFIX_KEY + t0 // _SUFFIX_BLOCK) << 64))
-    length = _suffix_length(_grid_draws(bg, t1 - t0), n)
-    last = length.compress(length > 1).astype(np.float64)
-    zero = int(np.count_nonzero(length == 0))
-    return _record_jumps(bg, last, [zero, t1 - t0 - zero - last.size])
+    gen = _block_generator(seed, _SUFFIX_KEY, t0)
+    zero, last = _suffix_lengths(_uniforms(gen, t1 - t0), n)
+    return _record_jumps(gen, last.size, last, [zero, t1 - t0 - zero - last.size])
 
 
 def _record_tally(seed: int, n: int, t0: int, t1: int) -> list[int]:
     """Tallies of R_n = 0, 1, 2, ... over trials [t0, t1), which lie in one
     block; raises past ``_MAX_RECORDS`` records."""
-    bg = np.random.Philox(key=seed + ((_RECORD_KEY + t0 // _SUFFIX_BLOCK) << 64))
-    tally = _record_jumps(bg, np.full(t1 - t0, n + 1.0), [0, 0])
+    gen = _block_generator(seed, _RECORD_KEY, t0)
+    tally = _record_jumps(gen, t1 - t0, n + 1.0, [0, 0])
     if any(tally[_MAX_RECORDS + 1 :]):
         raise RuntimeError(f"a trial holds over {_MAX_RECORDS} records")
     return tally

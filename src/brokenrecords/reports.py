@@ -257,8 +257,12 @@ def converge_table(
     """Deviation-from-limit table across a sweep of n.
 
     Each n gets enumeration up to ``ENUMERATION_MAX_N``, otherwise a
-    simulation of ``trials`` trajectories (sharing one seed across the
-    sweep).  Full masses and survivor tails come from one exact pass per n,
+    simulation of ``trials`` trajectories.  The simulations share one seed
+    across the sweep, so their cells are common-random-number samples, not
+    independent ones: a trial's L comes from the same uniform at every n,
+    and the k = 0 cell, U > 1/2, is the same count at every sampled n
+    (0.49965 at n = 100 and 3,000 for ``--n-list 3,100,3000 --kmax 3
+    --trials 20000 --seed 7``).  Full masses and survivor tails come from one exact pass per n,
     and only the k <= 1 closed forms past the pass's ceiling.  A repeated
     n is computed once and its rows repeated in list order.  Every
     argument is checked before any enumeration or draw: each n, the kmax

@@ -995,6 +995,33 @@ def _reference_suffix_tally(seed, n, trials):
     return [tally[b] for b in range(max(tally) + 1)]
 
 
+def _reference_record_tally(seed, n, trials):
+    """Tallies of R_n over one block, trial by trial in exact integers.
+
+    Draws the block's words in the sampler's order: one jump per open
+    trial, round by round, in trial order, from index 1 of n + 1 values.
+    """
+    bg = np.random.Philox(key=seed + (mc._RECORD_KEY << 64))
+    counts, open_ = [1] * trials, dict.fromkeys(range(trials), 1)
+    while open_:
+        for (t, j), w in zip(list(open_.items()), bg.random_raw(len(open_)).tolist()):
+            j = j * 2**53 // ((w >> 11) + 1) + 1
+            counts[t] += j <= n + 1
+            if j < n + 1:
+                open_[t] = j
+            else:
+                del open_[t]
+    tally = Counter(counts)
+    return [tally[r] for r in range(max(tally) + 1)]
+
+
+def _trimmed(tally):
+    """A tally without its trailing empty bins."""
+    while not tally[-1]:
+        tally.pop()
+    return tally
+
+
 def _fit_p_value(emp, mass):
     """Chi-square p-value of a sample's bins 0..min(kmax, n) and overflow."""
     top = min(emp.kmax, emp.n)
@@ -1027,16 +1054,22 @@ class TestSuffixSampler:
         emp = simulate_b_suffix(SimConfig(n=n, trials=10**6, seed=1))
         assert _fit_p_value(emp, mass) > 0.01
 
+    @staticmethod
+    def _no_minus_one(u, n):
+        # L = min(n, 2**53 // k), as floor(1 / U) is 2**53 // k exactly.
+        length = np.minimum(np.floor(1 / u), n)
+        return int(np.count_nonzero(length == 0)), length[length > 1]
+
     @pytest.mark.parametrize(
         "plant",
         [
-            lambda k, n: np.minimum(np.uint64(2**53) // k, np.uint64(n)),
-            lambda k, n, length=mc._suffix_length: length(k, n - 1),
+            _no_minus_one,
+            lambda u, n, lengths=mc._suffix_lengths: lengths(u, n - 1),
         ],
         ids=["no-minus-one", "cap-at-n-minus-1"],
     )
     def test_an_off_by_one_in_l_fails_the_exact_fit(self, plant, monkeypatch):
-        monkeypatch.setattr(mc, "_suffix_length", plant)
+        monkeypatch.setattr(mc, "_suffix_lengths", plant)
         emp = simulate_b_suffix(SimConfig(n=12, trials=10**6, seed=1))
         assert _fit_p_value(emp, exact_pmf_b(12, 12).prob) < 1e-20
 
@@ -1054,12 +1087,31 @@ class TestSuffixSampler:
         stat = sum((x - y) ** 2 / (x + y) for x, y in bins)
         assert chi2_sf(stat, len(bins) - 1) > 0.01
 
-    @pytest.mark.parametrize("n", [20, 10**9])
+    @pytest.mark.parametrize("n", [1, 2, 8, 20, 10**9])
     def test_block_matches_the_exact_integer_loop(self, n):
-        tally = mc._suffix_tally(7, n, 0, mc._SUFFIX_BLOCK)
-        while not tally[-1]:
-            tally.pop()
-        assert tally == _reference_suffix_tally(7, n, mc._SUFFIX_BLOCK)
+        # A full block, and a partial one, which draws from the same key.
+        for trials in (mc._SUFFIX_BLOCK, 777):
+            tally = _trimmed(mc._suffix_tally(7, n, 0, trials))
+            assert tally == _reference_suffix_tally(7, n, trials)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 10**9])
+    def test_lengths_match_the_integer_formula_at_each_threshold(self, n):
+        # L = min(n, 2**53 // k - 1) changes at k = floor(2**53 / (l + 1));
+        # k = 2**52 and 2**52 + 1 straddle L = 0 and k = 1 is the largest L.
+        edges = [2**53 // (l + 1) for l in [*range(1, 65), 2**20, 2**40]]
+        ks = [k for e in edges for k in (e - 1, e, e + 1)] + [1, 2**52, 2**52 + 1, 2**53]
+        zero, last = mc._suffix_lengths(np.array(ks, dtype=np.float64) * 2.0**-53, n)
+        length = [min(n, 2**53 // k - 1) for k in ks]
+        assert zero == length.count(0)
+        assert last.tolist() == [l for l in length if l > 1]
+
+    def test_uniforms_are_the_grid_draws_of_the_raw_words(self):
+        # U = ((w >> 11) + 1) * 2**-53 of the block's words, in their order.
+        key = 5 + (mc._SUFFIX_KEY << 64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        u = np.concatenate([mc._uniforms(gen, size).copy() for size in (3, 1000, 77)])
+        k = (np.random.Philox(key=key).random_raw(1080) >> np.uint64(11)) + np.uint64(1)
+        assert u.tolist() == [int(x) * 2.0**-53 for x in k]
 
     @pytest.mark.parametrize("trials", [2**16 - 1, 2**16, 2**16 + 1])
     def test_counts_do_not_depend_on_the_workers(self, trials):
@@ -1142,10 +1194,17 @@ class TestSimulateR:
         # Counting the records of n values, not n + 1, draws R_{n-1}.
         real = mc._record_jumps
         monkeypatch.setattr(
-            mc, "_record_jumps", lambda bg, last, tally: real(bg, last - 1, tally)
+            mc,
+            "_record_jumps",
+            lambda gen, size, last, tally: real(gen, size, last - 1, tally),
         )
         emp = simulate_r(SimConfig(n=12, trials=10**6, seed=1))
         assert self._exact_p_value(emp, 25) < 1e-20
+
+    @pytest.mark.parametrize("n", [1, 8, 500, 10**9])
+    def test_block_matches_the_exact_integer_loop(self, n):
+        tally = _trimmed(mc._record_tally(7, n, 0, mc._SUFFIX_BLOCK))
+        assert tally == _reference_record_tally(7, n, mc._SUFFIX_BLOCK)
 
     def test_mean_at_n_1e9_is_harmonic(self):
         n = 10**9
