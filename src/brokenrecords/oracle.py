@@ -3,33 +3,40 @@
 Break and record counts depend only on the relative order of the
 observations, so averaging over all (n + 1)! permutations of ranks gives
 the exact joint law for small n.  Every ordering is still checked, one
-numpy block at a time: the last t = min(n + 1, 7) positions run through a
-fixed table of all t! arrangements, and each ordered choice of the
-values in front of them makes one block.
+numpy pass at a time: a fixed table holds all t! arrangements of the t =
+min(n + 1, 8) smallest values, and each ordered choice of positions for
+the n + 1 - t largest values, n first, makes one pass.  The other t
+positions, in increasing order, read table rows 0 .. t - 1 in place, and
+a position that holds a large value is one uint8 scalar, so a pass
+copies nothing.  Every ordering arises once: the positions fix where the
+large values are, and the table column the relative order of the rest.
+Up to n = 7 that is a single pass; n = 8 takes 9 and n = 10 990.
 
-A block is column-major: one ordering per column, one position per row,
-(n + 1) rows of 5,040 uint8 values.  The record sets come straight from
-the definition -- position i holds a record of the first m + 1 values
-when its value tops every value after it -- read right to left with a
-running maximum.  Each step of that scan is a handful of ufunc calls over
-one contiguous row of 5,040 values, into preallocated buffers, so the
-only Python-level loop is over the n + 1 positions.  One pass over
-positions n - 1 .. 0 gives the prefix records and the break count, and
-their joint cell is the one tally.  The record set after the final step
-loses the broken records and gains (n, X_n), so R_n = R_{n-1} + 1 - B_n
-and the law of R_n is read off that tally.  A second pass from position
-n, ``_record_counts``, counts R_n from the definition all the same, and
-every ordering is checked against that identity.  The row-major
-alternative, a ``maximum.accumulate`` along rows of n + 1 values, runs
-numpy's inner loop once per ordering over only nine or so values, and
-that per-row overhead dominates: it is about five times slower at n = 8,
-and larger blocks only make it worse.  None of this shares code with the
+A pass is column-major: one ordering per column, one position per row,
+rows of 40,320 uint8 values.  The record sets come straight from the
+definition -- position i holds a record of the first m + 1 values when
+its value tops every value after it -- read right to left with a running
+maximum.  Each step of that scan is a handful of ufunc calls over one
+row, into preallocated uint8 rows (bool results are written through
+views of them), so the only Python-level loop is over the n + 1
+positions.  One pass over positions n - 1 .. 0 gives the prefix records
+and the break count, and their joint cell is the one tally.  The record
+set after the final step loses the broken records and gains (n, X_n), so
+R_n = R_{n-1} + 1 - B_n and the law of R_n is read off that tally.  A
+second scan from position n, ``_record_counts``, counts R_n from the
+definition all the same, and every ordering is checked against that
+identity.  The row-major alternative, a ``maximum.accumulate`` along
+rows of n + 1 values, runs numpy's inner loop once per ordering over
+only nine or so values, and that per-row overhead dominates: at n = 8
+the accumulate alone takes about 11 ms, four times this whole
+enumeration (2.7 ms).  None of this shares code with the
 incremental stack or the vectorized sampler it is used to check.
 
 Costs grow factorially, so n is capped at ``MAX_N``: n = 10 enumerates
-11! orderings in about 2 s and 31 MB of process peak on a 2-CPU Xeon, and
-every n above it is refused with CapacityError before any work.  Working
-memory is one block, whatever n is.
+11! orderings in about 0.4 s and 31 MB of process peak on a 2-CPU Xeon,
+and every n above it is refused with CapacityError before any work.
+Working memory is the table and seven rows of 40,320 values, about
+0.65 MB traced, whatever n is.
 """
 from __future__ import annotations
 
@@ -86,7 +93,7 @@ class JointPmf:
         return self.mass.get((k, k), Fraction(0))
 
 
-_TEMPLATE_WIDTH = 7  # 7! = 5,040 orderings per block
+_TEMPLATE_WIDTH = 8  # 8! = 40,320 orderings per pass
 
 
 def _arrangements(t: int) -> np.ndarray:
@@ -108,20 +115,20 @@ def _arrangements(t: int) -> np.ndarray:
 
 
 def _record_counts(
-    block: np.ndarray, top: np.ndarray, rec: np.ndarray, out: np.ndarray
+    rows: list, top: np.ndarray, rec: np.ndarray, out: np.ndarray
 ) -> None:
-    """Per column, the number of records among all rows of ``block``.
+    """Per ordering, the number of records among all positions ``rows``.
 
-    Reads the rows right to left: a row is a record when its value tops
-    the running maximum ``top`` of the rows after it.  ``top`` and
-    ``rec`` are scratch rows.
+    Reads the positions right to left: one is a record when its value
+    tops the running maximum ``top`` of the positions after it.  ``top``
+    and ``rec`` are uint8 scratch rows.
     """
-    np.copyto(top, block[-1])
+    np.copyto(top, rows[-1])
     out.fill(1)
-    for col in block[-2::-1]:
-        np.greater(col, top, out=rec)
+    for row in reversed(rows[:-1]):
+        np.greater(row, top, out=rec.view(bool))
         out += rec
-        np.maximum(top, col, out=top)
+        np.maximum(top, row, out=top)
 
 
 @lru_cache(maxsize=16)
@@ -131,42 +138,42 @@ def _enumerate(n: int) -> dict[tuple[int, int], int]:
     t = min(size, _TEMPLATE_WIDTH)
     template = _arrangements(t)
     width = template.shape[1]
-    block = np.empty((size, width), dtype=np.uint8)
-    top = np.empty(width, dtype=np.uint8)
-    rec = np.empty(width, dtype=bool)
-    hit = np.empty(width, dtype=bool)
+    big = [np.uint8(v) for v in range(n, t - 1, -1)]
     # uint8 holds every count and joint cell b * (n + 1) + r_prev while
     # (n + 1)**2 <= 256, well past MAX_N.
-    r_prev, b, r, cell = np.empty((4, width), dtype=np.uint8)
+    top, rec, hit, r_prev, b, r, cell = np.empty((7, width), dtype=np.uint8)
+    is_rec, is_hit, is_b = rec.view(bool), hit.view(bool), b.view(bool)
     joint = np.zeros(size * size, dtype=np.int64)
-    last = block[n]
-    for head in itertools.permutations(range(size), size - t):
-        rest = np.array(sorted(set(range(size)) - set(head)), dtype=np.uint8)
-        block[: size - t] = np.array(head, dtype=np.uint8)[:, None]
-        np.take(rest, template, out=block[size - t :])
+    # pos[j] holds the value n - j; the other positions read the template.
+    for pos in itertools.permutations(range(size), size - t):
+        placed = dict(zip(pos, big))
+        small = iter(template)
+        rows = [placed[i] if i in placed else next(small) for i in range(size)]
+        last = rows[n]
         # Records of the first n values, read right to left from n - 1,
         # which is always one.  b counts those below the final value.
-        np.copyto(top, block[n - 1])
+        np.copyto(top, rows[n - 1])
         r_prev.fill(1)
-        np.less(top, last, out=b)
-        for i in range(n - 2, -1, -1):
-            col = block[i]
-            np.greater(col, top, out=rec)
-            np.maximum(top, col, out=top)
+        np.less(top, last, out=is_b)
+        for row in reversed(rows[: n - 1]):
+            np.greater(row, top, out=is_rec)
+            np.maximum(top, row, out=top)
             r_prev += rec
-            np.less(col, last, out=hit)
+            np.less(row, last, out=is_hit)
             hit &= rec
             b += hit
-        _record_counts(block, top, rec, r)
+        _record_counts(rows, top, rec, r)
         np.add(r_prev, 1, out=cell)
         cell -= b
-        bad = np.flatnonzero(cell != r)
+        np.not_equal(cell, r, out=is_hit)
+        bad = np.flatnonzero(is_hit)
         if bad.size:
-            perm = tuple(int(v) for v in block[:, bad[0]])
+            perm = tuple(int(np.broadcast_to(row, width)[bad[0]]) for row in rows)
             raise AssertionError(f"conservation violated in enumeration: perm={perm}")
         np.multiply(b, size, out=cell)
         cell += r_prev
-        joint += np.bincount(cell, minlength=size * size)
+        for part in cell.reshape(t, -1):
+            joint += np.bincount(part, minlength=size * size)
     return {divmod(key, size): int(c) for key, c in enumerate(joint) if c}
 
 

@@ -37,7 +37,7 @@ from .montecarlo import (
 )
 from .oracle import oracle_joint, oracle_pmf_r
 
-# converge and gof add the enumerated law up to n = 8 (about 15 ms).
+# converge and gof add the enumerated law up to n = 8 (about 3 ms).
 ENUMERATION_MAX_N = 8
 MIN_EXPECTED_PER_BIN = 5.0
 # 2**-(k+1) is a nonzero float64 up to k = 1073, the smallest subnormal

@@ -1125,9 +1125,10 @@ class TestSuffixSampler:
 
     @pytest.mark.parametrize("sample", [simulate_b_suffix, simulate_r])
     def test_a_full_block_stays_under_3_mib(self, sample):
-        # One block on one thread at n = 10**9 peaks at 1.24 MiB traced for
-        # B_n and 2.58 MiB for R_n.  The one-trial run first takes the
-        # allocations of a first run in the process, about 0.7 MiB.
+        # One block on one thread at n = 10**9 peaks at 2.22 MiB traced for
+        # B_n and 2.08 MiB for R_n, the per-thread buffers included.  The
+        # one-trial run first takes the allocations of a first run in the
+        # process, about 0.7 MiB.
         cfg = SimConfig(n=10**9, trials=mc._SUFFIX_BLOCK, seed=1, workers=1)
         sample(dataclasses.replace(cfg, trials=1))
         emp, peak = _traced_peak(lambda: sample(cfg))

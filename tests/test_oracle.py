@@ -11,6 +11,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from brokenrecords import (
@@ -192,14 +193,16 @@ def _stirling_first_row(m: int) -> list[int]:
 
 
 class TestBlockwiseEnumeration:
-    """The column-major block scan against independent references.
+    """The column-major scan against independent references.
 
-    Up to n = 7 a plain per-permutation loop; up to n = 9, where the loop
-    is slow, Rényi's record theorem, and at n = 8 the single-break terms,
-    with the joint law covered by ``TestExactPmfB`` against ``exact_pmf_b``.
+    Up to n = 8 a plain per-permutation loop: every n <= 7 is one pass
+    over the template, and n = 8 the first to place its largest value in
+    each of 9 positions.  Up to n = 9, where the loop is slow, Rényi's
+    record theorem, and at n = 8 the single-break terms, with the joint
+    law covered by ``TestExactPmfB`` against ``exact_pmf_b``.
     """
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_counts_match_reference_loop(self, n):
         joint, r_now, _ = _reference_counts(n)
         assert _enumerate(n) == joint
@@ -221,24 +224,26 @@ class TestBlockwiseEnumeration:
         assert terms == oracle_joint(8).tail_mass(1)
 
     def test_working_memory_is_one_block(self):
-        _enumerate.cache_clear()
-        tracemalloc.start()
-        try:
-            _enumerate(8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        # The template and a few rows of 8! values, whatever n is.
+        for n in (8, 9):
+            _enumerate.cache_clear()
+            tracemalloc.start()
+            try:
+                _enumerate(n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, n
 
     def test_conservation_is_checked_on_every_ordering(self, monkeypatch):
-        # Miscount the records of one ordering in one block: the check on
+        # Miscount the records of one ordering in one pass: the check on
         # R_n = R_{n-1} + 1 - B_n must catch it and name the ordering.
         real = oracle._record_counts
         seen = []
 
-        def miscount(block, top, rec, out):
-            real(block, top, rec, out)
-            seen.append(tuple(int(v) for v in block[:, 17]))
+        def miscount(rows, top, rec, out):
+            real(rows, top, rec, out)
+            seen.append(tuple(int(np.broadcast_to(row, out.shape)[17]) for row in rows))
             if len(seen) == 4:
                 out[17] += 1
 
@@ -246,11 +251,11 @@ class TestBlockwiseEnumeration:
         _enumerate.cache_clear()
         try:
             with pytest.raises(AssertionError) as exc:
-                _enumerate(7)
+                _enumerate(8)
         finally:
             _enumerate.cache_clear()
         perm = seen[3]
-        assert sorted(perm) == list(range(8))
+        assert sorted(perm) == list(range(9))
         assert str(exc.value) == f"conservation violated in enumeration: perm={perm}"
 
 

@@ -35,7 +35,7 @@ INVOCATIONS: dict[str, list[str]] = {
     "exact-n40000": ["exact", "--n", "40000", "--kmax", "8"],
     "oracle-n5-b": ["oracle", "--n", "5"],
     "oracle-n6-r": ["oracle", "--n", "6", "--view", "r"],
-    # 720 blocks of 5,040 orderings, each behind its own head positions.
+    # 90 passes over the 8! table, one per placement of the values 9 and 8.
     "oracle-n9-r": ["oracle", "--n", "9", "--view", "r"],
     "oracle-n8-joint": ["oracle", "--n", "8", "--view", "joint"],
     "simulate-n50": ["simulate", "--n", "50", "--trials", "20000", "--seed", "7"],
