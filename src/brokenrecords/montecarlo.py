@@ -90,7 +90,7 @@ RECORD_GENERATOR = "philox4x64-record-jumps"
 # block's counts depend on its size, so changing it changes every count.
 # A thread's scratch holds one block's uniforms and open indices and, for
 # B_n, two buffers of lengths, 0.5 MiB each; a first block on a fresh thread
-# at n = 10**9 peaked at 2.27 MiB (B_n) and 2.08 MiB (R_n) traced: under 3 MiB.
+# at n = 10**9 peaked at 2.22 MiB (B_n) and 2.07 MiB (R_n) traced: under 3 MiB.
 _SUFFIX_BLOCK = 2**16
 # High key words of block 0 of B_n and of R_n; window keys use 0.._MAX_REDRAWS.
 _SUFFIX_KEY = 2**63
@@ -528,49 +528,68 @@ def default_checkpoints(n: int) -> tuple[int, ...]:
     return tuple(sorted({max(1, n // 4), max(1, n // 2), n}))
 
 
-def _simulate_breaks(config: SimConfig, ts: tuple[int, ...]) -> dict[int, EmpiricalPmf]:
-    """Break-count histograms at the sorted horizons ``ts`` of shared rows.
+def _pooled(tally: np.ndarray | list[int], width: int) -> np.ndarray:
+    """The ``width``-bin histogram of ``tally``: its bins 0..width - 2, zeros
+    past its end, and a top bin that pools the rest."""
+    out = np.zeros(width, dtype=np.int64)
+    np.add.at(out, np.minimum(np.arange(len(tally)), width - 1), tally)
+    return out
 
-    Break counts above ``config.kmax`` land in the overflow bucket; the
-    retained support is reported in full, zeros included, so equal
-    configurations produce identical objects outside ``meta["run"]``.
-    Since B_t <= t <= n, the histograms stop at min(kmax, n) with the
-    overflow in one more bin, however large kmax is.
+
+def _break_pmf(config: SimConfig, t: int, hist: np.ndarray, meta: dict) -> EmpiricalPmf:
+    """The pmf of B_t from its pooled histogram: k = 0..min(kmax, t), zeros
+    included, and the overflow in the top bin."""
+    return EmpiricalPmf(
+        n=t,
+        trials=config.trials,
+        counts={k: int(hist[k]) for k in range(min(config.kmax, t) + 1)},
+        overflow=int(hist[-1]),
+        kmax=config.kmax,
+        meta=dict(meta),
+    )
+
+
+def simulate_b_checkpoints(
+    config: SimConfig, checkpoints: tuple[int, ...] | None = None
+) -> dict[int, EmpiricalPmf]:
+    """Break-count histograms at several horizons of the same trajectories.
+
+    Each checkpoint t histograms the breaks of step t, so its entry has
+    the same law as a fresh run at n = t; sharing trajectories makes the
+    horizons comparable draw for draw.  Ties are resolved on the full
+    row, so the final-horizon histogram is that of ``simulate_b``, which
+    is this run at the one horizon n.  Break counts above ``config.kmax``
+    land in the overflow bucket; the retained support is reported in
+    full, zeros included, so equal configurations produce identical
+    objects outside ``meta["run"]``.  Since B_t <= t <= n, the histograms
+    stop at min(kmax, n) with the overflow in one more bin, however large
+    kmax is.
     """
+    ts = default_checkpoints(config.n) if checkpoints is None else checkpoints
+    ts = tuple(sorted({checked_int("checkpoints", t, None) for t in ts}))
+    if not ts:
+        raise UsageError("checkpoints must name at least one horizon")
+    if ts[0] < 1 or ts[-1] > config.n:
+        raise UsageError(f"checkpoints must lie in [1, {config.n}], got {ts}")
     start = time.perf_counter()
     rows = _rows_per_chunk(config.n)  # refuses a row over the cap before any draw
     width = min(config.kmax, config.n) + 2
 
     def chunk(t0: int, t1: int) -> tuple[np.ndarray, int]:
         _, counts, rd = _break_counts(config.seed, config.n, t0, t1, ts)
-        out = np.zeros((len(ts), width), dtype=np.int64)
-        for row, b in enumerate(counts):
-            tally = np.bincount(b, minlength=width)
-            out[row, :-1] = tally[: width - 1]
-            out[row, -1] = tally[width - 1 :].sum()
-        return out, rd
+        return np.array([_pooled(np.bincount(b), width) for b in counts]), rd
 
     arr, redraws = _merge_chunks(config, chunk, rows, _threads(config))
     meta = _base_meta(
         config, time.perf_counter() - start, "break-count", rows,
         generator=GENERATOR, words_per_trial=_words_per_trial(config.n), tie_redraws=redraws,
     )
-    return {
-        t: EmpiricalPmf(
-            n=t,
-            trials=config.trials,
-            counts={k: int(arr[row, k]) for k in range(min(config.kmax, t) + 1)},
-            overflow=int(arr[row, -1]),
-            kmax=config.kmax,
-            meta=dict(meta),
-        )
-        for row, t in enumerate(ts)
-    }
+    return {t: _break_pmf(config, t, hist, meta) for t, hist in zip(ts, arr)}
 
 
 def simulate_b(config: SimConfig) -> EmpiricalPmf:
     """Empirical law of the number of records broken at the final step."""
-    return _simulate_breaks(config, (config.n,))[config.n]
+    return simulate_b_checkpoints(config, (config.n,))[config.n]
 
 
 # One thread's block-wide buffers of the jump samplers, kept from block to
@@ -679,10 +698,7 @@ def _jump_run(
     start = time.perf_counter()
 
     def block(t0: int, t1: int) -> tuple[np.ndarray, int]:
-        out = np.zeros(width, dtype=np.int64)
-        for b, count in enumerate(tally(config.seed, config.n, t0, t1)):
-            out[min(b, width - 1)] += count
-        return out, 0
+        return _pooled(tally(config.seed, config.n, t0, t1), width), 0
 
     arr, _ = _merge_chunks(config, block, _SUFFIX_BLOCK, _threads(config))
     return arr, _base_meta(
@@ -696,38 +712,7 @@ def simulate_b_suffix(config: SimConfig) -> EmpiricalPmf:
     of ``simulate_b`` but not its counts, at any n."""
     width = min(config.kmax, config.n) + 2
     arr, meta = _jump_run(config, _suffix_tally, width, "break-count", SUFFIX_GENERATOR)
-    return EmpiricalPmf(
-        n=config.n,
-        trials=config.trials,
-        counts={k: int(arr[k]) for k in range(width - 1)},
-        overflow=int(arr[-1]),
-        kmax=config.kmax,
-        meta=meta,
-    )
-
-
-def simulate_b_checkpoints(
-    config: SimConfig, checkpoints: tuple[int, ...] | None = None
-) -> dict[int, EmpiricalPmf]:
-    """Break-count histograms at several horizons of the same trajectories.
-
-    Each checkpoint t histograms the breaks of step t, so its entry has
-    the same law as a fresh run at n = t; sharing trajectories makes the
-    horizons comparable draw for draw.  Ties are resolved on the full
-    row, exactly as in ``simulate_b``, so the final-horizon histogram is
-    identical to a plain run of the same configuration.
-    """
-    ts = default_checkpoints(config.n) if checkpoints is None else checkpoints
-    ts = tuple(sorted({checked_int("checkpoints", t, None) for t in ts}))
-    if not ts:
-        raise UsageError("checkpoints must name at least one horizon")
-    if ts[0] < 1 or ts[-1] > config.n:
-        raise UsageError(f"checkpoints must lie in [1, {config.n}], got {ts}")
-    result = _simulate_breaks(config, ts)
-    for t, emp in result.items():
-        emp.meta["checkpoint"] = t
-        emp.meta["checkpoints"] = list(ts)
-    return result
+    return _break_pmf(config, config.n, arr, meta)
 
 
 def simulate_r(config: SimConfig) -> EmpiricalPmf:

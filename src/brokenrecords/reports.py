@@ -238,7 +238,7 @@ def checkpoint_table(
     ]
     final = table[max(table)]
     meta = dict(final.meta)
-    meta.pop("checkpoint", None)
+    meta["checkpoints"] = sorted(table)
     meta["command"] = "simulate"
     meta["stat"] = "b"
     meta["n"] = config.n

@@ -939,23 +939,27 @@ class TestSimulateB:
         for k in range(5):
             assert abs(pmf.frequency(k) - float(exact.prob(k))) < 0.003
 
-    def test_support_clipped_to_n(self):
-        pmf = simulate_b(SimConfig(n=3, trials=500, seed=9))
+    # The histogram tests run on both samplers of B_n, which pool alike.
+    @pytest.mark.parametrize("sample", [simulate_b, simulate_b_suffix])
+    def test_support_clipped_to_n(self, sample):
+        pmf = sample(SimConfig(n=3, trials=500, seed=9))
         assert set(pmf.counts) == {0, 1, 2, 3}
         assert pmf.overflow == 0
 
-    def test_histograms_are_no_wider_than_the_row(self):
+    @pytest.mark.parametrize("sample", [simulate_b, simulate_b_suffix])
+    def test_histograms_are_no_wider_than_the_row(self, sample):
         # B_n <= n, so a kmax far past n costs no memory: the run peaks
         # below one (kmax + 2)-wide int64 row, and counts as at kmax = n.
         kmax = 10**6
         cfg = SimConfig(n=5, trials=1000, seed=3, kmax=kmax, workers=1)
-        pmf, peak = _traced_peak(lambda: simulate_b(cfg))
+        pmf, peak = _traced_peak(lambda: sample(cfg))
         assert peak < (kmax + 2) * np.dtype(np.int64).itemsize
-        assert pmf.counts == simulate_b(SimConfig(n=5, trials=1000, seed=3, kmax=5)).counts
+        assert pmf.counts == sample(SimConfig(n=5, trials=1000, seed=3, kmax=5)).counts
         assert pmf.overflow == 0
 
-    def test_overflow_pooling(self):
-        pmf = simulate_b(SimConfig(n=40, trials=2000, seed=55, kmax=3))
+    @pytest.mark.parametrize("sample", [simulate_b, simulate_b_suffix])
+    def test_overflow_pooling(self, sample):
+        pmf = sample(SimConfig(n=40, trials=2000, seed=55, kmax=3))
         assert set(pmf.counts) == {0, 1, 2, 3}
         assert pmf.overflow > 0
         assert sum(pmf.counts.values()) + pmf.overflow == 2000
@@ -1126,7 +1130,7 @@ class TestSuffixSampler:
     @pytest.mark.parametrize("sample", [simulate_b_suffix, simulate_r])
     def test_a_full_block_stays_under_3_mib(self, sample):
         # One block on one thread at n = 10**9 peaks at 2.22 MiB traced for
-        # B_n and 2.08 MiB for R_n, the per-thread buffers included.  The
+        # B_n and 2.07 MiB for R_n, the per-thread buffers included.  The
         # one-trial run first takes the allocations of a first run in the
         # process, about 0.7 MiB.
         cfg = SimConfig(n=10**9, trials=mc._SUFFIX_BLOCK, seed=1, workers=1)
@@ -1261,11 +1265,12 @@ class TestCheckpoints:
     def test_each_checkpoint_full_sample(self):
         cfg = SimConfig(n=40, trials=2000, seed=3)
         by_t = simulate_b_checkpoints(cfg, checkpoints=(5, 20, 40))
+        plain = simulate_b(cfg)
         assert sorted(by_t) == [5, 20, 40]
         for t, pmf in by_t.items():
             assert pmf.n == t
             assert sum(pmf.counts.values()) + pmf.overflow == 2000
-            assert pmf.meta["checkpoint"] == t
+            assert {**pmf.meta, "run": None} == {**plain.meta, "run": None}
 
     def test_checkpoint_law_is_step_t_law(self):
         # The stream spends its first t + 1 draws on the prefix, so the

@@ -155,6 +155,14 @@ class TestOracleTable:
             oracle_table(3, view="z")
 
 
+# The meta keys of a window-sampler run, in order, that both simulate
+# reports of B_n begin with.
+SAMPLER_KEYS = [
+    "mode", "n", "trials", "seed", "kmax",
+    "generator", "words_per_trial", "tie_redraws", "run",
+]
+
+
 class TestSimulateTable:
     def test_break_counts(self):
         rep = simulate_table(SimConfig(n=4, trials=20000, seed=12))
@@ -183,6 +191,11 @@ class TestSimulateTable:
         with pytest.raises(ValueError):
             simulate_table(SimConfig(n=1, trials=1, seed=0), stat="x")
 
+    def test_meta_key_order(self):
+        # The JSON report writes meta in this order, so it is part of its bytes.
+        rep = simulate_table(SimConfig(n=4, trials=100, seed=12))
+        assert list(rep["meta"]) == SAMPLER_KEYS + ["command", "stat", "overflow"]
+
 
 class TestCheckpointTable:
     def test_rows_per_horizon(self):
@@ -193,6 +206,13 @@ class TestCheckpointTable:
         assert horizons == {10, 40}
         assert set(rep["meta"]["overflow_by_checkpoint"]) == {10, 40}
         assert rep["meta"]["n"] == 40
+
+    def test_meta_key_order(self):
+        rep = checkpoint_table(SimConfig(n=40, trials=100, seed=3), checkpoints=(40, 10))
+        assert list(rep["meta"]) == SAMPLER_KEYS + [
+            "checkpoints", "command", "stat", "overflow_by_checkpoint"
+        ]
+        assert rep["meta"]["checkpoints"] == [10, 40]
 
 
 class TestConvergeTable:
