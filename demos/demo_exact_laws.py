@@ -34,6 +34,8 @@ def main() -> None:
         full, tail, lone = law.prob(k), law.tail_mass(k), law.lone_mass(k)
         print(f"  k = {k}:  {float(full):.6f} = {float(tail):.6f} (tail) + {float(lone):.6f} (none survive)")
     print(f"  tail == full - lone at every k: {all(law.tail_mass(k) == law.prob(k) - law.lone_mass(k) for k in range(1, 6))}")
+    # The survivor tail at k has the probability of more than k breaks.
+    print(f"  tail == P[B > k] at every k: {all(law.tail_mass(k) == 1 - sum(law.prob(j) for j in range(k + 1)) for k in range(1, 6))}")
     print()
 
     print("telescoping identity, literal sum vs closed form:")

@@ -46,10 +46,34 @@ and dev_0 = 0 (P[B_n = 0] = 1/2).  Unrolling it and multiplying through by
 for 0 <= k <= n, so the law at n needs only the Stirling row c(n, 0..k).
 The tests hold this route to the enumeration and to the paper's own sums
 over survivor positions, which live with them in ``tests/paper_sums.py``.
+
+The row is c(n, k) = [z**(k-1)] (z + 1)(z + 2)...(z + n - 1), and the pass
+builds that product truncated to degree kmax - 1 as a product tree
+(binary splitting; Bernstein, "Fast multiplication and its
+applications", 2008): a long span of factors is split in halves and the
+truncated halves are multiplied, so the big integers meet in a few
+balanced products instead of n small-by-big ones.
+
+The survivor tails need no second pass.  The closed form at k less the
+same at k - 1, divided by 2**k (n + 1)!, is
+
+    2 P[B_n = k] - P[B_n = k - 1] = (c(n, k) - c(n, k - 1))/(n + 1)!.
+
+Summed over j = 1..k, with c(n, 0) = 0 and P[B_n = 0] = 1/2, the left
+side is P[B_n = k] + sum_{j=1}^{k} P[B_n = j] - 1/2 and the right side
+c(n, k)/(n + 1)!, the no-survivor part of P[B_n = k].  So
+
+    P[B_n = k, an old record survives] = P[B_n = k] - c(n, k)/(n + 1)!
+                                       = 1/2 - sum_{j=1}^{k} P[B_n = j]
+                                       = P[B_n > k],
+
+and the pass reads every survivor tail off the masses it has already
+reduced, with k subtractions.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, pairwise
@@ -57,12 +81,13 @@ from itertools import accumulate, pairwise
 from .errors import CapacityError, checked_int
 
 # Ceiling on n * n * (kmax + 1) for exact_pmf_b at kmax >= 1: the pass
-# fills n * kmax cells, each an integer of O(n log n) bits.  Calls at the
-# ceiling took 2.5-3.3 s (n = 70,710 at kmax = 1) and 8.4-10.3 s
-# (n = 10**4 at kmax = 99) on a 2-CPU Xeon; kmax = 0 needs no pass.  At
-# the default kmax = 8 the ceiling is n = 33,333: there the pass took
-# 7.9 s, 1.9 s of it reducing the masses to lowest terms, the survivor
-# tails 2.0 s more, and the whole ``exact`` command 9.3 s.
+# builds kmax integers of O(n log n) bits from n - 1 factors.  Calls at the
+# ceiling took 0.23-0.32 s (n = 70,710 at kmax = 1) and 6.2-7.6 s
+# (n = 10**4 at kmax = 99, where the row is one linear loop) on a 2-CPU
+# Xeon; kmax = 0 needs no pass.  At the default kmax = 8 the ceiling is
+# n = 33,333: there the call took 2.8-3.0 s, 1.1 s of it the row and
+# 1.5 s reducing the masses to lowest terms, and the whole ``exact``
+# command 3.2-4.0 s.
 EXACT_MAX_WORK = 10**10
 
 
@@ -122,12 +147,15 @@ class BreakLaw(Pmf):
     (and 1 at kmax = 0, where no pass runs), ``heads[k]`` is
     scale * 2**(k+1) times P[B_n = k], and ``lone[k]`` is scale times the
     probability of breaking exactly k records with no old record
-    surviving; after a pass that is c(n, k).
+    surviving; after a pass that is c(n, k).  ``tails[k]`` is the
+    probability of breaking exactly k records with at least one old record
+    surviving, which equals P[B_n > k] (see the module docstring).
     """
 
     lone: tuple[int, ...] = ()
     heads: tuple[int, ...] = ()
     scale: int = 1
+    tails: tuple[Fraction, ...] = ()
 
     def lone_mass(self, k: int) -> Fraction:
         """Mass of breaking exactly k records with none surviving."""
@@ -137,41 +165,62 @@ class BreakLaw(Pmf):
 
     def tail_mass(self, k: int) -> Fraction:
         """Mass of breaking exactly k records with at least one survivor."""
-        if k >= len(self.heads):
-            return Fraction(0)
-        return Fraction(self.heads[k] - (self.lone[k] << (k + 1)), self.scale << (k + 1))
+        return self.tails[k] if k < len(self.tails) else Fraction(0)
 
 
 def exact_pmf_b(n: int, kmax: int) -> BreakLaw:
     """Exact P[B_n = k] for k = 0..min(kmax, n) from one Stirling row.
 
-    Carries c(l, 0..kmax) through c(l + 1, k) = l * c(l, k) + c(l, k - 1)
-    up to l = n, then reads every mass off the closed form in the module
-    docstring; kmax = 0 needs no pass, since P[B_n = 0] = 1/2.  Costs
-    O(n * kmax) multiplications of a big integer by a small one; at
+    Builds the row c(n, 0..kmax) with ``_rising``, reads every mass off
+    the closed form in the module docstring and every survivor tail off
+    the masses; kmax = 0 needs no pass, since P[B_n = 0] = 1/2.  At
     kmax >= 1 it refuses with CapacityError, before any arithmetic, when
     n * n * (kmax + 1) exceeds ``EXACT_MAX_WORK``.
     """
     n, kmax = checked_int("n", n, 1), checked_int("kmax", kmax)
     top = min(kmax, n)
     if not top:
-        return BreakLaw(n=n, mass={0: Fraction(1, 2)}, lone=(0,), heads=(1,))
+        half = Fraction(1, 2)
+        return BreakLaw(n=n, mass={0: half}, lone=(0,), heads=(1,), tails=(half,))
     work = n * n * (top + 1)
     if work > EXACT_MAX_WORK:
         raise CapacityError(
             f"exact law for n={n}, kmax={top} needs n*n*(kmax+1) = {work}, "
             f"over the ceiling of {EXACT_MAX_WORK}"
         )
-    stirling = [0, 1] + [0] * (top - 1)  # c(l, 0..top), from l = 1
-    for l in range(1, n):
-        for k in range(top, 0, -1):
-            stirling[k] = l * stirling[k] + stirling[k - 1]
+    # c(n, k) is the coefficient of z**(k-1) in (z + 1)(z + 2)...(z + n - 1).
+    stirling = [0, *_rising(1, n, top)]
     scale = math.factorial(n + 1)
     # Summed over j <= k, the steps give (n + 1)! 2**(k+1) P[B_n = k] - (n + 1)!.
     steps = ((c - b) << k for k, (b, c) in enumerate(pairwise([0, *stirling])))
     heads = tuple(scale + d for d in accumulate(steps))
     mass = {k: Fraction(h, scale << (k + 1)) for k, h in enumerate(heads)}
-    return BreakLaw(n=n, mass=mass, lone=tuple(stirling), heads=heads, scale=scale)
+    # P[B_n > k] = P[B_n > k - 1] - P[B_n = k], from P[B_n > 0] = 1/2.
+    tails = tuple(accumulate(map(mass.get, range(1, top + 1)), operator.sub, initial=mass[0]))
+    return BreakLaw(
+        n=n, mass=mass, lone=tuple(stirling), heads=heads, scale=scale, tails=tails
+    )
+
+
+def _rising(a: int, b: int, width: int) -> list[int]:
+    """Coefficients of z**0..z**(width-1) in (z + a)(z + a + 1)...(z + b - 1).
+
+    A span of at most max(64, width**3) factors is multiplied out one
+    factor at a time; a longer one is split in halves, whose truncated
+    products are multiplied together.  A join costs width * (width + 1)/2 products of
+    big integers, so below that span the one-at-a-time loop, which
+    multiplies by small integers only, is faster.
+    """
+    if b - a <= max(64, width**3):
+        row = [1] + [0] * (width - 1)
+        for l in range(a, b):
+            for k in range(width - 1, 0, -1):
+                row[k] = l * row[k] + row[k - 1]
+            row[0] *= l
+        return row
+    m = (a + b) // 2
+    low, high = _rising(a, m, width), _rising(m, b, width)
+    return [sum(low[i] * high[k - i] for i in range(k + 1)) for k in range(width)]
 
 
 def geometric_limit(k: int) -> Fraction:

@@ -60,6 +60,15 @@ def _reference_exact_pmf_b(n, kmax):
     return {k: F(a + c, scale) for k, (a, c) in enumerate(zip(acc, stirling))}, tuple(stirling)
 
 
+def _linear_stirling_row(n, top):
+    """c(n, 0..top) by one factor at a time, the pass before the product tree."""
+    stirling = [0, 1] + [0] * (top - 1)  # c(l, 0..top), from l = 1
+    for l in range(1, n):
+        for k in range(top, 0, -1):
+            stirling[k] = l * stirling[k] + stirling[k - 1]
+    return tuple(stirling)
+
+
 class TestTelescoping:
     def test_small_values(self):
         assert telescoping_sum(1) == F(1, 6)
@@ -207,6 +216,18 @@ class TestExactPmfB:
                 assert law.tail_mass(k) == joint_tail_prob_fast(n, k)
         assert exact_pmf_b(50, 3).tail_mass(3) == joint_tail_prob(50, 3)
 
+    def test_survivor_tail_is_the_upper_tail(self):
+        # P[B_n = k, a record survives] = P[B_n > k], on the enumeration
+        # alone, and the pass's tails equal it at every k.
+        for n in range(1, 10):
+            joint = oracle_joint(n)
+            pmf = joint.marginal_b()
+            law = exact_pmf_b(n, n)
+            for k in range(n + 1):
+                upper = F(1, 2) - sum(pmf.prob(j) for j in range(1, k + 1))
+                assert joint.tail_mass(k) == upper, (n, k)
+                assert law.tail_mass(k) == upper, (n, k)
+
     def test_full_law_sums_to_one(self):
         for n in (1, 2, 9, 60, 250):
             law = exact_pmf_b(n, n)
@@ -247,6 +268,19 @@ class TestExactPmfB:
                 law = exact_pmf_b(n, kmax)
                 assert (law.mass, law.lone) == _reference_exact_pmf_b(n, kmax), (n, kmax)
 
+    @pytest.mark.parametrize("kmax", [1, 2, 3, 8])
+    def test_product_tree_equals_reference_around_a_leaf(self, kmax):
+        # The row multiplies n - 1 factors; a span of up to leaf of them
+        # is one linear loop, and 2 * leaf of them is two leaves and a join.
+        leaf = max(64, kmax**3)
+        for n in (leaf - 1, leaf, leaf + 1, 2 * leaf + 1):
+            law = exact_pmf_b(n, kmax)
+            assert (law.mass, law.lone) == _reference_exact_pmf_b(n, kmax), (n, kmax)
+
+    @pytest.mark.parametrize("n, kmax", [(3000, 8), (10**4, 3)])
+    def test_product_tree_equals_linear_pass(self, n, kmax):
+        assert exact_pmf_b(n, kmax).lone == _linear_stirling_row(n, kmax)
+
     def test_full_support_equals_reference(self):
         # At kmax = n the closed form cancels most: at k = n its terms are
         # as large as (n + 1)! and cancel down to 2**(n+1).
@@ -279,9 +313,9 @@ class TestExactPmfB:
         assert main(["exact", "--n", "200000", "--kmax", "0"]) == 0
         assert "1/2" in capsys.readouterr().out
 
-    def test_tails_share_one_denominator(self):
-        # Each survivor tail is one Fraction over (n + 1)! 2**(k+1), equal
-        # to the full mass less the lone mass.
+    def test_tail_is_full_mass_less_lone_mass(self):
+        # Each survivor tail, read off the masses as P[B_n > k], is the
+        # full mass less the lone mass over the scale (n + 1)!.
         for n, kmax in ((1, 1), (7, 7), (300, 6)):
             law = exact_pmf_b(n, kmax)
             assert law.scale == math.factorial(n + 1)

@@ -33,6 +33,9 @@ INVOCATIONS: dict[str, list[str]] = {
     # (n = 33,333): every cell, then only the k <= 1 closed forms.
     "exact-n5000": ["exact", "--n", "5000", "--kmax", "8"],
     "exact-n40000": ["exact", "--n", "40000", "--kmax", "8"],
+    # The row's product tree at degree 2: 999 factors split into spans of
+    # 62 and 63, none a power of two.
+    "exact-n1000-kmax3": ["exact", "--n", "1000", "--kmax", "3"],
     "oracle-n5-b": ["oracle", "--n", "5"],
     "oracle-n6-r": ["oracle", "--n", "6", "--view", "r"],
     # 90 passes over the 8! table, one per placement of the values 9 and 8.
