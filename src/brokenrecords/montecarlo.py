@@ -58,16 +58,15 @@ for R_n, whose high words no window key reaches.  A block draws any L
 for all its trials, then one jump for each trial still open, round by
 round, so its counts depend on neither the workers nor the chunking; but
 a trial's draws depend on its block's trial count, and no trial can be
-replayed alone.  Each round draws its uniforms in one call into the
-thread's scratch, its jumps land there too, and the open trials are
-compacted into it, so the blocks of a thread share one set of buffers.
+replayed alone.  Each round draws its uniforms in one call, turns them
+into jumps in place and gathers the open trials into new arrays, which
+live no longer than the block.
 """
 from __future__ import annotations
 
 import functools
 import math
 import os
-import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -88,9 +87,9 @@ SUFFIX_GENERATOR = "philox4x64-suffix-length"
 RECORD_GENERATOR = "philox4x64-record-jumps"
 # Trials per block of the suffix sampler, a constant of its streams: a
 # block's counts depend on its size, so changing it changes every count.
-# A thread's scratch holds one block's uniforms and open indices and, for
-# B_n, two buffers of lengths, 0.5 MiB each; a first block on a fresh thread
-# at n = 10**9 peaked at 2.22 MiB (B_n) and 2.07 MiB (R_n) traced: under 3 MiB.
+# A round holds at most one block's uniforms, open indices and jumps, and
+# for B_n its lengths, 0.5 MiB each; a full block at n = 10**9 peaked at
+# 0.84 MiB (B_n) and 2.07 MiB (R_n) traced: under 3 MiB.
 _SUFFIX_BLOCK = 2**16
 # High key words of block 0 of B_n and of R_n; window keys use 0.._MAX_REDRAWS.
 _SUFFIX_KEY = 2**63
@@ -592,43 +591,20 @@ def simulate_b(config: SimConfig) -> EmpiricalPmf:
     return simulate_b_checkpoints(config, (config.n,))[config.n]
 
 
-# One thread's block-wide buffers of the jump samplers, kept from block to
-# block: a B_n block at n = 8 that allocated its temporaries faulted a median
-# of 266 pages back in, and with these buffers 0 after a thread's first
-# block.  The buffers live as long as the thread, one run's executor thread
-# for the samplers.  One draw per round into them beat a
-# batch that rounds slice, of 2**17 uniforms or refilled to twice the round:
-# 1.11 against 1.35 and 1.36 ms per B_n block at n = 8 (2-CPU Xeon, best of
-# 9), as a batch's unused tail is drawn for nothing.
-_scratch = threading.local()
-
-
-def _buffer(name: str, size: int, dtype: type = np.float64) -> np.ndarray:
-    """The first ``size`` entries of this thread's buffer ``name``, which is
-    made on first use, ``_SUFFIX_BLOCK`` entries long."""
-    buf = getattr(_scratch, name, None)
-    if buf is None:
-        buf = np.empty(_SUFFIX_BLOCK, dtype)
-        setattr(_scratch, name, buf)
-    return buf[:size]
-
-
 def _uniforms(gen: np.random.Generator, size: int) -> np.ndarray:
-    """The block's next ``size`` draws of U = k * 2**-53, in scratch: a
-    word w gives (w >> 11) * 2**-53 exactly, and adding 2**-53 is exact."""
-    u = gen.random(out=_buffer("u", size))
+    """The block's next ``size`` draws of U = k * 2**-53: a word w gives
+    (w >> 11) * 2**-53 exactly, and adding 2**-53 is exact."""
+    u = gen.random(size)
     u += 2.0**-53
     return u
 
 
 def _suffix_lengths(u: np.ndarray, n: int) -> tuple[int, np.ndarray]:
     """Of uniforms U, the count with L = 0 and, in trial order, the float64
-    lengths L >= 2 (in scratch): U > 1/2 gives L = 0 and, at n >= 2,
-    U <= _THIRD gives L >= 2, where L = min(n, floor(1 / U) - 1)."""
-    mask = _buffer("mask", u.size, bool)
-    zero = int(np.count_nonzero(np.greater(u, 0.5, out=mask)))
-    jump = np.flatnonzero(np.less_equal(u, _THIRD if n > 1 else 0.0, out=mask))
-    last = u.take(jump, out=_buffer("last0", jump.size), mode="clip")
+    lengths L >= 2: U > 1/2 gives L = 0 and, at n >= 2, U <= _THIRD gives
+    L >= 2, where L = min(n, floor(1 / U) - 1)."""
+    zero = int(np.count_nonzero(u > 0.5))
+    last = u.take(np.flatnonzero(u <= (_THIRD if n > 1 else 0.0)), mode="clip")
     np.divide(1.0, last, out=last)
     np.floor(last, out=last)
     last -= 1
@@ -646,23 +622,21 @@ def _record_jumps(
     sequence holds r records and jumps once: it ends with r + 1 if it
     lands on its length, r past it.
     """
-    j, spare = 1.0, 1
+    j = 1.0
     while size:
         nxt = _uniforms(gen, size)
         np.divide(j, nxt, out=nxt)
         np.floor(nxt, out=nxt)
         nxt += 1
-        mask = _buffer("mask", size, bool)
-        at = int(np.count_nonzero(np.equal(nxt, last, out=mask)))
-        # Indices and take(mode="clip"), not compress, whose take copies its
-        # output first: 149 against 261 us for two 2**16-value arrays.
-        keep = np.flatnonzero(np.less(nxt, last, out=mask))
+        at = int(np.count_nonzero(nxt == last))
+        # Indices and take(mode="clip"), not compress or a boolean mask: a
+        # mask and two gathers of 2**16 values took 353 against 397 and 943 us.
+        keep = np.flatnonzero(nxt < last)
         tally[-1] += size - keep.size - at
         tally.append(at)
-        j = nxt.take(keep, out=_buffer("j", keep.size), mode="clip")
+        j = nxt.take(keep, mode="clip")
         if np.ndim(last):
-            last = last.take(keep, out=_buffer(f"last{spare}", keep.size), mode="clip")
-            spare ^= 1
+            last = last.take(keep, mode="clip")
         size = keep.size
     return tally
 

@@ -1110,10 +1110,11 @@ class TestSuffixSampler:
         assert last.tolist() == [l for l in length if l > 1]
 
     def test_uniforms_are_the_grid_draws_of_the_raw_words(self):
-        # U = ((w >> 11) + 1) * 2**-53 of the block's words, in their order.
+        # U = ((w >> 11) + 1) * 2**-53 of the block's words, in their order;
+        # each call returns its own array, which the next call leaves alone.
         key = 5 + (mc._SUFFIX_KEY << 64)
         gen = np.random.Generator(np.random.Philox(key=key))
-        u = np.concatenate([mc._uniforms(gen, size).copy() for size in (3, 1000, 77)])
+        u = np.concatenate([mc._uniforms(gen, size) for size in (3, 1000, 77)])
         k = (np.random.Philox(key=key).random_raw(1080) >> np.uint64(11)) + np.uint64(1)
         assert u.tolist() == [int(x) * 2.0**-53 for x in k]
 
@@ -1129,10 +1130,10 @@ class TestSuffixSampler:
 
     @pytest.mark.parametrize("sample", [simulate_b_suffix, simulate_r])
     def test_a_full_block_stays_under_3_mib(self, sample):
-        # One block on one thread at n = 10**9 peaks at 2.22 MiB traced for
-        # B_n and 2.07 MiB for R_n, the per-thread buffers included.  The
-        # one-trial run first takes the allocations of a first run in the
-        # process, about 0.7 MiB.
+        # One block on one thread at n = 10**9 peaks at 0.84 MiB traced for
+        # B_n and 2.07 MiB for R_n, whose first round holds the uniforms,
+        # open indices and jumps of every trial.  The one-trial run first
+        # takes the allocations of a first run in the process, about 0.7 MiB.
         cfg = SimConfig(n=10**9, trials=mc._SUFFIX_BLOCK, seed=1, workers=1)
         sample(dataclasses.replace(cfg, trials=1))
         emp, peak = _traced_peak(lambda: sample(cfg))

@@ -63,6 +63,11 @@ INVOCATIONS: dict[str, list[str]] = {
         "simulate", "--n", "300", "--trials", "5000", "--seed", "3", "--stat", "r",
         "--workers", "1",
     ],
+    # Three blocks of record jumps on one thread, the last one partial.
+    "simulate-n1000-r": [
+        "simulate", "--stat", "r", "--n", "1000", "--trials", "150000", "--seed", "11",
+        "--workers", "1",
+    ],
     # Past the exact mean's ceiling (n = 10**5): its cells are empty.
     "simulate-n100001-r": [
         "simulate", "--stat", "r", "--n", "100001", "--trials", "20", "--seed", "3",
