@@ -1,8 +1,9 @@
 """Print the exact break-count laws and the identities behind them.
 
 Everything here is rational arithmetic: the mass at zero, the two-part
-k = 1 formula, the full law split into its survivor tails and the part
-where no older record survives, and the telescoping identity that
+k = 1 formula, the full law split by enumeration into its survivor tails
+and the part where no older record survives, the identity that reads
+each survivor tail off the masses, and the telescoping identity that
 collapses the k = 1 sum to a closed form.
 """
 
@@ -11,6 +12,7 @@ from fractions import Fraction
 from brokenrecords import (
     exact_pmf_b,
     geometric_limit,
+    oracle_joint,
     prob_b0,
     prob_b1,
     remainder_bound,
@@ -18,24 +20,26 @@ from brokenrecords import (
 
 
 def main() -> None:
-    n = 12
+    n = 8
     print(f"exact masses at n = {n}:")
     print(f"  P[B = 0] = {prob_b0(n)}  (one coin flip: is the newcomer a new record?)")
-    law = exact_pmf_b(n, 5)
+    law, joint = exact_pmf_b(n, 5), oracle_joint(n)
     print(
         f"  P[B = 1] = {prob_b1(n)}"
-        f" = {law.lone_mass(1)} (no survivor) + {law.tail_mass(1)} (a survivor)"
+        f" = {joint.lone_mass(1)} (no survivor) + {joint.tail_mass(1)} (a survivor)"
     )
     print(f"           = 1/4 + 1/(2n(n+1)) = {Fraction(1, 4) + Fraction(1, 2 * n * (n + 1))}")
     print()
 
-    print("full law P[B = k] next to the survivor tail P[B = k, an older record survives]:")
+    print("full law P[B = k] from the Stirling row, split by enumeration into the")
+    print("survivor tail P[B = k, an older record survives] and the rest:")
     for k in range(1, 6):
-        full, tail, lone = law.prob(k), law.tail_mass(k), law.lone_mass(k)
+        full, tail, lone = law.prob(k), joint.tail_mass(k), joint.lone_mass(k)
         print(f"  k = {k}:  {float(full):.6f} = {float(tail):.6f} (tail) + {float(lone):.6f} (none survive)")
-    print(f"  tail == full - lone at every k: {all(law.tail_mass(k) == law.prob(k) - law.lone_mass(k) for k in range(1, 6))}")
-    # The survivor tail at k has the probability of more than k breaks.
-    print(f"  tail == P[B > k] at every k: {all(law.tail_mass(k) == 1 - sum(law.prob(j) for j in range(k + 1)) for k in range(1, 6))}")
+    print(f"  tail + lone == full at every k: {all(joint.tail_mass(k) + joint.lone_mass(k) == law.prob(k) for k in range(1, 6))}")
+    # The survivor tail at k has the probability of more than k breaks, so
+    # the masses alone carry it.
+    print(f"  tail == P[B > k] at every k: {all(joint.tail_mass(k) == 1 - sum(law.prob(j) for j in range(k + 1)) for k in range(1, 6))}")
     print()
 
     print("telescoping identity, literal sum vs closed form:")

@@ -67,13 +67,12 @@ c(n, k)/(n + 1)!, the no-survivor part of P[B_n = k].  So
                                        = 1/2 - sum_{j=1}^{k} P[B_n = j]
                                        = P[B_n > k],
 
-and the pass reads every survivor tail off the masses it has already
-reduced, with k subtractions.
+and the masses carry every survivor tail: the report reads each one off
+them, with k subtractions.
 """
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, pairwise
@@ -139,49 +138,18 @@ def prob_b1(n: int) -> Fraction:
     return Fraction(1, 4) + Fraction(1, 2 * n * (n + 1))
 
 
-@dataclass
-class BreakLaw(Pmf):
-    """Exact law of the final break count with its lone part split out.
-
-    Over the common denominator ``scale``, which is (n + 1)! after a pass
-    (and 1 at kmax = 0, where no pass runs), ``heads[k]`` is
-    scale * 2**(k+1) times P[B_n = k], and ``lone[k]`` is scale times the
-    probability of breaking exactly k records with no old record
-    surviving; after a pass that is c(n, k).  ``tails[k]`` is the
-    probability of breaking exactly k records with at least one old record
-    surviving, which equals P[B_n > k] (see the module docstring).
-    """
-
-    lone: tuple[int, ...] = ()
-    heads: tuple[int, ...] = ()
-    scale: int = 1
-    tails: tuple[Fraction, ...] = ()
-
-    def lone_mass(self, k: int) -> Fraction:
-        """Mass of breaking exactly k records with none surviving."""
-        if k >= len(self.lone):
-            return Fraction(0)
-        return Fraction(self.lone[k], self.scale)
-
-    def tail_mass(self, k: int) -> Fraction:
-        """Mass of breaking exactly k records with at least one survivor."""
-        return self.tails[k] if k < len(self.tails) else Fraction(0)
-
-
-def exact_pmf_b(n: int, kmax: int) -> BreakLaw:
+def exact_pmf_b(n: int, kmax: int) -> Pmf:
     """Exact P[B_n = k] for k = 0..min(kmax, n) from one Stirling row.
 
-    Builds the row c(n, 0..kmax) with ``_rising``, reads every mass off
-    the closed form in the module docstring and every survivor tail off
-    the masses; kmax = 0 needs no pass, since P[B_n = 0] = 1/2.  At
-    kmax >= 1 it refuses with CapacityError, before any arithmetic, when
-    n * n * (kmax + 1) exceeds ``EXACT_MAX_WORK``.
+    Builds the row c(n, 0..kmax) with ``_rising`` and reads every mass off
+    the closed form in the module docstring; kmax = 0 needs no pass, since
+    P[B_n = 0] = 1/2.  At kmax >= 1 it refuses with CapacityError, before
+    any arithmetic, when n * n * (kmax + 1) exceeds ``EXACT_MAX_WORK``.
     """
     n, kmax = checked_int("n", n, 1), checked_int("kmax", kmax)
     top = min(kmax, n)
     if not top:
-        half = Fraction(1, 2)
-        return BreakLaw(n=n, mass={0: half}, lone=(0,), heads=(1,), tails=(half,))
+        return Pmf(n=n, mass={0: Fraction(1, 2)})
     work = n * n * (top + 1)
     if work > EXACT_MAX_WORK:
         raise CapacityError(
@@ -195,11 +163,7 @@ def exact_pmf_b(n: int, kmax: int) -> BreakLaw:
     steps = ((c - b) << k for k, (b, c) in enumerate(pairwise([0, *stirling])))
     heads = tuple(scale + d for d in accumulate(steps))
     mass = {k: Fraction(h, scale << (k + 1)) for k, h in enumerate(heads)}
-    # P[B_n > k] = P[B_n > k - 1] - P[B_n = k], from P[B_n > 0] = 1/2.
-    tails = tuple(accumulate(map(mass.get, range(1, top + 1)), operator.sub, initial=mass[0]))
-    return BreakLaw(
-        n=n, mass=mass, lone=tuple(stirling), heads=heads, scale=scale, tails=tails
-    )
+    return Pmf(n=n, mass=mass)
 
 
 def _rising(a: int, b: int, width: int) -> list[int]:

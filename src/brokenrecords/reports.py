@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .errors import CapacityError, UsageError, checked_int
@@ -118,11 +120,12 @@ def _law_rows(
 ) -> list[dict]:
     """``build_row`` at (n, k) for k = 0..top, with the columns asked for.
 
-    ``exact`` takes the full mass at every k and the survivor tail at
-    k >= 1 from one ``exact_pmf_b`` pass.  Where the pass is over its
-    ceiling, which it knows from the sizes alone, only the k <= 1 closed
-    forms remain and the tails stay empty.  ``oracle`` adds the enumerated
-    law and ``emp`` a simulation's frequencies.
+    ``exact`` takes the full mass at every k from one ``exact_pmf_b``
+    pass, and the survivor tail at k >= 1 off those masses as
+    P[B_n > k] = 1/2 - sum_{j=1}^{k} P[B_n = j] (see ``exact``).  Where the
+    pass is over its ceiling, which it knows from the sizes alone, only the
+    k <= 1 closed forms remain and the tails stay empty.  ``oracle`` adds
+    the enumerated law and ``emp`` a simulation's frequencies.
     """
     columns: dict[str, Callable[[int], Fraction | float | None]] = {}
     if exact:
@@ -132,8 +135,10 @@ def _law_rows(
             closed = (prob_b0(n), prob_b1(n))
             columns["exact_full"] = lambda k: closed[k] if k <= 1 else None
         else:
+            masses = map(law.prob, range(1, top + 1))
+            tails = list(accumulate(masses, operator.sub, initial=law.prob(0)))
             columns["exact_full"] = law.prob
-            columns["exact_tail"] = lambda k: law.tail_mass(k) if k else None
+            columns["exact_tail"] = lambda k: tails[k] if k else None
     if oracle:
         columns["oracle_exact"] = oracle_joint(n).marginal_b().prob
     if emp is not None:

@@ -3,10 +3,13 @@
 The paper proves P[B_n = k] -> 2**-(k+1) through the probability that the
 final step breaks exactly k records while an older one survives, summed
 over decreasing index tuples, and for k = 1 through a telescoping sum.
-The package reads every mass and tail off one Stirling row
-(``exact_pmf_b``); these sums are the second route the tests hold it to.
-They check no arguments: callers pass n >= 1, k >= 1 and strictly
-decreasing nonnegative indices below the break time.
+The package reads every mass off one Stirling row (``exact_pmf_b``), and
+every survivor tail off the masses; these sums are the second route the
+tests hold it to.  ``linear_stirling_row`` builds that row one factor at
+a time, the tests' reference for the package's product tree and for the
+no-survivor part c(n, k)/(n + 1)!.  None of them checks its arguments:
+callers pass n >= 1, k >= 1, top >= 1 and strictly decreasing
+nonnegative indices below the break time.
 """
 
 from fractions import Fraction
@@ -97,3 +100,17 @@ def joint_tail_prob_fast(n, k):
             nxt[x] = acc
         layer = nxt
     return layer[i0]
+
+
+def linear_stirling_row(n, top):
+    """c(n, 0..top) by one factor at a time, the pass before the product tree.
+
+    c(n, k) counts the permutations of n values with k records, which is
+    (n + 1)! times the probability that the final step breaks all k of
+    its records and none older survives.
+    """
+    stirling = [0, 1] + [0] * (top - 1)  # c(l, 0..top), from l = 1
+    for l in range(1, n):
+        for k in range(top, 0, -1):
+            stirling[k] = l * stirling[k] + stirling[k - 1]
+    return tuple(stirling)

@@ -30,6 +30,7 @@ from brokenrecords.cli import main
 from paper_sums import (
     joint_tail_prob,
     joint_tail_prob_fast,
+    linear_stirling_row,
     p_term,
     prob_b1_lastrecord,
     single_break_term,
@@ -60,13 +61,18 @@ def _reference_exact_pmf_b(n, kmax):
     return {k: F(a + c, scale) for k, (a, c) in enumerate(zip(acc, stirling))}, tuple(stirling)
 
 
-def _linear_stirling_row(n, top):
-    """c(n, 0..top) by one factor at a time, the pass before the product tree."""
-    stirling = [0, 1] + [0] * (top - 1)  # c(l, 0..top), from l = 1
-    for l in range(1, n):
-        for k in range(top, 0, -1):
-            stirling[k] = l * stirling[k] + stirling[k - 1]
-    return tuple(stirling)
+def _assert_equals_reference(n, kmax):
+    """The masses of ``exact_pmf_b`` and the row of ``exact._rising`` equal
+    the two-accumulator pass's."""
+    mass, row = _reference_exact_pmf_b(n, kmax)
+    assert exact_pmf_b(n, kmax).mass == mass, (n, kmax)
+    if min(kmax, n):
+        assert (0, *exact._rising(1, n, min(kmax, n))) == row, (n, kmax)
+
+
+def _upper_tail(law, k):
+    """P[B_n > k] read off the masses, as the report reads the survivor tail."""
+    return F(1, 2) - sum(law.prob(j) for j in range(1, k + 1))
 
 
 class TestTelescoping:
@@ -197,36 +203,38 @@ class TestExactPmfB:
         for n in range(1, 9):
             law = exact_pmf_b(n, n)
             pmf = oracle_pmf_b(n)
+            assert type(law) is Pmf
             assert law.support() == pmf.support()
             for k in range(n + 1):
                 assert law.prob(k) == pmf.prob(k)
 
     def test_lone_part_equals_enumeration(self):
+        # The full mass less the upper tail is the no-survivor part
+        # c(n, k)/(n + 1)!, which the enumeration counts directly.
         for n in range(1, 9):
             law = exact_pmf_b(n, n)
             joint = oracle_joint(n)
+            row = linear_stirling_row(n, n)
             for k in range(n + 1):
-                assert F(law.lone[k], math.factorial(n + 1)) == joint.lone_mass(k)
-                assert law.lone_mass(k) == joint.lone_mass(k)
+                lone = law.prob(k) - _upper_tail(law, k)
+                assert lone == F(row[k], math.factorial(n + 1)) == joint.lone_mass(k)
 
     def test_tails_equal_survivor_routes(self):
         for n in (50, 300):
             law = exact_pmf_b(n, 6)
             for k in range(1, 7):
-                assert law.tail_mass(k) == joint_tail_prob_fast(n, k)
-        assert exact_pmf_b(50, 3).tail_mass(3) == joint_tail_prob(50, 3)
+                assert _upper_tail(law, k) == joint_tail_prob_fast(n, k)
+        assert _upper_tail(exact_pmf_b(50, 3), 3) == joint_tail_prob(50, 3)
 
     def test_survivor_tail_is_the_upper_tail(self):
         # P[B_n = k, a record survives] = P[B_n > k], on the enumeration
-        # alone, and the pass's tails equal it at every k.
+        # alone: the identity the report's survivor tails rest on.
         for n in range(1, 10):
             joint = oracle_joint(n)
             pmf = joint.marginal_b()
-            law = exact_pmf_b(n, n)
             for k in range(n + 1):
                 upper = F(1, 2) - sum(pmf.prob(j) for j in range(1, k + 1))
                 assert joint.tail_mass(k) == upper, (n, k)
-                assert law.tail_mass(k) == upper, (n, k)
 
     def test_full_law_sums_to_one(self):
         for n in (1, 2, 9, 60, 250):
@@ -249,7 +257,7 @@ class TestExactPmfB:
         law = exact_pmf_b(3, 9)
         assert sorted(law.mass) == [0, 1, 2, 3]
         assert law.prob(7) == 0
-        assert law.lone_mass(7) == 0
+        assert law.total() == 1
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -265,8 +273,7 @@ class TestExactPmfB:
     def test_equals_two_accumulator_reference(self, ns):
         for n in ns:
             for kmax in (0, 1, 3, 8, 12):
-                law = exact_pmf_b(n, kmax)
-                assert (law.mass, law.lone) == _reference_exact_pmf_b(n, kmax), (n, kmax)
+                _assert_equals_reference(n, kmax)
 
     @pytest.mark.parametrize("kmax", [1, 2, 3, 8])
     def test_product_tree_equals_reference_around_a_leaf(self, kmax):
@@ -274,19 +281,17 @@ class TestExactPmfB:
         # is one linear loop, and 2 * leaf of them is two leaves and a join.
         leaf = max(64, kmax**3)
         for n in (leaf - 1, leaf, leaf + 1, 2 * leaf + 1):
-            law = exact_pmf_b(n, kmax)
-            assert (law.mass, law.lone) == _reference_exact_pmf_b(n, kmax), (n, kmax)
+            _assert_equals_reference(n, kmax)
 
     @pytest.mark.parametrize("n, kmax", [(3000, 8), (10**4, 3)])
     def test_product_tree_equals_linear_pass(self, n, kmax):
-        assert exact_pmf_b(n, kmax).lone == _linear_stirling_row(n, kmax)
+        assert (0, *exact._rising(1, n, kmax)) == linear_stirling_row(n, kmax)
 
     def test_full_support_equals_reference(self):
         # At kmax = n the closed form cancels most: at k = n its terms are
         # as large as (n + 1)! and cancel down to 2**(n+1).
         for n in range(1, 61):
-            law = exact_pmf_b(n, n)
-            assert (law.mass, law.lone) == _reference_exact_pmf_b(n, n), n
+            _assert_equals_reference(n, n)
 
     def test_capacity_ceiling(self, monkeypatch, capsys):
         # kmax = 0 sits on the ceiling at n = 10**5 and needs no big
@@ -295,7 +300,6 @@ class TestExactPmfB:
             m.setattr(exact.math, "factorial", None)
             law = exact_pmf_b(10**5, 0)
         assert law.mass == {0: F(1, 2)}
-        assert law.lone == (0,)
         # Refused from the sizes alone, before any arithmetic.
         with pytest.raises(CapacityError) as exc:
             exact_pmf_b(10**9, 8)
@@ -315,14 +319,13 @@ class TestExactPmfB:
 
     def test_tail_is_full_mass_less_lone_mass(self):
         # Each survivor tail, read off the masses as P[B_n > k], is the
-        # full mass less the lone mass over the scale (n + 1)!.
+        # full mass less the lone mass c(n, k)/(n + 1)!.
         for n, kmax in ((1, 1), (7, 7), (300, 6)):
             law = exact_pmf_b(n, kmax)
-            assert law.scale == math.factorial(n + 1)
-            for k in range(kmax + 2):
-                assert law.tail_mass(k) == law.prob(k) - law.lone_mass(k), (n, k)
-        law = exact_pmf_b(5, 0)
-        assert (law.tail_mass(0), law.tail_mass(1), law.lone_mass(0)) == (F(1, 2), 0, 0)
+            row = linear_stirling_row(n, kmax)
+            for k in range(kmax + 1):
+                lone = F(row[k], math.factorial(n + 1))
+                assert _upper_tail(law, k) == law.prob(k) - lone, (n, k)
 
 
 class TestLimitAndBound:

@@ -55,6 +55,7 @@ from brokenrecords import (
     trial_values,
 )
 from brokenrecords.reports import chi2_sf, chi_square_fit
+from paper_sums import linear_stirling_row
 
 
 def _traced_peak(fn):
@@ -1175,18 +1176,17 @@ class TestSimulateR:
     @staticmethod
     def _exact_p_value(emp, top):
         """Chi-square p-value against P[R_n = r] = c(n + 1, r) / (n + 1)!,
-        read off ``exact_pmf_b(n + 1, top)``, at r = 1..top plus a tail bin."""
-        law = exact_pmf_b(emp.n + 1, top)
-        scale = math.factorial(emp.n + 1)
+        from the Stirling row c(n + 1, 1..top), plus a tail bin."""
         top = min(top, emp.n + 1)
-        body = [Fraction(law.lone[r], scale) for r in range(1, top + 1)]
+        row = linear_stirling_row(emp.n + 1, top)
+        scale = math.factorial(emp.n + 1)
+        body = [Fraction(row[r], scale) for r in range(1, top + 1)]
         observed = [emp.counts[r] for r in range(1, top + 1)]
         observed.append(emp.trials - sum(observed))
         return chi_square_fit(observed, body + [1 - sum(body)], emp.trials)[2]
 
     def test_the_reference_law_is_the_enumerated_one(self):
-        law = exact_pmf_b(9, 9)
-        assert [Fraction(c, math.factorial(9)) for c in law.lone] == [
+        assert [Fraction(c, math.factorial(9)) for c in linear_stirling_row(9, 9)] == [
             oracle_pmf_r(8).prob(r) for r in range(10)
         ]
 

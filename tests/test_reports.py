@@ -108,7 +108,8 @@ class TestExactTable:
         law = exact.exact_pmf_b(50, 3)
         rows = exact_table(50, kmax=3)["rows"]
         assert [r["exact_full"] for r in rows] == [law.prob(k) for k in range(4)]
-        assert [r["exact_tail"] for r in rows] == [None] + [law.tail_mass(k) for k in (1, 2, 3)]
+        upper = [F(1, 2) - sum(law.prob(j) for j in range(1, k + 1)) for k in (1, 2, 3)]
+        assert [r["exact_tail"] for r in rows] == [None, *upper]
         rows = exact_table(51, kmax=3)["rows"]
         assert [r["exact_full"] for r in rows] == [F(1, 2), F(1, 4) + F(1, 5304), None, None]
         assert all(r["exact_tail"] is None for r in rows)
@@ -274,9 +275,8 @@ class TestConvergeTable:
         law = exact.exact_pmf_b(50, 3)
         by = {(r["n"], r["k"]): r for r in converge_table([50, 51], 3, 0, 0)["rows"]}
         assert [by[(50, k)]["exact_full"] for k in range(4)] == [law.prob(k) for k in range(4)]
-        assert [by[(50, k)]["exact_tail"] for k in range(4)] == [
-            None, *(law.tail_mass(k) for k in (1, 2, 3))
-        ]
+        upper = [F(1, 2) - sum(law.prob(j) for j in range(1, k + 1)) for k in (1, 2, 3)]
+        assert [by[(50, k)]["exact_tail"] for k in range(4)] == [None, *upper]
         assert [by[(51, k)]["exact_full"] for k in range(4)] == [
             F(1, 2), F(1, 4) + F(1, 5304), None, None
         ]
