@@ -12,7 +12,7 @@ VALUES = [0.31, 0.9, 0.12, 0.77, 0.5, 0.61, 0.02, 0.83, 0.44, 0.95]
 
 
 def show_stack(stack):
-    return "  ".join(f"({e.index},{e.value:.2f})" for e in stack)
+    return "  ".join(f"({i},{v:.2f})" for i, v in stack)
 
 
 def main() -> None:

@@ -41,7 +41,6 @@ from .oracle import (
     oracle_pmf_r,
 )
 from .records import (
-    RecordEntry,
     RecordStack,
     TrajectoryStats,
     records_by_scan,
@@ -58,7 +57,6 @@ __all__ = [
     "JointPmf",
     "PartialResultError",
     "Pmf",
-    "RecordEntry",
     "RecordStack",
     "SimConfig",
     "TieError",

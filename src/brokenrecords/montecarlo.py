@@ -210,13 +210,6 @@ class EmpiricalPmf:
     def frequency(self, k: int) -> float:
         return self.counts.get(k, 0) / self.trials
 
-    def frequencies(self) -> dict[int, float]:
-        return {k: c / self.trials for k, c in sorted(self.counts.items())}
-
-    def stderr(self, k: int) -> float:
-        p = self.frequency(k)
-        return math.sqrt(p * (1.0 - p) / self.trials)
-
     def mean(self) -> float:
         if self.overflow:
             raise ValueError("mean is undefined while overflow pools outcomes")

@@ -61,9 +61,6 @@ class JointPmf:
     n: int
     mass: dict[tuple[int, int], Fraction]
 
-    def prob(self, b: int, r_prev: int) -> Fraction:
-        return self.mass.get((b, r_prev), Fraction(0))
-
     def total(self) -> Fraction:
         return sum(self.mass.values(), Fraction(0))
 

@@ -10,9 +10,9 @@ values; the number evicted is the break count of that step.
 The incremental structure here does exactly that eviction, so a whole
 trajectory costs O(1) amortized per step.  It keeps the records as two
 parallel plain lists, indices and values, so a step builds no object;
-``RecordEntry`` pairs are built only when a caller reads ``entries`` or
-iterates.  ``RecordStack.extend`` is the one eviction loop: ``step`` calls
-it with one value and ``run_trajectory`` with the whole sequence.
+the (index, value) pairs are zipped only when a caller iterates.
+``RecordStack.extend`` is the one eviction loop: ``step`` calls it with
+one value and ``run_trajectory`` with the whole sequence.
 ``records_by_scan`` recomputes the record set straight from the
 definition as an independent cross-check: one right-to-left pass keeps
 each value that exceeds the running maximum of the values after it, with
@@ -30,24 +30,14 @@ from .errors import TieError, UsageError
 Value = Union[int, float]
 
 
-@dataclass(frozen=True, slots=True)
-class RecordEntry:
-    """One current record: observation index and observed value.
-
-    The stack stores no entries; it builds them when ``entries`` is read.
-    """
-
-    index: int
-    value: Value
-
-
 class RecordStack:
-    """The current-record set, oldest record first.
+    """The current-record set as (index, value) pairs, oldest record first.
 
     Held as two parallel lists, ``_idx`` (observation indices) and
     ``_val`` (observed values), so a step pushes and pops plain list
-    items and builds no object; ``entries`` builds a fresh list of
-    ``RecordEntry`` on demand, and mutating it leaves the stack alone.
+    items and builds no object.  Iterating yields a snapshot of the
+    pairs, so ``RecordStack(list(s)) == s`` and a later step leaves an
+    iterator already taken alone.
 
     Invariants: indices strictly increase, values strictly decrease, and
     the newest index equals the current time.  ``extend`` is the one
@@ -57,16 +47,11 @@ class RecordStack:
 
     __slots__ = ("_idx", "_val")
 
-    def __init__(self, entries: Iterable[RecordEntry] = ()):
-        entries = list(entries)
-        self._idx: list[int] = [e.index for e in entries]
-        self._val: list[Value] = [e.value for e in entries]
+    def __init__(self, pairs: Iterable[tuple[int, Value]] = ()):
+        pairs = list(pairs)
+        self._idx: list[int] = [i for i, _ in pairs]
+        self._val: list[Value] = [v for _, v in pairs]
         self.validate()
-
-    @property
-    def entries(self) -> list[RecordEntry]:
-        """The records as a new ``RecordEntry`` list, oldest first."""
-        return [RecordEntry(i, v) for i, v in zip(self._idx, self._val)]
 
     @property
     def time(self) -> int:
@@ -137,7 +122,7 @@ class RecordStack:
         return len(self._idx)
 
     def __iter__(self):
-        return iter(self.entries)
+        return iter(list(zip(self._idx, self._val)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RecordStack):

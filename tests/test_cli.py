@@ -515,8 +515,8 @@ class TestImportPath:
 
     def test_public_surface(self):
         # The paper's literal sums are test references (tests/paper_sums.py),
-        # not package API.
-        from brokenrecords import exact, montecarlo, oracle
+        # not package API, and a record is a plain (index, value) pair.
+        from brokenrecords import exact, montecarlo, oracle, records
 
         for name in brokenrecords.__all__:
             getattr(brokenrecords, name)
@@ -529,9 +529,17 @@ class TestImportPath:
             "prob_b1_lastrecord",
             "oracle_single_break_profile",
             "record_counts",
+            "RecordEntry",
         )
-        for module in (brokenrecords, exact, montecarlo, oracle):
+        for module in (brokenrecords, exact, montecarlo, oracle, records):
             assert [name for name in removed if hasattr(module, name)] == []
+        members = [
+            (brokenrecords.RecordStack, "entries"),
+            (brokenrecords.JointPmf, "prob"),
+            (brokenrecords.EmpiricalPmf, "frequencies"),
+            (brokenrecords.EmpiricalPmf, "stderr"),
+        ]
+        assert [m for m in members if hasattr(*m)] == []
 
 
 class TestExitCodes:

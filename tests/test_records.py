@@ -1,6 +1,7 @@
 """Unit tests for the incremental record stack and trajectory runner."""
 
 import math
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from brokenrecords import records
 from brokenrecords import (
-    RecordEntry,
     RecordStack,
     TieError,
     records_by_scan,
@@ -19,8 +19,13 @@ finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 distinct_lists = st.lists(finite, unique=True, min_size=1, max_size=60)
 
 
+# The reference helpers hold records as named pairs, which compare equal to
+# the plain (index, value) pairs the stack yields.
+Pair = namedtuple("Pair", "index value")
+
+
 def _stack_from(pairs):
-    return RecordStack([RecordEntry(i, v) for i, v in pairs])
+    return RecordStack(list(pairs))
 
 
 def _quadratic_records_by_scan(values):
@@ -31,7 +36,7 @@ def _quadratic_records_by_scan(values):
     m = len(vals)
     return RecordStack(
         [
-            RecordEntry(i, v)
+            Pair(i, v)
             for i, v in enumerate(vals)
             if not any(vals[j] > v for j in range(i + 1, m))
         ]
@@ -52,44 +57,44 @@ def _loop_check_distinct(values):
 
 
 class _ReferenceStack:
-    """The record stack as one list of frozen ``RecordEntry`` objects: the
-    design the two-list stack replaced, kept as its behavioural reference."""
+    """The record stack as one list of ``Pair`` records: the design the
+    two-list stack replaced, kept as its behavioural reference."""
 
-    def __init__(self, entries=()):
-        self.entries = list(entries)
+    def __init__(self, pairs=()):
+        self.pairs = [Pair(*p) for p in pairs]
         self.validate()
 
     @property
     def time(self):
-        return self.entries[-1].index if self.entries else -1
+        return self.pairs[-1].index if self.pairs else -1
 
     def indices(self):
-        return [e.index for e in self.entries]
+        return [e.index for e in self.pairs]
 
     def values(self):
-        return [e.value for e in self.entries]
+        return [e.value for e in self.pairs]
 
     def step(self, value):
         if value != value:
             raise ValueError("observation is not comparable (NaN)")
-        entries = self.entries
-        arriving = entries[-1].index + 1 if entries else 0
+        pairs = self.pairs
+        arriving = pairs[-1].index + 1 if pairs else 0
         broken = 0
-        while entries and entries[-1].value < value:
-            entries.pop()
+        while pairs and pairs[-1].value < value:
+            pairs.pop()
             broken += 1
-        if entries and entries[-1].value == value:
+        if pairs and pairs[-1].value == value:
             raise TieError(
                 f"value {value!r} at index {arriving} ties the record at "
-                f"index {entries[-1].index}",
-                indices=(entries[-1].index, arriving),
+                f"index {pairs[-1].index}",
+                indices=(pairs[-1].index, arriving),
             )
-        entries.append(RecordEntry(arriving, value))
+        pairs.append(Pair(arriving, value))
         return broken
 
     def validate(self):
-        entries = self.entries
-        for prev, cur in zip(entries, entries[1:]):
+        pairs = self.pairs
+        for prev, cur in zip(pairs, pairs[1:]):
             if cur.index <= prev.index:
                 raise ValueError(
                     f"indices not strictly increasing: {prev.index} then {cur.index}"
@@ -100,18 +105,18 @@ class _ReferenceStack:
                 )
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.pairs)
 
     def __iter__(self):
-        return iter(self.entries)
+        return iter(list(self.pairs))
 
     def __eq__(self, other):
         if not isinstance(other, _ReferenceStack):
             return NotImplemented
-        return self.entries == other.entries
+        return self.pairs == other.pairs
 
     def __repr__(self):
-        inner = ", ".join(f"({e.index}, {e.value!r})" for e in self.entries)
+        inner = ", ".join(f"({e.index}, {e.value!r})" for e in self.pairs)
         return f"RecordStack([{inner}])"
 
 
@@ -126,7 +131,7 @@ def _reference_run_trajectory(values):
     r_path, b_path = [1], []
     for v in vals[1:]:
         b_path.append(stack.step(v))
-        r_path.append(len(stack.entries))
+        r_path.append(len(stack))
     return r_path, b_path, stack
 
 
@@ -224,18 +229,18 @@ class TestStack:
         a = _stack_from([(0, 0.9), (2, 0.5)])
         b = _stack_from([(0, 0.9), (2, 0.5)])
         assert a == b
-        assert [e.value for e in a] == [0.9, 0.5]
+        assert list(a) == [(0, 0.9), (2, 0.5)]
 
 
 class TestScan:
     def test_scan_example(self):
         recs = records_by_scan([0.2, 0.9, 0.5])
-        assert [e.index for e in recs] == [1, 2]
-        assert [e.value for e in recs] == [0.9, 0.5]
+        assert recs.indices() == [1, 2]
+        assert recs.values() == [0.9, 0.5]
 
     def test_scan_singleton(self):
         recs = records_by_scan([0.4])
-        assert [(e.index, e.value) for e in recs] == [(0, 0.4)]
+        assert list(recs) == [(0, 0.4)]
 
     def test_scan_empty(self):
         assert len(records_by_scan([])) == 0
@@ -269,7 +274,7 @@ class TestOnePassScan:
 
     def test_scan_reads_a_generator_once(self):
         recs = records_by_scan(v for v in [0.2, 0.9, 0.5])
-        assert [(e.index, e.value) for e in recs] == [(1, 0.9), (2, 0.5)]
+        assert list(recs) == [(1, 0.9), (2, 0.5)]
 
 
 class TestDistinctScreen:
@@ -341,12 +346,12 @@ class TestTwoListStack:
         prev_new, prev_ref = RecordStack(), _ReferenceStack()
         for v in vals:
             assert _stepped(new, v) == _stepped(ref, v)
-            assert new.entries == ref.entries
+            assert list(new) == list(ref)
             assert repr(new) == repr(ref)
             assert (len(new), new.time) == (len(ref), ref.time)
             assert (new.indices(), new.values()) == (ref.indices(), ref.values())
             assert (new == prev_new) == (ref == prev_ref)
-            prev_new, prev_ref = RecordStack(new.entries), _ReferenceStack(ref.entries)
+            prev_new, prev_ref = RecordStack(list(new)), _ReferenceStack(list(ref))
             assert new == prev_new
 
     @staticmethod
@@ -357,7 +362,7 @@ class TestTwoListStack:
             return ("tie", exc.indices, str(exc))
         except ValueError as exc:
             return ("nan", str(exc))
-        return r_path, b_path, final.entries, repr(final)
+        return r_path, b_path, list(final), repr(final)
 
     @staticmethod
     def _run_new(vals):
@@ -379,16 +384,24 @@ class TestTwoListStack:
 
     def test_entries_is_a_fresh_copy(self):
         s = _stack_from([(0, 0.9), (2, 0.5)])
-        listed = s.entries
-        assert listed is not s.entries
+        listed = list(s)
+        assert listed is not list(s)
         listed.pop()
-        listed.append(RecordEntry(9, 5.0))
+        listed.append((9, 5.0))
         s.indices().clear()
         s.values().append(0.1)
-        assert s.entries == [RecordEntry(0, 0.9), RecordEntry(2, 0.5)]
+        assert list(s) == [(0, 0.9), (2, 0.5)]
         assert len(s) == 2 and s.time == 2
         assert s.step(0.7) == 1
         assert s == _stack_from([(0, 0.9), (3, 0.7)])
+
+    def test_iteration_is_a_snapshot_that_round_trips(self):
+        s = _stack_from([(0, 0.9), (2, 0.5)])
+        taken = iter(s)
+        assert s.step(0.7) == 1
+        assert list(taken) == [(0, 0.9), (2, 0.5)]
+        assert RecordStack(list(s)) == s
+        assert repr(s) == "RecordStack([(0, 0.9), (3, 0.7)])"
 
     def test_extend_records_breaks_and_sizes(self):
         s = RecordStack()
@@ -435,7 +448,7 @@ class TestTrajectory:
         }
         vals = [planted.get(i, 0.001 * (i + 1)) for i in range(25)]
         stats = run_trajectory(vals)
-        assert [e.index for e in stats.final_records] == sorted(planted)
+        assert stats.final_records.indices() == sorted(planted)
         assert stats.r_path[-1] == 8
         assert stats.n == 24
         assert sum(stats.b_path) == 25 - 8
@@ -490,9 +503,7 @@ class TestProperties:
         b = run_trajectory(mapped)
         assert a.b_path == b.b_path
         assert a.r_path == b.r_path
-        assert [e.index for e in a.final_records] == [
-            e.index for e in b.final_records
-        ]
+        assert a.final_records.indices() == b.final_records.indices()
 
     @given(distinct_lists)
     @settings(max_examples=100)
@@ -508,7 +519,7 @@ class TestProperties:
     def test_scan_is_suffix_maxima(self, vals):
         recs = records_by_scan(vals)
         assert recs == _quadratic_records_by_scan(vals)
-        values = [e.value for e in recs]
+        values = recs.values()
         assert values == sorted(values, reverse=True)
         assert values[-1] == vals[-1]
         assert values[0] == max(vals)
